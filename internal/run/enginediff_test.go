@@ -1,62 +1,9 @@
 package run
 
 import (
-	"bytes"
-	"context"
 	"fmt"
 	"testing"
-
-	"repro/internal/run/opts"
 )
-
-// execEngine runs spec on the named engine and returns its artifacts.
-func execEngine(t *testing.T, spec Spec, engine string) map[string][]byte {
-	t.Helper()
-	spec.Engine = engine
-	res, err := Execute(context.Background(), spec)
-	if err != nil {
-		t.Fatalf("engine=%s: %v", engine, err)
-	}
-	return res.Artifacts
-}
-
-// diffArtifacts asserts the two engines produced byte-identical artifacts.
-func diffArtifacts(t *testing.T, label string, spec Spec) {
-	t.Helper()
-	g := execEngine(t, spec, opts.EngineGoroutine)
-	c := execEngine(t, spec, opts.EngineContinuation)
-	if len(g) != len(c) {
-		t.Fatalf("%s: artifact sets differ: goroutine %d, continuation %d", label, len(g), len(c))
-	}
-	for name, gb := range g {
-		cb, ok := c[name]
-		if !ok {
-			t.Fatalf("%s: continuation engine missing artifact %s", label, name)
-		}
-		if !bytes.Equal(gb, cb) {
-			i := 0
-			for i < len(gb) && i < len(cb) && gb[i] == cb[i] {
-				i++
-			}
-			lo, hi := i-40, i+40
-			if lo < 0 {
-				lo = 0
-			}
-			snip := func(b []byte) string {
-				h := hi
-				if h > len(b) {
-					h = len(b)
-				}
-				if lo >= h {
-					return ""
-				}
-				return string(b[lo:h])
-			}
-			t.Errorf("%s: artifact %s diverges at byte %d (goroutine %d bytes, continuation %d bytes)\n goroutine:    %q\n continuation: %q",
-				label, name, i, len(gb), len(cb), snip(gb), snip(cb))
-		}
-	}
-}
 
 // TestEngineDiffVideogame runs the videogame scenario on both T-THREAD
 // engines across the paper's headline configurations and asserts the full
@@ -77,7 +24,7 @@ func TestEngineDiffVideogame(t *testing.T) {
 		{"tickless-off", Spec{Dur: simMs(300), Tickless: &off, Artifacts: arts}},
 	}
 	for _, tc := range cases {
-		t.Run(tc.label, func(t *testing.T) { diffArtifacts(t, tc.label, tc.spec) })
+		t.Run(tc.label, func(t *testing.T) { checkGolden(t, "videogame/"+tc.label, tc.spec) })
 	}
 }
 
@@ -86,7 +33,7 @@ func TestEngineDiffVideogame(t *testing.T) {
 // single-job replay must stream a byte-identical Perfetto trace.
 func TestEngineDiffChaos(t *testing.T) {
 	const seeds = 20
-	diffArtifacts(t, "campaign", Spec{
+	checkGolden(t, "chaos/campaign", Spec{
 		Scenario:  ScenarioChaos,
 		Seed:      42,
 		Chaos:     &ChaosSpec{Seeds: seeds, Workers: 1},
@@ -98,7 +45,7 @@ func TestEngineDiffChaos(t *testing.T) {
 	for job := 0; job < seeds; job++ {
 		job := job
 		t.Run(fmt.Sprintf("job%02d", job), func(t *testing.T) {
-			diffArtifacts(t, fmt.Sprintf("job %d", job), Spec{
+			checkGolden(t, fmt.Sprintf("chaos/job%02d", job), Spec{
 				Scenario:  ScenarioChaos,
 				Seed:      42,
 				Chaos:     &ChaosSpec{Job: &job},

@@ -19,7 +19,7 @@ func TestEngineDiffSynthetic(t *testing.T) {
 	for seed := uint64(0); seed < 10; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
-			diffArtifacts(t, fmt.Sprintf("seed %d", seed), Spec{
+			checkGolden(t, fmt.Sprintf("synthetic/seed%02d", seed), Spec{
 				Scenario:  ScenarioSynthetic,
 				Seed:      seed,
 				Dur:       simMs(200),
