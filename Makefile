@@ -3,12 +3,11 @@
 #   make check   - tier-1 gate: vet + build + tests + race detector
 #   make bench   - co-simulation speed benchmark -> BENCH_sysc.json
 #   make bench-all  - every benchmark, no JSON capture
-#   make engine-diff - byte-identical A/B gate between the T-THREAD engines
 
 GO ?= go
 BENCHTIME ?= 2s
 
-.PHONY: all build test vet race race-engine check serve serve-fleet serve-e2e serve-load serve-load-guard serve-stream chaos chaos-traced engine-diff snapshot-diff bench bench-guard bench-all perf-smoke scenarios synthetic-campaign clean
+.PHONY: all build test vet race check serve serve-fleet serve-e2e serve-load serve-load-guard serve-stream chaos chaos-traced snapshot-diff bench bench-guard bench-all perf-smoke scenarios synthetic-campaign clean
 
 all: check
 
@@ -23,13 +22,6 @@ vet:
 
 race:
 	$(GO) test -race ./...
-
-# The goroutine reference engine is the only multi-goroutine data path left —
-# the continuation engine steps everything inline on the scheduler goroutine —
-# so exercise it explicitly under the race detector through the differential
-# A/B suite (which runs every scenario on engine=goroutine by name).
-race-engine:
-	$(GO) test -race ./internal/run -run 'TestEngineDiff' -v
 
 check: vet build test race
 
@@ -93,13 +85,6 @@ chaos:
 chaos-traced:
 	$(GO) test ./internal/chaos -run 'TestTracedCampaignSchema|TestRunJobTraceVerdictMatchesRunJob' -v
 
-# Differential A/B gate between the two T-THREAD engines: the videogame
-# scenario across its headline configurations plus a 20-seed chaos campaign
-# (with per-seed trace replays) must produce byte-identical artifacts on
-# engine=goroutine and engine=continuation.
-engine-diff:
-	$(GO) test ./internal/run -run 'TestEngineDiff' -v
-
 # Snapshot/restore byte-equality gate: pausing at a quiescent point, warm
 # sweep forking, snapshot-resume over the run facade and over HTTP, and
 # warm chaos-ddmin trials must all be byte- (or digest-) identical to their
@@ -146,23 +131,19 @@ perf-smoke:
 		| $(GO) run ./cmd/benchjson -metric simsec/s -out /tmp/BENCH_sysc.smoke.json \
 			-baseline BENCH_sysc.json -tolerance 20
 
-# Run every example scenario under examples/scenarios on both T-THREAD
-# engines through the -spec file path (the same run.Spec JSON rtkserve
-# accepts). Each file must validate, build, and complete on each engine.
+# Run every example scenario under examples/scenarios once through the
+# -spec file path (the same run.Spec JSON rtkserve accepts). Each file must
+# validate, build, and complete.
 scenarios:
 	@for f in examples/scenarios/*.json; do \
-		for e in goroutine continuation; do \
-			echo "== $$f ($$e)"; \
-			$(GO) run ./cmd/rtkspec -spec $$f -engine $$e || exit 1; \
-		done; \
+		echo "== $$f"; \
+		$(GO) run ./cmd/rtkspec -spec $$f || exit 1; \
 	done
 
 # Seeded synthetic chaos campaign: every job draws a fresh generated task
-# set from its own seed and must pass all kernel invariant oracles on the
-# continuation engine (the goroutine engine is covered by engine-diff).
+# set from its own seed and must pass all kernel invariant oracles.
 synthetic-campaign:
-	$(GO) run ./cmd/chaos -seeds 50 -engine continuation \
-		-gen "tasks=6,util=0.6,irqs=2"
+	$(GO) run ./cmd/chaos -seeds 50 -gen "tasks=6,util=0.6,irqs=2"
 
 clean:
 	$(GO) clean ./...

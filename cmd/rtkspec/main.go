@@ -47,7 +47,6 @@ func main() {
 	traceOut := flag.String("trace", "", "stream a Perfetto/Chrome trace-event JSON file (load at ui.perfetto.dev)")
 	metricsOut := flag.String("metrics", "", "write a per-task scheduling-metrics JSON report")
 	seed := flag.Uint64("seed", 0, "seed the synthetic user's key presses (0 = fixed legacy pattern)")
-	engine := flag.String("engine", "", "T-THREAD engine: goroutine (default) or continuation")
 	timeout := flag.Duration("timeout", 0, "wall-clock deadline; on expiry the run stops at a quiescent point and exits 1")
 	specPath := flag.String("spec", "", "load a full run.Spec JSON file; explicit flags override its fields")
 	genFlag := flag.String("gen", "", "run a generated synthetic task set: comma-separated key=value pairs (tasks, util, sems, mutexes, mbfs, flags, irqs, pmin, pmax); empty values allowed (-gen \"\")")
@@ -86,9 +85,6 @@ func main() {
 	}
 	if *specPath == "" || explicit["seed"] {
 		spec.Seed = *seed
-	}
-	if *specPath == "" || explicit["engine"] {
-		spec.Engine = *engine
 	}
 	if *specPath == "" || explicit["timeout"] {
 		spec.Deadline = run.Duration(*timeout)

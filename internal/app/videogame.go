@@ -160,10 +160,9 @@ func Build(cfg Config) *App {
 	a.B = bfm.New(a.Sim, nil, bcfg)
 	a.K = tkernel.New(a.Sim, tkernel.Config{
 		CommonOptions: opts.CommonOptions{
-			Engine: cfg.Engine,
-			Tick:   a.B.RTC.Period(),
-			Bus:    cfg.Bus,
-			Gantt:  cfg.Gantt,
+			Tick:  a.B.RTC.Period(),
+			Bus:   cfg.Bus,
+			Gantt: cfg.Gantt,
 		},
 		Costs:           costs,
 		TickSource:      a.B.RTC.TickEvent(),
@@ -199,9 +198,8 @@ func Build(cfg Config) *App {
 
 	// Synthetic user pressing keys (GUI event capture). A non-zero seed
 	// draws the up/down sequence from a deterministic stream instead of the
-	// legacy fixed pattern, so runs vary by seed but replay exactly. Under
-	// the continuation engine the user runs as a step-function coroutine —
-	// same click instants, no goroutine.
+	// legacy fixed pattern, so runs vary by seed but replay exactly. The
+	// user runs as a step-function coroutine: a click every KeyPeriod.
 	if cfg.KeyPeriod > 0 {
 		keys := []byte{2, 8, 2, 2, 8, 8} // up/down pattern
 		var rng *sweep.RNG
@@ -215,33 +213,23 @@ func Build(cfg Config) *App {
 			}
 			a.PadW.Click(key)
 		}
-		if cfg.Engine == opts.EngineContinuation {
-			i, started := 0, false
-			a.Sim.SpawnCoro("user.keys", func(c *sysc.Coro) {
-				if started {
-					click(i)
-					i++
-				}
-				started = true
-				c.Wait(cfg.KeyPeriod)
-			})
-		} else {
-			a.Sim.Spawn("user.keys", func(th *sysc.Thread) {
-				for i := 0; ; i++ {
-					th.Wait(cfg.KeyPeriod)
-					click(i)
-				}
-			})
-		}
+		i, started := 0, false
+		a.Sim.SpawnCoro("user.keys", func(c *sysc.Coro) {
+			if started {
+				click(i)
+				i++
+			}
+			started = true
+			c.Wait(cfg.KeyPeriod)
+		})
 	}
 	return a
 }
 
 // userMain is the user main entry called by the INIT task: it creates and
 // starts tasks, handlers and application resources (Figure 3's startup).
-// Every body is a tkernel.Program, so the same op sequence runs on either
-// T-THREAD engine: the goroutine engine interprets it, the continuation
-// engine drives it inline as a resumable machine.
+// Every body is a tkernel.Program, compiled to a resumable machine the
+// scheduler loop drives inline; BFM accesses are Io ops.
 func (a *App) userMain(k *tkernel.Kernel) {
 	a.frameFlg, _ = k.CreFlg("frame-flg", tkernel.TaWMUL, 0)
 	a.keyMbx, _ = k.CreMbx("key-mbx", tkernel.TaMFIFO)
@@ -277,14 +265,17 @@ func (a *App) userMain(k *tkernel.Kernel) {
 	_ = k.StaAlm(a.H2, a.cfg.AlarmPeriod)
 
 	// Keypad ISR: read the key from the port, post it to T2's mailbox.
-	var keyMsg *tkernel.Message
+	var (
+		key    byte
+		keyMsg *tkernel.Message
+	)
+	pad := a.B.Ports[2]
 	_ = k.DefIntProg(bfm.KeypadIntLine, "key-isr",
 		k.NewHandlerProgram("key-isr").
 			Work(core.Cost{Time: 10 * sysc.Us, Energy: petri.MicroJ}, "key-isr").
-			AtomIo(func() { // keypad port read consumes BFM time
-				a.B.Ports[2].Select(0)
-				keyMsg = &tkernel.Message{Payload: a.B.Ports[2].Read()}
-			}).
+			Io(func() core.Access { return pad.Select(0) }).
+			Io(func() core.Access { return pad.Read(&key) }).
+			Atom(func() { keyMsg = &tkernel.Message{Payload: key} }).
 			SndMbx(&a.keyMbx, &keyMsg, nil))
 	// Serial ISR: count transmit completions (waveform fodder).
 	_ = k.DefIntProg(bfm.SerialIntLine, "ser-isr",
@@ -300,7 +291,7 @@ func (a *App) lcdProgram(k *tkernel.Kernel) *tkernel.Program {
 		er     tkernel.ER
 		scored bool
 	)
-	return k.NewProgram("T1.lcd").
+	p := k.NewProgram("T1.lcd").
 		Label("loop").
 		WaiFlg(&a.frameFlg, flgFrame|flgQuit, tkernel.TwfORW|tkernel.TwfBitCLR,
 			tkernel.TmoFevr, &ptn, &er).
@@ -309,11 +300,9 @@ func (a *App) lcdProgram(k *tkernel.Kernel) *tkernel.Program {
 		Atom(func() { scored = a.stepGame() }).
 		Br(func() bool { return !scored }, "render").
 		SigSem(&a.scoreSem, 1, nil).
-		Label("render").
-		AtomIo(func() { // LCD port writes consume BFM/GUI time
-			a.renderFrame()
-			a.frames++
-		}).
+		Label("render")
+	return a.renderFrame(p).
+		Atom(func() { a.frames++ }).
 		Jump("loop").
 		Label("end")
 }
@@ -337,20 +326,23 @@ func (a *App) stepGame() bool {
 	return false
 }
 
-// renderFrame writes the frame to the LCD over the parallel port: the BFM
-// access driving the GUI widget.
-func (a *App) renderFrame() {
+// renderFrame appends the frame's LCD writes over the parallel port: the
+// BFM accesses driving the GUI widget. Each write's byte is computed when
+// its access starts, before the access's budget is spent.
+func (a *App) renderFrame(prog *tkernel.Program) *tkernel.Program {
 	p := a.B.Ports[1]
-	p.Select(0) // LCD
-	p.Write(0x01)
-	p.Write(0x80 | byte(a.ballX))
-	p.Write('o')
-	p.Write(0x80 | 16 | 15) // paddle column, row 1
-	if a.paddle == 1 {
-		p.Write(']')
-	} else {
-		p.Write(' ')
-	}
+	return prog.
+		Io(func() core.Access { return p.Select(0) }). // LCD
+		Io(func() core.Access { return p.Write(0x01) }).
+		Io(func() core.Access { return p.Write(0x80 | byte(a.ballX)) }).
+		Io(func() core.Access { return p.Write('o') }).
+		Io(func() core.Access { return p.Write(0x80 | 16 | 15) }). // paddle column, row 1
+		Io(func() core.Access {
+			if a.paddle == 1 {
+				return p.Write(']')
+			}
+			return p.Write(' ')
+		})
 }
 
 // keypadProgram is T2: receive key events from the ISR's mailbox and move
@@ -381,24 +373,25 @@ func (a *App) keypadProgram(k *tkernel.Kernel) *tkernel.Program {
 // ssdProgram is T3: update the score display whenever the score semaphore
 // is signalled (by T1 scoring or H2 bonuses).
 func (a *App) ssdProgram(k *tkernel.Kernel) *tkernel.Program {
-	var er tkernel.ER
+	var (
+		er    tkernel.ER
+		total int
+	)
+	p := a.B.Ports[1]
 	return k.NewProgram("T3.ssd").
 		Label("loop").
 		WaiSem(&a.scoreSem, 1, tkernel.TmoFevr, &er).
 		Br(func() bool { return er != tkernel.EOK }, "end").
 		Work(core.Cost{Time: 60 * sysc.Us, Energy: 3 * petri.MicroJ}, "score-update").
-		AtomIo(func() { // SSD port writes + serial send consume BFM time
-			total := a.score + a.bonus
-			p := a.B.Ports[1]
-			p.Select(1) // SSD
-			p.Write(byte(0x00 | (total/1000)%10))
-			p.Write(byte(0x10 | (total/100)%10))
-			p.Write(byte(0x20 | (total/10)%10))
-			p.Write(byte(0x30 | total%10))
-			// Report the score over the serial channel (waveform traffic;
-			// transmission completion raises the serial ISR).
-			a.B.Serial.Send(byte(total))
-		}).
+		Atom(func() { total = a.score + a.bonus }).
+		Io(func() core.Access { return p.Select(1) }). // SSD
+		Io(func() core.Access { return p.Write(byte(0x00 | (total/1000)%10)) }).
+		Io(func() core.Access { return p.Write(byte(0x10 | (total/100)%10)) }).
+		Io(func() core.Access { return p.Write(byte(0x20 | (total/10)%10)) }).
+		Io(func() core.Access { return p.Write(byte(0x30 | total%10)) }).
+		// Report the score over the serial channel (waveform traffic;
+		// transmission completion raises the serial ISR).
+		Io(func() core.Access { return a.B.Serial.Send(byte(total)) }).
 		Jump("loop").
 		Label("end")
 }

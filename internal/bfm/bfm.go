@@ -118,23 +118,34 @@ func (b *BFM) Accesses() uint64 { return b.accesses }
 // BusCycles returns the total machine cycles consumed by BFM calls.
 func (b *BFM) BusCycles() uint64 { return b.cycles }
 
-// call charges one BFM access of the given cycle budget to the calling
-// T-THREAD (if any): the access consumes cycles × machine-cycle of
-// execution time and cycles × energy-per-cycle of energy, in the BFM
-// context of the trace.
-func (b *BFM) call(cycles int, name string) {
+// access builds one BFM call of the given cycle budget — cycles ×
+// machine-cycle of execution time and cycles × energy-per-cycle of energy —
+// and counts it. apply is the call's effect; it may be nil.
+func (b *BFM) access(cycles int, name string, apply func()) core.Access {
 	b.accesses++
 	b.cycles += uint64(cycles)
-	if b.api == nil {
-		return
+	return core.Access{Name: name, Cost: core.Cost{
+		Time:   sysc.Time(cycles) * b.machineCycle,
+		Energy: petri.Energy(cycles) * b.cfg.EnergyPerCycle,
+	}, Apply: apply}
+}
+
+// Do runs an access from closure code: the calling T-THREAD (if any)
+// consumes the budget in the BFM context of the trace, then the effect
+// applies. Program bodies run accesses as Io ops instead.
+func (b *BFM) Do(a core.Access) {
+	if b.api != nil {
+		if tt := b.api.ExecutingThread(); tt != nil {
+			tt.Consume(a.Cost, trace.CtxBFM, a.Name)
+		}
 	}
-	if tt := b.api.ExecutingThread(); tt != nil {
-		tt.Consume(core.Cost{
-			Time:   sysc.Time(cycles) * b.machineCycle,
-			Energy: petri.Energy(cycles) * b.cfg.EnergyPerCycle,
-		}, trace.CtxBFM, name)
+	if a.Apply != nil {
+		a.Apply()
 	}
 }
+
+// call charges an effect-free BFM access to the calling T-THREAD.
+func (b *BFM) call(cycles int, name string) { b.Do(b.access(cycles, name, nil)) }
 
 // probe records a VCD change when a waveform recorder is attached.
 func (b *BFM) probe(signal string, val uint64) {

@@ -92,9 +92,9 @@ func TestBFMCallChargesCallingThread(t *testing.T) {
 	api := core.NewSimAPI(sim, sched.NewPriority(), nil)
 	b := bfm.New(sim, api, bfm.DefaultConfig())
 	task := api.CreateThread("io-task", core.KindTask, 10, func(tt *core.TThread) {
-		b.Mem.Write(0x10, 1) // 2 cycles = 2 us
-		b.Mem.Read(0x10)     // 2 cycles
-		b.Ports[1].Write(7)  // 1 cycle
+		b.Mem.Write(0x10, 1)      // 2 cycles = 2 us
+		b.Mem.Read(0x10)          // 2 cycles
+		b.Do(b.Ports[1].Write(7)) // 1 cycle
 	})
 	_ = api.Activate(task)
 	if err := sim.Start(10 * sysc.Ms); err != nil {
@@ -173,7 +173,7 @@ func TestSerialTransmitTiming(t *testing.T) {
 	if want <= sysc.Ms || want >= 2*sysc.Ms {
 		t.Fatalf("frame time = %v", want)
 	}
-	b.Serial.Send('A')
+	b.Do(b.Serial.Send('A'))
 	if !b.Serial.TxBusy() {
 		t.Fatal("transmitter should be busy")
 	}
@@ -196,7 +196,9 @@ func TestSerialBackToBackFrames(t *testing.T) {
 	ti := 0
 	b.IntC.SetSink(func(int) { ti++ })
 	b.IntC.EnableLine(bfm.SerialIntLine)
-	b.Serial.SendString("hey")
+	for _, c := range []byte("hey") {
+		b.Do(b.Serial.Send(c))
+	}
 	if err := sim.Start(10 * sysc.Ms); err != nil {
 		t.Fatal(err)
 	}
@@ -233,11 +235,11 @@ func TestPortPeripheralMux(t *testing.T) {
 	p := b.Ports[2]
 	iLCD := p.Attach(lcd)
 	iSSD := p.Attach(ssd)
-	p.Select(iLCD)
-	p.Write('H')
-	p.Write('i')
-	p.Select(iSSD)
-	p.Write(0x05) // digit 0 = 5
+	b.Do(p.Select(iLCD))
+	b.Do(p.Write('H'))
+	b.Do(p.Write('i'))
+	b.Do(p.Select(iSSD))
+	b.Do(p.Write(0x05)) // digit 0 = 5
 	if got := lcd.Render(); !strings.HasPrefix(got, "Hi") {
 		t.Fatalf("lcd = %q", got)
 	}
@@ -279,7 +281,9 @@ func TestKeypadRaisesInterrupt(t *testing.T) {
 	if len(lines) != 1 || lines[0] != bfm.KeypadIntLine {
 		t.Fatalf("lines = %v", lines)
 	}
-	if got := b.Ports[1].Read(); got != 7 {
+	var got byte
+	b.Do(b.Ports[1].Read(&got))
+	if got != 7 {
 		t.Fatalf("key read = %d", got)
 	}
 }
@@ -302,8 +306,8 @@ func TestSerialBusyQueuesNextFrame(t *testing.T) {
 	// Writing SBUF while a frame is shifting queues the next frame after
 	// the current one (busyTill extends), so total line time is 2 frames.
 	b, sim := newBFM(t)
-	b.Serial.Send('a')
-	b.Serial.Send('b') // queued behind the first frame
+	b.Do(b.Serial.Send('a'))
+	b.Do(b.Serial.Send('b')) // queued behind the first frame
 	if err := sim.Start(1 * sysc.Ms); err != nil {
 		t.Fatal(err)
 	}
@@ -326,8 +330,8 @@ func TestPortSelectBounds(t *testing.T) {
 	p := b.Ports[0]
 	lcd := bfm.NewLCD(1, 8)
 	p.Attach(lcd)
-	p.Select(99) // out of range: ignored
-	p.Write('X')
+	b.Do(p.Select(99)) // out of range: ignored
+	b.Do(p.Write('X'))
 	if lcd.Writes() != 1 {
 		t.Fatalf("write did not reach device after bad select: %d", lcd.Writes())
 	}
@@ -344,7 +348,7 @@ func TestVCDProbesBFMTraffic(t *testing.T) {
 	cfg.VCD = vcd
 	b := bfm.New(sim, nil, cfg)
 	b.Mem.Write(0x42, 0x99)
-	b.Ports[0].Write(0x55)
+	b.Do(b.Ports[0].Write(0x55))
 	if vcd.Len() < 3 {
 		t.Fatalf("vcd changes = %d", vcd.Len())
 	}

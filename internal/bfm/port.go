@@ -1,6 +1,10 @@
 package bfm
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/core"
+)
 
 // Peripheral is an external device attached to a parallel I/O port. The
 // port forwards written values to the device and reads the device's output
@@ -18,6 +22,9 @@ type Peripheral interface {
 // devices can be attached; a select register multiplexes which device the
 // data lines address, as in the case study's "Multiplexed Parallel I/O
 // interface to which several external peripheral devices are connected".
+//
+// Select, Write and Read build accesses (see core.Access): run one with
+// BFM.Do from closure code, or as a tkernel Program Io op.
 type Port struct {
 	b       *BFM
 	index   int
@@ -25,12 +32,20 @@ type Port struct {
 	devices []Peripheral
 	sel     int
 
+	// name is the VCD signal ("p<index>"); the others name its accesses
+	// in traces.
+	name, selName, wrName, rdName string
+
 	writes uint64
 	reads  uint64
 }
 
 func newPort(b *BFM, index int) *Port {
-	return &Port{b: b, index: index}
+	name := fmt.Sprintf("p%d", index)
+	return &Port{b: b, index: index, name: name,
+		selName: name + ".sel",
+		wrName:  name + ".wr",
+		rdName:  name + ".rd"}
 }
 
 // Attach connects a peripheral and returns its select index.
@@ -41,34 +56,39 @@ func (p *Port) Attach(dev Peripheral) int {
 
 // Select multiplexes the port onto the given attached device
 // (1 machine cycle to write the select register).
-func (p *Port) Select(idx int) {
-	p.b.call(1, fmt.Sprintf("p%d.sel", p.index))
-	if idx >= 0 && idx < len(p.devices) {
-		p.sel = idx
-	}
+func (p *Port) Select(idx int) core.Access {
+	return p.b.access(1, p.selName, func() {
+		if idx >= 0 && idx < len(p.devices) {
+			p.sel = idx
+		}
+	})
 }
 
 // Write drives a value onto the port (1 machine cycle) and forwards it to
 // the selected peripheral.
-func (p *Port) Write(v byte) {
-	p.b.call(1, fmt.Sprintf("p%d.wr", p.index))
-	p.latch = v
-	p.writes++
-	p.b.probe(fmt.Sprintf("p%d", p.index), uint64(v))
-	if p.sel < len(p.devices) {
-		p.devices[p.sel].PortWrite(v)
-	}
+func (p *Port) Write(v byte) core.Access {
+	return p.b.access(1, p.wrName, func() {
+		p.latch = v
+		p.writes++
+		p.b.probe(p.name, uint64(v))
+		if p.sel < len(p.devices) {
+			p.devices[p.sel].PortWrite(v)
+		}
+	})
 }
 
-// Read samples the port (1 machine cycle): the selected peripheral's output
-// if any device is attached, else the latch.
-func (p *Port) Read() byte {
-	p.b.call(1, fmt.Sprintf("p%d.rd", p.index))
-	p.reads++
-	if p.sel < len(p.devices) {
-		return p.devices[p.sel].PortRead()
-	}
-	return p.latch
+// Read samples the port into *dst (1 machine cycle): the selected
+// peripheral's output if any device is attached, else the latch. The
+// sample is taken when the budget is spent.
+func (p *Port) Read(dst *byte) core.Access {
+	return p.b.access(1, p.rdName, func() {
+		p.reads++
+		if p.sel < len(p.devices) {
+			*dst = p.devices[p.sel].PortRead()
+		} else {
+			*dst = p.latch
+		}
+	})
 }
 
 // Latch returns the last written value without bus activity (for tests and

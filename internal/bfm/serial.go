@@ -1,6 +1,9 @@
 package bfm
 
-import "repro/internal/sysc"
+import (
+	"repro/internal/core"
+	"repro/internal/sysc"
+)
 
 // SerialIO models the 8051 serial channel (SBUF/SCON) in mode-1 style:
 // writing SBUF costs one machine cycle, transmission of the 10-bit frame
@@ -39,32 +42,27 @@ func (s *SerialIO) FrameTime() sysc.Time { return s.frame }
 func (s *SerialIO) TxBusy() bool { return s.b.sim.Now() < s.busyTill }
 
 // Send writes one byte to SBUF (1 machine cycle for the store). The frame
-// occupies the line for FrameTime; completion raises the serial interrupt.
-// Sending while busy drops the previous frame tail (overrun) exactly like
-// overwriting SBUF.
-func (s *SerialIO) Send(v byte) {
-	s.b.call(1, "sbuf.wr")
-	s.b.probe("sbuf.tx", uint64(v))
-	now := s.b.sim.Now()
-	start := now
-	if s.busyTill > now {
-		start = s.busyTill
-	}
-	s.busyTill = start + s.frame
-	s.txCount++
-	s.txLog = append(s.txLog, v)
-	done := s.b.sim.NewEvent("serial.txdone")
-	s.b.sim.SpawnMethod("serial.ti", func() {
-		s.b.IntC.Raise(s.intLine)
-	}, done)
-	done.NotifyAfter(s.busyTill - now)
-}
-
-// SendString queues each byte of msg in order.
-func (s *SerialIO) SendString(msg string) {
-	for i := 0; i < len(msg); i++ {
-		s.Send(msg[i])
-	}
+// occupies the line for FrameTime from the end of the store; completion
+// raises the serial interrupt. Sending while busy queues the frame behind
+// the one shifting out, like overwriting SBUF. Run the access with BFM.Do
+// or as a Program Io op.
+func (s *SerialIO) Send(v byte) core.Access {
+	return s.b.access(1, "sbuf.wr", func() {
+		s.b.probe("sbuf.tx", uint64(v))
+		now := s.b.sim.Now()
+		start := now
+		if s.busyTill > now {
+			start = s.busyTill
+		}
+		s.busyTill = start + s.frame
+		s.txCount++
+		s.txLog = append(s.txLog, v)
+		done := s.b.sim.NewEvent("serial.txdone")
+		s.b.sim.SpawnMethod("serial.ti", func() {
+			s.b.IntC.Raise(s.intLine)
+		}, done)
+		done.NotifyAfter(s.busyTill - now)
+	})
 }
 
 // InjectRx delivers a byte from the external line into the receive buffer

@@ -4,15 +4,14 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/run/opts"
 	"repro/internal/sysc"
 	"repro/internal/workload"
 )
 
-// TestSyntheticCampaign runs a small campaign over generated task sets on
-// both engines: every job must pass the oracles, and the summaries must be
-// byte-identical across engines (the chaos half of the synthetic
-// determinism contract).
+// TestSyntheticCampaign runs a small campaign over generated task sets:
+// every job must pass the oracles, and a second run must print a
+// byte-identical summary (the chaos half of the synthetic determinism
+// contract).
 func TestSyntheticCampaign(t *testing.T) {
 	base := Config{
 		Seeds:     5,
@@ -21,27 +20,21 @@ func TestSyntheticCampaign(t *testing.T) {
 		Dur:       80 * sysc.Ms,
 		Synthetic: &workload.GenSpec{Interrupts: 2},
 	}
-	summaries := map[string]string{}
-	for _, engine := range []string{opts.EngineGoroutine, opts.EngineContinuation} {
-		cfg := base
-		cfg.Engine = engine
-		rep := Run(cfg)
-		if got := len(rep.Verdicts); got != base.Seeds {
-			t.Fatalf("engine=%s: %d verdicts, want %d", engine, got, base.Seeds)
-		}
-		for _, v := range rep.Verdicts {
-			if !v.Pass {
-				t.Errorf("engine=%s: job %d failed:\n%s", engine, v.Index, v.Repro)
-			}
-			if v.Cycles == 0 {
-				t.Errorf("engine=%s: job %d made no activations", engine, v.Index)
-			}
-		}
-		summaries[engine] = rep.Summary()
+	rep := Run(base)
+	if got := len(rep.Verdicts); got != base.Seeds {
+		t.Fatalf("%d verdicts, want %d", got, base.Seeds)
 	}
-	g, c := summaries[opts.EngineGoroutine], summaries[opts.EngineContinuation]
-	if g != c {
-		t.Errorf("summaries differ between engines:\n--- goroutine ---\n%s--- continuation ---\n%s", g, c)
+	for _, v := range rep.Verdicts {
+		if !v.Pass {
+			t.Errorf("job %d failed:\n%s", v.Index, v.Repro)
+		}
+		if v.Cycles == 0 {
+			t.Errorf("job %d made no activations", v.Index)
+		}
+	}
+	g := rep.Summary()
+	if again := Run(base).Summary(); again != g {
+		t.Errorf("summaries differ between identical runs:\n--- first ---\n%s--- second ---\n%s", g, again)
 	}
 	if !strings.Contains(g, "synthetic workload:") {
 		t.Errorf("summary missing the synthetic header:\n%s", g)

@@ -3,7 +3,6 @@ package chaos
 import (
 	"context"
 
-	"repro/internal/run/opts"
 	"repro/internal/snapshot"
 	"repro/internal/sysc"
 	"repro/internal/tkernel"
@@ -30,11 +29,10 @@ type warmMinimizer struct {
 
 // newWarmMinimizer builds the trial base, or returns nil when the
 // configuration is outside the snapshot envelope: the built-in chaos
-// application roots state in goroutine closures (synthetic workloads
-// only), and goroutine engines park uncopyable stacks (continuation
-// engine only). Callers fall back to cold rebuild trials.
+// application uses memory pools, which the snapshot does not cover
+// (synthetic workloads only). Callers fall back to cold rebuild trials.
 func newWarmMinimizer(ctx context.Context, cfg Config, seed uint64, sched Schedule) *warmMinimizer {
-	if cfg.Synthetic == nil || cfg.Engine != opts.EngineContinuation {
+	if cfg.Synthetic == nil {
 		return nil
 	}
 	tck := cfg.Dur/10 - 1 // 1 tick before the earliest possible fault
@@ -43,7 +41,7 @@ func newWarmMinimizer(ctx context.Context, cfg Config, seed uint64, sched Schedu
 	}
 	sim := sysc.NewSimulator()
 	scfg := SystemConfig{Tasks: cfg.Tasks, Costs: tkernel.DefaultCosts(), Schedule: sched,
-		Engine: cfg.Engine, DeferFaults: true}
+		DeferFaults: true}
 	sys := BuildSyntheticSystem(sim, seed, scfg, synthTaskSet(cfg, seed))
 	orc := Attach(sys.K, sys.Gantt, cfg.OracleInterval)
 	if sim.StartContext(ctx, tck) != nil {

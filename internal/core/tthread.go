@@ -265,6 +265,16 @@ func (t *TThread) waitForCPU() {
 // system.
 func (t *TThread) AwaitCPU() { t.waitForCPU() }
 
+// Access is one timed device access split into its two halves: the budget
+// the executing T-THREAD consumes (Cost, in trace.CtxBFM under Name), and
+// the effect that takes hold once the budget is spent (Apply). The
+// access's arguments are latched when it is built, before the budget.
+type Access struct {
+	Name  string
+	Cost  Cost
+	Apply func()
+}
+
 // Consume is SIM_Wait: the thread consumes cost.Time of execution time and
 // cost.Energy of energy in the given context. The wait is a preemption
 // point: if the thread is preempted or interrupted partway, the consumed
@@ -272,12 +282,12 @@ func (t *TThread) AwaitCPU() { t.waitForCPU() }
 // emitted, and the thread suspends until it is dispatched again, then
 // resumes the remaining budget. Completion fires one Ec transition.
 //
-// Consume must be called from within the thread's own body. Compiled
-// (continuation-engine) bodies cannot park inside an opaque closure: code
-// reaching here from one belongs in a Work op or an AtomIo fallback body.
+// Consume must be called from within the thread's own closure body.
+// Compiled bodies cannot park inside an opaque closure: time they consume
+// belongs in a Work op, and a device access in an Io op.
 func (t *TThread) Consume(cost Cost, ctx trace.Context, note string) {
 	if t.th == nil {
-		panic(fmt.Sprintf("core: thread %q: Consume from a compiled body outside a Work op (mark the enclosing atom AtomIo)", t.name))
+		panic(fmt.Sprintf("core: thread %q: Consume from a compiled body (express the cost as a Work op, a device access as an Io op)", t.name))
 	}
 	if t.api.consumeShaper != nil {
 		cost = t.api.consumeShaper(t, cost, ctx)

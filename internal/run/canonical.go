@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"sort"
 	"time"
-
-	"repro/internal/run/opts"
 )
 
 // This file defines the canonical Spec encoding and its content hash — the
@@ -52,7 +50,6 @@ func Canonicalize(spec Spec) (Spec, error) {
 	switch spec.Scenario {
 	case ScenarioVideogame:
 		c.Dur = durOr(spec.Dur, defaultVideogameDur)
-		c.Engine = engineOr(spec.Engine)
 		c.GUI = boolPtr(boolOr(spec.GUI, true))
 		c.Frame = durOr(spec.Frame, defaultFrame)
 		c.Tick = durOr(spec.Tick, defaultTick)
@@ -61,7 +58,6 @@ func Canonicalize(spec Spec) (Spec, error) {
 		c.IdleSleep = spec.IdleSleep
 	case ScenarioChaos:
 		c.Dur = durOr(spec.Dur, defaultChaosDur)
-		c.Engine = engineOr(spec.Engine)
 		cs := ChaosSpec{}
 		if spec.Chaos != nil {
 			cs = *spec.Chaos
@@ -100,7 +96,6 @@ func Canonicalize(spec Spec) (Spec, error) {
 		c.Experiments = &es
 	case ScenarioSynthetic:
 		c.Dur = durOr(spec.Dur, defaultSyntheticDur)
-		c.Engine = engineOr(spec.Engine)
 		c.Tick = durOr(spec.Tick, defaultTick)
 		c.Tickless = boolPtr(boolOr(spec.Tickless, true))
 		if spec.Synthetic != nil { // absent only for resume_from runs
@@ -178,13 +173,6 @@ func durOr(d, def Duration) Duration {
 		return def
 	}
 	return d
-}
-
-func engineOr(e string) string {
-	if e == "" {
-		return opts.EngineGoroutine
-	}
-	return e
 }
 
 func boolPtr(b bool) *bool { return &b }

@@ -2,6 +2,7 @@ package run
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -16,7 +17,6 @@ func TestHashDefaultsMaterialized(t *testing.T) {
 	full := Spec{
 		Scenario: ScenarioVideogame,
 		Dur:      Duration(time.Second),
-		Engine:   "goroutine",
 		GUI:      &tru,
 		Frame:    Duration(10 * time.Millisecond),
 		Tick:     Duration(time.Millisecond),
@@ -95,19 +95,6 @@ func TestHashDistinguishesResults(t *testing.T) {
 	}
 }
 
-// TestHashEngineIsIdentity documents a deliberate choice: the engine knob
-// is part of the hash even though both engines produce byte-identical
-// artifacts — the engine-diff suite, not the cache, is where that
-// equivalence is asserted.
-func TestHashEngineIsIdentity(t *testing.T) {
-	if mustHash(t, Spec{Engine: "goroutine"}) == mustHash(t, Spec{Engine: "continuation"}) {
-		t.Fatal("engines collided")
-	}
-	if mustHash(t, Spec{}) != mustHash(t, Spec{Engine: "goroutine"}) {
-		t.Fatal("default engine not materialized as goroutine")
-	}
-}
-
 // TestCanonicalizeIdempotent: canonicalizing a canonical Spec is a no-op.
 func TestCanonicalizeIdempotent(t *testing.T) {
 	specs := []Spec{
@@ -165,4 +152,67 @@ func mustHash(t *testing.T, s Spec) string {
 		t.Fatal(err)
 	}
 	return h
+}
+
+// FuzzParseSpec guards the canonical form on arbitrary wire input: for
+// every Spec ParseSpec accepts, Canonicalize is idempotent, the canonical
+// JSON re-parses to the same canonical form, and Hash is stable when the
+// Spec is re-encoded as JSON and parsed again.
+func FuzzParseSpec(f *testing.F) {
+	for _, s := range []string{
+		`{"gui":false,"frame":"10ms","dur":"60s","seed":1,"artifacts":["console.txt"]}`,
+		`{"scenario":"synthetic","dur":"5s","seed":2,"synthetic":{"gen":{"tasks":8,"util":0.7,"interrupts":2}},"artifacts":["metrics.json"]}`,
+		`{"scenario":"synthetic","dur":"3s","seed":3,"synthetic":{"gen":{}}}`,
+		`{"scenario":"chaos","dur":"40ms","seed":4,"chaos":{"seeds":2,"tasks":4,"faults":3},"artifacts":["summary.txt"]}`,
+		`{"scenario":"synthetic","dur":"1s","seed":5,"stream":true,"synthetic":{"gen":{"tasks":10,"util":0.7,"interrupts":2}},"artifacts":["trace.json","metrics.json"]}`,
+		`{"scenario":"synthetic","dur":"3s","synthetic":{"gen":{}},"checkpoint":{"at":"2.5s","fork_seed":7}}`,
+		`{"scenario":"experiments","experiments":{"sections":["table2"],"simtime":"200ms"}}`,
+	} {
+		f.Add([]byte(s))
+	}
+	engine := []byte(`{"engine":"continuation"}`)
+	if _, err := ParseSpec(engine); err == nil {
+		f.Fatalf("ParseSpec accepted the removed engine field: %s", engine)
+	}
+	f.Add(engine)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := ParseSpec(data)
+		if err != nil {
+			return
+		}
+		c, err := Canonicalize(spec)
+		if err != nil {
+			t.Fatalf("canonicalize a parsed spec: %v", err)
+		}
+		cj, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c2, err := Canonicalize(c)
+		if err != nil {
+			t.Fatalf("canonicalize a canonical spec: %v", err)
+		}
+		if cj2, _ := json.Marshal(c2); !bytes.Equal(cj, cj2) {
+			t.Fatalf("not idempotent:\n%s\n%s", cj, cj2)
+		}
+		back, err := ParseSpec(cj)
+		if err != nil {
+			t.Fatalf("canonical JSON does not re-parse: %v\n%s", err, cj)
+		}
+		if bj, _ := CanonicalJSON(back); !bytes.Equal(bj, cj) {
+			t.Fatalf("canonical JSON changed on re-parse:\n%s\n%s", cj, bj)
+		}
+		raw, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := ParseSpec(raw)
+		if err != nil {
+			t.Fatalf("re-encoded spec does not re-parse: %v\n%s", err, raw)
+		}
+		if h1, h2 := mustHash(t, spec), mustHash(t, again); h1 != h2 {
+			t.Fatalf("hash moved under re-encoding: %s vs %s\n%s", h1, h2, raw)
+		}
+	})
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/run/opts"
 	"repro/internal/snapshot"
 	"repro/internal/workload"
 )
@@ -46,25 +45,18 @@ func compareArtifacts(t *testing.T, label string, a, b Result, names []string) {
 
 // TestSyntheticCheckpointByteEquality: pausing a synthetic run at a
 // quiescent point and continuing is unobservable — a checkpoint run's
-// artifacts byte-match the straight run's, per generated task set on both
-// engines (the pause-only form needs no capture, so the goroutine engine
-// supports it too).
+// artifacts byte-match the straight run's, per generated task set.
 func TestSyntheticCheckpointByteEquality(t *testing.T) {
 	arts := []string{ArtifactTrace, ArtifactMetrics, ArtifactGantt, ArtifactTaskSet}
 	for seed := uint64(0); seed < 10; seed++ {
-		engine := opts.EngineContinuation
-		if seed%2 == 1 {
-			engine = opts.EngineGoroutine
-		}
 		spec := Spec{
 			Scenario:  ScenarioSynthetic,
 			Seed:      seed,
 			Dur:       simMs(200),
-			Engine:    engine,
 			Synthetic: &SyntheticSpec{Gen: &workload.GenSpec{}},
 			Artifacts: arts,
 		}
-		label := fmt.Sprintf("seed%d/%s", seed, engine)
+		label := fmt.Sprintf("seed%d", seed)
 		straight := mustExecute(t, label+"/straight", spec)
 		paused := mustExecute(t, label+"/paused", checkpointOf(spec, 100))
 		compareArtifacts(t, label, straight, paused, arts)
@@ -86,7 +78,7 @@ func TestVideogameCheckpointByteEquality(t *testing.T) {
 		{"gui-off", Spec{Dur: simMs(300), GUI: &off}},
 		{"idle-sleep", Spec{Dur: simMs(300), IdleSleep: simMs(5)}},
 		{"tickless-off", Spec{Dur: simMs(300), Tickless: &off}},
-		{"continuation", Spec{Dur: simMs(300), Engine: opts.EngineContinuation}},
+		{"frame-off", Spec{Dur: simMs(300), Frame: -1}},
 	}
 	for _, tc := range configs {
 		tc.spec.Artifacts = arts
@@ -109,7 +101,6 @@ func TestSnapshotResumeByteEquality(t *testing.T) {
 			Scenario:  ScenarioSynthetic,
 			Seed:      seed,
 			Dur:       simMs(200),
-			Engine:    opts.EngineContinuation,
 			Synthetic: &SyntheticSpec{Gen: &workload.GenSpec{}},
 			Artifacts: arts,
 		}
@@ -144,30 +135,12 @@ func TestSnapshotResumeByteEquality(t *testing.T) {
 	}
 }
 
-// TestSnapshotGoroutineEngineRefused: capture on the goroutine engine
-// fails with the typed refusal error, not a panic or silent corruption.
-func TestSnapshotGoroutineEngineRefused(t *testing.T) {
-	spec := Spec{
-		Scenario:   ScenarioSynthetic,
-		Dur:        simMs(100),
-		Engine:     opts.EngineGoroutine,
-		Synthetic:  &SyntheticSpec{Gen: &workload.GenSpec{}},
-		Checkpoint: &CheckpointSpec{At: simMs(50)},
-		Artifacts:  []string{ArtifactSnapshot},
-	}
-	_, err := Execute(context.Background(), spec)
-	if !errors.Is(err, snapshot.ErrUnsnapshottable) {
-		t.Fatalf("goroutine capture: got %v, want ErrUnsnapshottable", err)
-	}
-}
-
 // TestSnapshotResumeCorruptRejected: flipped snapshot bytes are refused
 // with the typed corruption error.
 func TestSnapshotResumeCorruptRejected(t *testing.T) {
 	spec := Spec{
 		Scenario:   ScenarioSynthetic,
 		Dur:        simMs(100),
-		Engine:     opts.EngineContinuation,
 		Synthetic:  &SyntheticSpec{Gen: &workload.GenSpec{}},
 		Checkpoint: &CheckpointSpec{At: simMs(50)},
 		Artifacts:  []string{ArtifactSnapshot},
@@ -195,7 +168,6 @@ func TestWarmSweepMatchesCold(t *testing.T) {
 			Scenario:  ScenarioSynthetic,
 			Seed:      11,
 			Dur:       simMs(150),
-			Engine:    opts.EngineContinuation,
 			Synthetic: &SyntheticSpec{Gen: &workload.GenSpec{Interrupts: 2}},
 			Artifacts: arts,
 		},
@@ -228,37 +200,5 @@ func TestWarmSweepMatchesCold(t *testing.T) {
 	// Variants must actually fork: different seeds, different traces.
 	if bytes.Equal(warm[0].Artifacts[ArtifactTrace], warm[1].Artifacts[ArtifactTrace]) {
 		t.Errorf("fork seeds 101 and 102 produced identical traces — reseed did not take")
-	}
-}
-
-// TestWarmSweepGoroutineFallsBackCold: a goroutine-engine base is outside
-// the snapshot envelope; warm mode must transparently produce the cold
-// results instead of failing.
-func TestWarmSweepGoroutineFallsBackCold(t *testing.T) {
-	arts := []string{ArtifactMetrics, ArtifactTaskSet}
-	sw := SweepSpec{
-		Base: Spec{
-			Scenario:  ScenarioSynthetic,
-			Seed:      5,
-			Dur:       simMs(100),
-			Engine:    opts.EngineGoroutine,
-			Synthetic: &SyntheticSpec{Gen: &workload.GenSpec{}},
-			Artifacts: arts,
-		},
-		Prefix:  simMs(40),
-		Seeds:   []uint64{1, 2},
-		Workers: 1,
-	}
-	cold, err := ExecuteSweep(context.Background(), sw)
-	if err != nil {
-		t.Fatalf("cold sweep: %v", err)
-	}
-	sw.Warm = true
-	warm, err := ExecuteSweep(context.Background(), sw)
-	if err != nil {
-		t.Fatalf("warm sweep (fallback): %v", err)
-	}
-	for i := range sw.Seeds {
-		compareArtifacts(t, fmt.Sprintf("seed%d", sw.Seeds[i]), cold[i], warm[i], arts)
 	}
 }

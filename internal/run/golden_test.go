@@ -10,18 +10,17 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/run/opts"
 	"repro/internal/workload"
 )
 
 // The golden digests in testdata/golden.json are an oracle that shares no
 // code with the model: for each reference run they hold the deterministic
 // Stats (wall-clock fields zeroed) and the SHA-256 of every artifact. They
-// were recorded while both T-THREAD engines still existed and agreed on
-// every byte, so they pin the artifacts across any refactor of the engine.
-// There is deliberately no update flag: a change that moves a digest must
-// justify the new bytes, and the failure message prints what the run
-// produced.
+// were recorded while a goroutine-interpreter engine and the compiled
+// program engine both existed and agreed on every byte, so they pin the
+// artifacts across any refactor of the T-THREAD engine. There is
+// deliberately no update flag: a change that moves a digest must justify
+// the new bytes, and the failure message prints what the run produced.
 
 const goldenPath = "testdata/golden.json"
 
@@ -64,28 +63,21 @@ func digestOf(res Result) goldenEntry {
 	return e
 }
 
-// goldenEngines are the T-THREAD engines every golden case runs on.
-var goldenEngines = []string{opts.EngineGoroutine, opts.EngineContinuation}
-
 // checkGolden runs spec and compares its digest with the entry recorded
 // under key.
 func checkGolden(t *testing.T, key string, spec Spec) {
 	t.Helper()
 	want, ok := loadGolden(t)[key]
-	for _, engine := range goldenEngines {
-		spec.Engine = engine
-		res, err := Execute(context.Background(), spec)
-		if err != nil {
-			t.Fatalf("%s (engine %s): %v", key, engine, err)
-		}
-		got := digestOf(res)
-		gb, _ := json.Marshal(got)
-		if !ok {
-			t.Fatalf("%s: no golden entry; the run produced\n%q: %s", key, key, gb)
-		}
-		if wb, _ := json.Marshal(want); string(gb) != string(wb) {
-			t.Errorf("%s (engine %s): digest mismatch\n got: %s\nwant: %s", key, engine, gb, wb)
-		}
+	res, err := Execute(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("%s: %v", key, err)
+	}
+	gb, _ := json.Marshal(digestOf(res))
+	if !ok {
+		t.Fatalf("%s: no golden entry; the run produced\n%q: %s", key, key, gb)
+	}
+	if wb, _ := json.Marshal(want); string(gb) != string(wb) {
+		t.Errorf("%s: digest mismatch\n got: %s\nwant: %s", key, gb, wb)
 	}
 }
 
@@ -118,3 +110,76 @@ func TestGoldenFacade(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineDiffVideogame checks the videogame scenario's full artifact set
+// — Perfetto trace, metrics report, gantt, DS listing, console digest —
+// across the paper's headline configurations against the golden digests.
+// (The name predates the single engine: these cases were the differential
+// suite between the two T-THREAD engines that recorded the digests.)
+func TestEngineDiffVideogame(t *testing.T) {
+	arts := []string{ArtifactConsole, ArtifactTrace, ArtifactMetrics, ArtifactGantt, ArtifactDS}
+	off := false
+	cases := []struct {
+		label string
+		spec  Spec
+	}{
+		{"default", Spec{Dur: simMs(300), Artifacts: arts}},
+		{"seeded", Spec{Dur: simMs(300), Seed: 7, Artifacts: arts}},
+		{"gui-off", Spec{Dur: simMs(300), GUI: &off, Artifacts: arts}},
+		{"frame-off", Spec{Dur: simMs(300), Frame: -1, Artifacts: arts}},
+		{"idle-sleep", Spec{Dur: simMs(300), IdleSleep: simMs(5), Artifacts: arts}},
+		{"tickless-off", Spec{Dur: simMs(300), Tickless: &off, Artifacts: arts}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.label, func(t *testing.T) { checkGolden(t, "videogame/"+tc.label, tc.spec) })
+	}
+}
+
+// TestEngineDiffChaos checks the 20-seed campaign's summary and repro
+// artifacts, and each seed's single-job replay with its streamed Perfetto
+// trace, against the golden digests.
+func TestEngineDiffChaos(t *testing.T) {
+	const seeds = 20
+	checkGolden(t, "chaos/campaign", Spec{
+		Scenario:  ScenarioChaos,
+		Seed:      42,
+		Chaos:     &ChaosSpec{Seeds: seeds, Workers: 1},
+		Artifacts: []string{ArtifactSummary, ArtifactRepro},
+	})
+	if testing.Short() {
+		t.Skip("per-seed trace replays skipped in -short mode")
+	}
+	for job := 0; job < seeds; job++ {
+		job := job
+		t.Run(fmt.Sprintf("job%02d", job), func(t *testing.T) {
+			checkGolden(t, fmt.Sprintf("chaos/job%02d", job), Spec{
+				Scenario:  ScenarioChaos,
+				Seed:      42,
+				Chaos:     &ChaosSpec{Job: &job},
+				Artifacts: []string{ArtifactSummary, ArtifactTrace},
+			})
+		})
+	}
+}
+
+// TestEngineDiffSynthetic checks the Perfetto trace, metrics report and
+// resolved task-set artifacts of 10 generated task sets against the golden
+// digests.
+func TestEngineDiffSynthetic(t *testing.T) {
+	arts := []string{ArtifactTrace, ArtifactMetrics, ArtifactTaskSet}
+	for seed := uint64(0); seed < 10; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
+			checkGolden(t, fmt.Sprintf("synthetic/seed%02d", seed), Spec{
+				Scenario:  ScenarioSynthetic,
+				Seed:      seed,
+				Dur:       simMs(200),
+				Synthetic: &SyntheticSpec{Gen: &workload.GenSpec{}},
+				Artifacts: arts,
+			})
+		})
+	}
+}
+
+// simMs builds a Duration of n simulated milliseconds.
+func simMs(n int64) Duration { return Duration(n * 1e6) }

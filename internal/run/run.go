@@ -81,7 +81,7 @@ const (
 	// for generated sets, the concrete draw — as indented JSON (synthetic).
 	ArtifactTaskSet = "taskset.json"
 	// ArtifactSnapshot is the versioned binary kernel snapshot captured at
-	// Checkpoint.At (synthetic, continuation engine only). Feed it back via
+	// Checkpoint.At (synthetic only). Feed it back via
 	// Checkpoint.ResumeFrom to continue the run without re-simulating the
 	// prefix.
 	ArtifactSnapshot = "snapshot.bin"
@@ -101,11 +101,6 @@ type Spec struct {
 	// Seed drives every random draw of the run (synthetic user input,
 	// chaos schedules, sweep points). 0 is the fixed legacy pattern.
 	Seed uint64 `json:"seed,omitempty"`
-	// Engine selects the T-THREAD execution engine: "goroutine" (the
-	// reference engine, the default) or "continuation" (step-function
-	// bodies driven inline by the scheduler loop — same artifacts, no
-	// goroutine per thread). Videogame and chaos scenarios.
-	Engine string `json:"engine,omitempty"`
 	// Deadline caps the run's wall-clock time: when it expires the
 	// simulation stops at the next quiescent point and Execute returns
 	// partial results with the context error. 0 means no deadline (the
@@ -319,12 +314,6 @@ func Validate(spec Spec) error {
 		if !known[a] {
 			return fmt.Errorf("run: scenario %q cannot produce artifact %q", spec.Scenario, a)
 		}
-	}
-	switch spec.Engine {
-	case "", opts.EngineGoroutine, opts.EngineContinuation:
-	default:
-		return fmt.Errorf("run: unknown engine %q (want %q or %q)",
-			spec.Engine, opts.EngineGoroutine, opts.EngineContinuation)
 	}
 	if spec.Scenario == ScenarioChaos && wants(spec, ArtifactTrace) &&
 		(spec.Chaos == nil || spec.Chaos.Job == nil) {

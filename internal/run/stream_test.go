@@ -5,7 +5,6 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/run/opts"
 	"repro/internal/workload"
 )
 
@@ -36,81 +35,78 @@ func streamSpecs() []struct {
 }
 
 // TestStreamByteIdentical is the tentpole contract: for the same Spec, a
-// streamed artifact is byte-identical to its buffered twin — on both
-// T-THREAD engines, and with a progress observer attached (the observer
-// pauses the run at quiescent points; the pause must be unobservable).
+// streamed artifact is byte-identical to its buffered twin, with a
+// progress observer attached (the observer pauses the run at quiescent
+// points; the pause must be unobservable).
 func TestStreamByteIdentical(t *testing.T) {
 	for _, tc := range streamSpecs() {
-		for _, engine := range []string{opts.EngineGoroutine, opts.EngineContinuation} {
-			t.Run(tc.label+"/"+engine, func(t *testing.T) {
-				spec := tc.spec
-				spec.Engine = engine
+		t.Run(tc.label, func(t *testing.T) {
+			spec := tc.spec
 
-				buffered, err := Execute(context.Background(), spec)
-				if err != nil {
-					t.Fatalf("buffered: %v", err)
-				}
+			buffered, err := Execute(context.Background(), spec)
+			if err != nil {
+				t.Fatalf("buffered: %v", err)
+			}
 
-				var traceOut, metricsOut bytes.Buffer
-				var snapshots []Stats
-				streamed, err := ExecuteStream(context.Background(), spec, StreamOptions{
-					Sinks: Sinks{
-						ArtifactTrace:   &traceOut,
-						ArtifactMetrics: &metricsOut,
-					},
-					Progress: func(st Stats) { snapshots = append(snapshots, st) },
-				})
-				if err != nil {
-					t.Fatalf("streamed: %v", err)
-				}
-
-				if !bytes.Equal(traceOut.Bytes(), buffered.Artifacts[ArtifactTrace]) {
-					t.Errorf("trace: streamed %d bytes != buffered %d bytes",
-						traceOut.Len(), len(buffered.Artifacts[ArtifactTrace]))
-				}
-				if !bytes.Equal(metricsOut.Bytes(), buffered.Artifacts[ArtifactMetrics]) {
-					t.Errorf("metrics: streamed %d bytes != buffered %d bytes",
-						metricsOut.Len(), len(buffered.Artifacts[ArtifactMetrics]))
-				}
-
-				// Sink-fed artifacts leave the result map; bystanders stay.
-				if _, ok := streamed.Artifacts[ArtifactTrace]; ok {
-					t.Error("streamed result still buffers trace")
-				}
-				if _, ok := streamed.Artifacts[ArtifactMetrics]; ok {
-					t.Error("streamed result still buffers metrics")
-				}
-				for name, want := range buffered.Artifacts {
-					if name == ArtifactTrace || name == ArtifactMetrics {
-						continue
-					}
-					if !bytes.Equal(streamed.Artifacts[name], want) {
-						t.Errorf("bystander artifact %s differs under streaming", name)
-					}
-				}
-
-				// The progress observer fired mid-run with monotone sim time.
-				if len(snapshots) == 0 {
-					t.Fatal("no progress snapshots observed")
-				}
-				for i := 1; i < len(snapshots); i++ {
-					if snapshots[i].SimTime < snapshots[i-1].SimTime {
-						t.Fatalf("progress sim time not monotone: %v after %v",
-							snapshots[i].SimTime, snapshots[i-1].SimTime)
-					}
-				}
-				if last := snapshots[len(snapshots)-1]; last.SimTime >= streamed.Stats.SimTime {
-					t.Fatalf("last progress snapshot (%v) not strictly mid-run (final %v)",
-						last.SimTime, streamed.Stats.SimTime)
-				}
-				if streamed.Stats.Scenario != buffered.Stats.Scenario ||
-					streamed.Stats.Ticks != buffered.Stats.Ticks ||
-					streamed.Stats.CtxSwitches != buffered.Stats.CtxSwitches {
-					t.Errorf("final stats diverge: streamed %+v buffered %+v",
-						streamed.Stats, buffered.Stats)
-				}
+			var traceOut, metricsOut bytes.Buffer
+			var snapshots []Stats
+			streamed, err := ExecuteStream(context.Background(), spec, StreamOptions{
+				Sinks: Sinks{
+					ArtifactTrace:   &traceOut,
+					ArtifactMetrics: &metricsOut,
+				},
+				Progress: func(st Stats) { snapshots = append(snapshots, st) },
 			})
-		}
+			if err != nil {
+				t.Fatalf("streamed: %v", err)
+			}
+
+			if !bytes.Equal(traceOut.Bytes(), buffered.Artifacts[ArtifactTrace]) {
+				t.Errorf("trace: streamed %d bytes != buffered %d bytes",
+					traceOut.Len(), len(buffered.Artifacts[ArtifactTrace]))
+			}
+			if !bytes.Equal(metricsOut.Bytes(), buffered.Artifacts[ArtifactMetrics]) {
+				t.Errorf("metrics: streamed %d bytes != buffered %d bytes",
+					metricsOut.Len(), len(buffered.Artifacts[ArtifactMetrics]))
+			}
+
+			// Sink-fed artifacts leave the result map; bystanders stay.
+			if _, ok := streamed.Artifacts[ArtifactTrace]; ok {
+				t.Error("streamed result still buffers trace")
+			}
+			if _, ok := streamed.Artifacts[ArtifactMetrics]; ok {
+				t.Error("streamed result still buffers metrics")
+			}
+			for name, want := range buffered.Artifacts {
+				if name == ArtifactTrace || name == ArtifactMetrics {
+					continue
+				}
+				if !bytes.Equal(streamed.Artifacts[name], want) {
+					t.Errorf("bystander artifact %s differs under streaming", name)
+				}
+			}
+
+			// The progress observer fired mid-run with monotone sim time.
+			if len(snapshots) == 0 {
+				t.Fatal("no progress snapshots observed")
+			}
+			for i := 1; i < len(snapshots); i++ {
+				if snapshots[i].SimTime < snapshots[i-1].SimTime {
+					t.Fatalf("progress sim time not monotone: %v after %v",
+						snapshots[i].SimTime, snapshots[i-1].SimTime)
+				}
+			}
+			if last := snapshots[len(snapshots)-1]; last.SimTime >= streamed.Stats.SimTime {
+				t.Fatalf("last progress snapshot (%v) not strictly mid-run (final %v)",
+					last.SimTime, streamed.Stats.SimTime)
+			}
+			if streamed.Stats.Scenario != buffered.Stats.Scenario ||
+				streamed.Stats.Ticks != buffered.Stats.Ticks ||
+				streamed.Stats.CtxSwitches != buffered.Stats.CtxSwitches {
+				t.Errorf("final stats diverge: streamed %+v buffered %+v",
+					streamed.Stats, buffered.Stats)
+			}
+		})
 	}
 }
 

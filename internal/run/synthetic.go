@@ -84,7 +84,6 @@ func buildSynSystem(spec Spec, o StreamOptions) *synSystem {
 
 	s.sim = sysc.NewSimulator()
 	kcfg := tkernel.Config{Costs: tkernel.DefaultCosts()}
-	kcfg.Engine = spec.Engine
 	kcfg.Tick = spec.Tick.Sim()
 	kcfg.DisableTickless = !boolOr(spec.Tickless, true)
 	kcfg.Bus = s.bus
@@ -195,9 +194,8 @@ func (s *synSystem) encodeSnapshot() ([]byte, error) {
 		return nil, err
 	}
 	return snapshot.Encode(s.snapSystem(), st, snapshot.Meta{
-		Engine: s.k.Engine(),
-		At:     int64(s.sim.Now()),
-		Spec:   specJSON,
+		At:   int64(s.sim.Now()),
+		Spec: specJSON,
 	})
 }
 
@@ -281,7 +279,7 @@ func executeResume(ctx context.Context, spec Spec, o StreamOptions) (Result, err
 			Duration(at/sysc.Ns), Duration(dur/sysc.Ns))
 	}
 
-	// The donor spec drives construction (task set, seed, engine, tick);
+	// The donor spec drives construction (task set, seed, tick);
 	// the outer spec decides which observers to attach and how far to run.
 	build := inner
 	build.Dur = spec.Dur

@@ -68,7 +68,6 @@ func executeVideogame(ctx context.Context, spec Spec, o StreamOptions) (Result, 
 	cfg.DisableTickless = !boolOr(spec.Tickless, true)
 	cfg.IdleSleep = spec.IdleSleep.Sim()
 	cfg.Seed = spec.Seed
-	cfg.Engine = spec.Engine
 	cfg.Bus = bus
 	cfg.Gantt = g
 	cfg.VCD = vcd

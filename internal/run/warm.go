@@ -31,7 +31,7 @@ type SweepSpec struct {
 	Workers int `json:"workers,omitempty"`
 	// Warm forks variants from in-memory checkpoints instead of re-running
 	// the prefix per seed. Falls back to cold per-seed runs when the
-	// configuration is outside the snapshot envelope (goroutine engine).
+	// configuration is outside the snapshot envelope.
 	Warm bool `json:"warm,omitempty"`
 }
 

@@ -49,7 +49,7 @@ func TestCacheHitByteIdentical(t *testing.T) {
 	// Same job, defaults spelled out and artifacts reordered: canonical
 	// encoding must land it on the same hash.
 	respelled := `{"scenario":"videogame","dur":"60ms","seed":11,"gui":true,"tickless":true,
-		"engine":"goroutine","frame":"10ms","tick":"1ms",
+		"frame":"10ms","tick":"1ms",
 		"artifacts":["console.txt","gantt.txt","metrics.json"]}`
 	warm := submit(t, ts, respelled)
 	wv := waitTerminal(t, ts, warm)

@@ -9,7 +9,7 @@ import (
 	"repro/internal/tkernel"
 )
 
-// Binary snapshot format, version 1. Everything is little-endian with
+// Binary snapshot format, version 2. Everything is little-endian with
 // fixed-width integers; strings and byte blobs are u32 length + bytes.
 // All pointers are flattened to registry indices, all maps are emitted
 // in sorted-key order (the Save layers already do this), so encoding is
@@ -17,8 +17,7 @@ import (
 // simulations encode byte-identically, which is what makes replay-based
 // Verify a real integrity check.
 //
-// Layout: header (magic, version, engine, capture time, producer Spec
-// JSON), then the sysc section, the SIM_API section, the kernel section
+// Layout: header (magic, version, capture time, producer Spec JSON), then the sysc section, the SIM_API section, the kernel section
 // and the workload section. Observer state is not encoded — a restore
 // from bytes replays construction, which regenerates observer content
 // deterministically. Closures (wait cancellations, timer callbacks) are
@@ -27,8 +26,9 @@ import (
 
 var magic = [8]byte{'R', 'T', 'K', 'S', 'N', 'A', 'P', '1'}
 
-// Version is the binary snapshot format version.
-const Version uint32 = 1
+// Version is the binary snapshot format version. Version 1 headers carried
+// the T-THREAD engine name; version 2 dropped it with the engine choice.
+const Version uint32 = 2
 
 // relNil marks a nil release code on the wire (release codes are
 // otherwise T-Kernel ER values, all small negatives).
@@ -36,9 +36,8 @@ const relNil = math.MinInt32
 
 // Meta is the snapshot header: what produced it and where it stops.
 type Meta struct {
-	Engine string
-	At     int64 // capture time, sysc picoseconds
-	Spec   []byte // canonical producer Spec JSON, for replay
+	At   int64  // capture time, sysc picoseconds
+	Spec []byte // canonical producer Spec JSON, for replay
 }
 
 type enc struct{ b bytes.Buffer }
@@ -97,7 +96,6 @@ func Encode(sys System, st *State, meta Meta) ([]byte, error) {
 	e := &enc{}
 	e.b.Write(magic[:])
 	e.u32(Version)
-	e.str(meta.Engine)
 	e.i64(int64(st.At))
 	e.blob(meta.Spec)
 
@@ -356,10 +354,6 @@ func DecodeMeta(data []byte) (Meta, error) {
 	if ver != Version {
 		return Meta{}, fmt.Errorf("%w: format version %d (this build reads %d)", ErrIncompatible, ver, Version)
 	}
-	engine, off, err := readStr(data, off)
-	if err != nil {
-		return Meta{}, err
-	}
 	if off+8 > len(data) {
 		return Meta{}, fmt.Errorf("%w: truncated header", ErrCorrupt)
 	}
@@ -369,7 +363,7 @@ func DecodeMeta(data []byte) (Meta, error) {
 	if err != nil {
 		return Meta{}, err
 	}
-	return Meta{Engine: engine, At: at, Spec: spec}, nil
+	return Meta{At: at, Spec: spec}, nil
 }
 
 func readBlob(data []byte, off int) ([]byte, int, error) {
@@ -384,11 +378,6 @@ func readBlob(data []byte, off int) ([]byte, int, error) {
 	return data[off : off+n : off+n], off + n, nil
 }
 
-func readStr(data []byte, off int) (string, int, error) {
-	b, off, err := readBlob(data, off)
-	return string(b), off, err
-}
-
 // Verify checks that sys — expected to have been replayed from the
 // snapshot's embedded Spec to its capture time — reproduces the snapshot
 // bit-for-bit. A mismatch means the bytes do not describe a reachable
@@ -397,9 +386,6 @@ func Verify(sys System, data []byte) error {
 	meta, err := DecodeMeta(data)
 	if err != nil {
 		return err
-	}
-	if eng := sys.Kernel.Engine(); eng != meta.Engine {
-		return fmt.Errorf("%w: snapshot engine %q, system runs %q", ErrIncompatible, meta.Engine, eng)
 	}
 	st, err := Capture(sys)
 	if err != nil {

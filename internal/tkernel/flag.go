@@ -83,7 +83,7 @@ func (k *Kernel) SetFlg(id ID, setptn uint32) (er ER) {
 	return k.setFlgBody(id, setptn)
 }
 
-// setFlgBody is the engine-split call body of SetFlg.
+// setFlgBody is the split call body of SetFlg.
 func (k *Kernel) setFlgBody(id ID, setptn uint32) ER {
 	f, ok := k.flags[id]
 	if !ok {
@@ -148,7 +148,7 @@ func (k *Kernel) WaiFlg(id ID, waiptn uint32, mode FlagMode, tmout TMO) (_ uint3
 	return relptn, er
 }
 
-// waiFlgBody is the engine-split call body of WaiFlg: the release pattern
+// waiFlgBody is the split call body of WaiFlg: the release pattern
 // is delivered through relptn (zero on error paths).
 func (k *Kernel) waiFlgBody(id ID, waiptn uint32, mode FlagMode, tmout TMO, relptn *uint32) (ER, *armedWait) {
 	f, ok := k.flags[id]

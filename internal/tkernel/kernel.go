@@ -221,11 +221,6 @@ func (k *Kernel) Sim() *sysc.Simulator { return k.sim }
 // Tick returns the configured system-clock resolution.
 func (k *Kernel) Tick() sysc.Time { return k.cfg.Tick }
 
-// Engine returns the configured T-THREAD engine (opts.EngineGoroutine or
-// opts.EngineContinuation), so system builders outside the kernel can pick
-// the matching device-model process style.
-func (k *Kernel) Engine() string { return k.cfg.Engine }
-
 // Ticks returns the number of system ticks processed so far.
 func (k *Kernel) Ticks() uint64 { return k.ticks }
 
@@ -402,6 +397,13 @@ func (k *Kernel) enterSvc(name string) {
 // exitSvc is the service-call epilogue: it publishes the exit event with the
 // resolved error code and releases the dispatch lock.
 func (k *Kernel) exitSvc(name string, er *ER) {
+	if task := k.caller(); task != nil && task.parked {
+		// A reset unwound the task out of a parked service (see finish):
+		// the dispatch lock was already released around the wait and the
+		// service never completes, so there is nothing to unlock or report.
+		task.parked = false
+		return
+	}
 	if k.bus.Wants(event.KindSvcExit) {
 		k.bus.Publish(event.Event{Kind: event.KindSvcExit,
 			Time: k.sim.Now(), Thread: threadName(k.api.ExecutingThread()),
@@ -438,7 +440,8 @@ func (k *Kernel) blockCheck(tmout TMO) (*Task, ER) {
 
 // armedWait is a committed-but-not-yet-blocked wait: the task is on its
 // object's wait queue with the timeout armed, and the caller must complete
-// the wait (block on obj, then endSleep) on its engine's blocking path.
+// the wait (block on obj, then endSleep): finish for a closure task,
+// StepBlock for a program machine.
 // Each Task embeds one (a task waits on at most one object), so arming a
 // wait never allocates.
 type armedWait struct {
@@ -449,7 +452,7 @@ type armedWait struct {
 // armSleep is the first half of sleepOn: it commits the calling task to a
 // wait (seq-based timeout invalidation guarantees a stale timeout never
 // releases a newer wait of the same task) and returns the armed wait for
-// the engine-specific blocking path to complete.
+// the caller's blocking path to complete.
 func (k *Kernel) armSleep(task *Task, obj string, tmout TMO, cancel func()) *armedWait {
 	task.waitSeq++
 	seq := task.waitSeq
@@ -479,18 +482,21 @@ func (k *Kernel) endSleep(task *Task, err error) ER {
 	return erOf(err)
 }
 
-// finish completes a split service body on the goroutine engine. A body
-// that did not arm a wait just yields its code; one that did is blocked
-// here with the service's dispatch lock released around the wait
-// (atomicity covers the call body up to the block) and re-acquired
-// afterwards. The continuation engine's machine replaces this with
-// StepBlock at the same point.
+// finish completes a split service body for a closure task. A body that
+// did not arm a wait just yields its code; one that did is blocked here
+// with the service's dispatch lock released around the wait (atomicity
+// covers the call body up to the block) and re-acquired afterwards. A
+// reset unwinding the task out of the wait leaves parked set, which tells
+// the service's deferred exitSvc there is no lock to release. The program
+// machine replaces this with StepBlock at the same point.
 func (k *Kernel) finish(er ER, aw *armedWait) ER {
 	if aw == nil {
 		return er
 	}
 	k.api.UnlockDispatch()
+	aw.task.parked = true
 	err := k.api.BlockCurrent(aw.obj)
+	aw.task.parked = false
 	k.api.LockDispatch()
 	return k.endSleep(aw.task, err)
 }
@@ -500,12 +506,6 @@ func (k *Kernel) finish(er ER, aw *armedWait) ER {
 // step, for services that are not split onto the program IR).
 func (k *Kernel) sleepOn(task *Task, obj string, tmout TMO, cancel func()) ER {
 	return k.finish(EOK, k.armSleep(task, obj, tmout, cancel))
-}
-
-// engineCompiled reports whether this kernel compiles program-IR bodies to
-// continuation machines instead of interpreting them on goroutines.
-func (k *Kernel) engineCompiled() bool {
-	return k.cfg.Engine == opts.EngineContinuation
 }
 
 // wake releases a waiting task with the given code, invalidating its

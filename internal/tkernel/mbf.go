@@ -76,7 +76,7 @@ func (k *Kernel) SndMbf(id ID, msg []byte, tmout TMO) (er ER) {
 	return k.finish(k.sndMbfBody(id, msg, tmout))
 }
 
-// sndMbfBody is the engine-split call body of SndMbf.
+// sndMbfBody is the split call body of SndMbf.
 func (k *Kernel) sndMbfBody(id ID, msg []byte, tmout TMO) (ER, *armedWait) {
 	b, ok := k.mbfs[id]
 	if !ok {
@@ -126,7 +126,7 @@ func (k *Kernel) RcvMbf(id ID, tmout TMO) (_ []byte, er ER) {
 	return got, er
 }
 
-// rcvMbfBody is the engine-split call body of RcvMbf: the message is
+// rcvMbfBody is the split call body of RcvMbf: the message is
 // delivered through dst (nil on error paths).
 func (k *Kernel) rcvMbfBody(id ID, tmout TMO, dst *[]byte) (ER, *armedWait) {
 	b, ok := k.mbfs[id]

@@ -64,7 +64,7 @@ func (k *Kernel) SndMbx(id ID, msg *Message) (er ER) {
 	return k.sndMbxBody(id, msg)
 }
 
-// sndMbxBody is the engine-split call body of SndMbx.
+// sndMbxBody is the split call body of SndMbx.
 func (k *Kernel) sndMbxBody(id ID, msg *Message) ER {
 	m, ok := k.mbxs[id]
 	if !ok {
@@ -106,7 +106,7 @@ func (k *Kernel) RcvMbx(id ID, tmout TMO) (_ *Message, er ER) {
 	return got, er
 }
 
-// rcvMbxBody is the engine-split call body of RcvMbx: the message is
+// rcvMbxBody is the split call body of RcvMbx: the message is
 // delivered through dst (nil on error paths).
 func (k *Kernel) rcvMbxBody(id ID, tmout TMO, dst **Message) (ER, *armedWait) {
 	m, ok := k.mbxs[id]

@@ -67,7 +67,7 @@ func (k *Kernel) SigSem(id ID, cnt int) (er ER) {
 	return k.sigSemBody(id, cnt)
 }
 
-// sigSemBody is the engine-split call body of SigSem.
+// sigSemBody is the split call body of SigSem.
 func (k *Kernel) sigSemBody(id ID, cnt int) ER {
 	s, ok := k.sems[id]
 	if !ok {
@@ -111,7 +111,7 @@ func (k *Kernel) WaiSem(id ID, cnt int, tmout TMO) (er ER) {
 	return k.finish(k.waiSemBody(id, cnt, tmout))
 }
 
-// waiSemBody is the engine-split call body of WaiSem.
+// waiSemBody is the split call body of WaiSem.
 func (k *Kernel) waiSemBody(id ID, cnt int, tmout TMO) (ER, *armedWait) {
 	s, ok := k.sems[id]
 	if !ok {

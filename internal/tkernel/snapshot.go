@@ -41,7 +41,7 @@ type TaskSnap struct {
 	AwObj    string
 	Owned    []ID // locked mutexes, acquisition order
 
-	// Compiled program machine resumption state (continuation engine).
+	// Compiled program machine resumption state.
 	HasMachine bool
 	PC         int
 	SP         uint8
@@ -209,6 +209,9 @@ func (k *Kernel) SaveState() (*KernelState, error) {
 	for _, tt := range k.api.Threads() {
 		if !tt.Compiled() && tt.State() != core.StateDormant {
 			return nil, fmt.Errorf("tkernel: goroutine-backed thread %q is active at the capture point", tt.Name())
+		}
+		if m := machineOf(tt); m != nil && m.latched {
+			return nil, fmt.Errorf("tkernel: thread %q is inside a device access at the capture point", tt.Name())
 		}
 	}
 	st := &KernelState{

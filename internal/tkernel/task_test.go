@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/event"
 	"repro/internal/sysc"
 	"repro/internal/tkernel"
 )
@@ -436,4 +437,44 @@ func TestBlockFromInitWithDispatchDisabled(t *testing.T) {
 		}
 	})
 	run(t, sim, 50*sysc.Ms)
+}
+
+// TestTerTskParkedClosureTask terminates a closure task parked in a split
+// blocking service and restarts it. The reset unwinds the service with the
+// dispatch lock already released around the wait, so the unwind must
+// neither unlock a second time nor report a service exit.
+func TestTerTskParkedClosureTask(t *testing.T) {
+	var starts int
+	var got tkernel.ER = -1
+	k, sim := boot(t, func(k *tkernel.Kernel) {
+		sem, _ := k.CreSem("s", tkernel.TaTFIFO, 0, 10)
+		id, _ := k.CreTsk("victim", 10, func(task *tkernel.Task) {
+			starts++
+			got = k.WaiSem(sem, 1, tkernel.TmoFevr)
+		})
+		_ = k.StaTsk(id)
+		_ = k.DlyTsk(sysc.Ms) // victim runs and parks in WaiSem
+		if er := k.TerTsk(id); er != tkernel.EOK {
+			t.Errorf("TerTsk: %v", er)
+		}
+		if er := k.StaTsk(id); er != tkernel.EOK {
+			t.Errorf("StaTsk: %v", er)
+		}
+		if er := k.SigSem(sem, 1); er != tkernel.EOK {
+			t.Errorf("SigSem: %v", er)
+		}
+	})
+	var exits int
+	k.Bus().Subscribe(func(e event.Event) {
+		if e.Thread == "victim" && e.Obj == "tk_wai_sem" {
+			exits++
+		}
+	}, event.KindSvcExit)
+	run(t, sim, 10*sysc.Ms)
+	if starts != 2 || got != tkernel.EOK {
+		t.Fatalf("victim starts=%d, second WaiSem=%v; want 2 starts and E_OK", starts, got)
+	}
+	if exits != 1 {
+		t.Fatalf("victim published %d tk_wai_sem exits, want 1 (the unwound wait reports none)", exits)
+	}
 }

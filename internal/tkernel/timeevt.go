@@ -200,7 +200,7 @@ func (k *Kernel) StaAlm(id ID, d sysc.Time) (er ER) {
 	return k.staAlmBody(id, d)
 }
 
-// staAlmBody is the engine-split call body of StaAlm.
+// staAlmBody is the split call body of StaAlm.
 func (k *Kernel) staAlmBody(id ID, d sysc.Time) ER {
 	a, ok := k.alms[id]
 	if !ok {

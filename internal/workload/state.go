@@ -26,7 +26,7 @@ type ScratchState struct {
 // DeviceState is the captured state of one interrupt device model.
 type DeviceState struct {
 	RNG     uint64 // arrival-stream cursor
-	Started bool   // device-coro frame flag (continuation engine)
+	Started bool   // device-coro frame flag
 }
 
 // InstanceState is the captured dynamic state of a lowered workload.
@@ -47,11 +47,7 @@ func (in *Instance) SaveState() *InstanceState {
 		})
 	}
 	for i, s := range in.samplers {
-		d := DeviceState{RNG: s.rng.State()}
-		if i < len(in.devStarted) && in.devStarted[i] != nil {
-			d.Started = *in.devStarted[i]
-		}
-		st.Devices = append(st.Devices, d)
+		st.Devices = append(st.Devices, DeviceState{RNG: s.rng.State(), Started: *in.devStarted[i]})
 	}
 	return st
 }
@@ -71,9 +67,7 @@ func (in *Instance) LoadState(st *InstanceState) error {
 	for i, s := range in.samplers {
 		d := &st.Devices[i]
 		s.rng.SetState(d.RNG)
-		if i < len(in.devStarted) && in.devStarted[i] != nil {
-			*in.devStarted[i] = d.Started
-		}
+		*in.devStarted[i] = d.Started
 	}
 	in.activations = st.Activations
 	return nil
