@@ -32,20 +32,12 @@ type Port struct {
 	devices []Peripheral
 	sel     int
 
-	// name is the VCD signal ("p<index>"); the others name its accesses
-	// in traces.
-	name, selName, wrName, rdName string
-
 	writes uint64
 	reads  uint64
 }
 
 func newPort(b *BFM, index int) *Port {
-	name := fmt.Sprintf("p%d", index)
-	return &Port{b: b, index: index, name: name,
-		selName: name + ".sel",
-		wrName:  name + ".wr",
-		rdName:  name + ".rd"}
+	return &Port{b: b, index: index}
 }
 
 // Attach connects a peripheral and returns its select index.
@@ -57,7 +49,7 @@ func (p *Port) Attach(dev Peripheral) int {
 // Select multiplexes the port onto the given attached device
 // (1 machine cycle to write the select register).
 func (p *Port) Select(idx int) core.Access {
-	return p.b.access(1, p.selName, func() {
+	return p.b.access(1, fmt.Sprintf("p%d.sel", p.index), func() {
 		if idx >= 0 && idx < len(p.devices) {
 			p.sel = idx
 		}
@@ -67,10 +59,10 @@ func (p *Port) Select(idx int) core.Access {
 // Write drives a value onto the port (1 machine cycle) and forwards it to
 // the selected peripheral.
 func (p *Port) Write(v byte) core.Access {
-	return p.b.access(1, p.wrName, func() {
+	return p.b.access(1, fmt.Sprintf("p%d.wr", p.index), func() {
 		p.latch = v
 		p.writes++
-		p.b.probe(p.name, uint64(v))
+		p.b.probe(fmt.Sprintf("p%d", p.index), uint64(v))
 		if p.sel < len(p.devices) {
 			p.devices[p.sel].PortWrite(v)
 		}
@@ -81,7 +73,7 @@ func (p *Port) Write(v byte) core.Access {
 // peripheral's output if any device is attached, else the latch. The
 // sample is taken when the budget is spent.
 func (p *Port) Read(dst *byte) core.Access {
-	return p.b.access(1, p.rdName, func() {
+	return p.b.access(1, fmt.Sprintf("p%d.rd", p.index), func() {
 		p.reads++
 		if p.sel < len(p.devices) {
 			*dst = p.devices[p.sel].PortRead()

@@ -164,7 +164,7 @@ func TestSubmitValidation(t *testing.T) {
 		`{"scenario":"warp"}`,
 		`{"artifacts":["nope.bin"]}`,
 		`{"scenario":"chaos","artifacts":["trace.json"]}`, // trace needs chaos.job
-		`{"engine":"continuation"}`,                       // the engine knob is gone
+		`{"engine":"continuation"}`,                       // unknown field
 	} {
 		code, b, _ := postSpec(t, ts, body)
 		if code != http.StatusBadRequest {
