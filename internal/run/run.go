@@ -374,9 +374,9 @@ func validateCheckpoint(spec Spec, ck *CheckpointSpec) error {
 	switch spec.Scenario {
 	case ScenarioSynthetic:
 	case ScenarioVideogame:
-		// The videogame app roots state in goroutine closures, so only the
-		// pause-and-continue form (At) is supported — no capture, fork or
-		// resume.
+		// The videogame's key mailbox and game state are outside the
+		// snapshot envelope, so only the pause-and-continue form (At) is
+		// supported — no capture, fork or resume.
 		if ck.ForkSeed != nil || ck.ResumeFrom != nil {
 			return fmt.Errorf("run: scenario %q supports only checkpoint.at (fork/resume need scenario %q)",
 				spec.Scenario, ScenarioSynthetic)
