@@ -7,7 +7,7 @@
 GO ?= go
 BENCHTIME ?= 2s
 
-.PHONY: all build test vet race check serve serve-fleet serve-e2e serve-load serve-load-guard serve-stream chaos chaos-traced snapshot-diff bench bench-guard bench-all perf-smoke scenarios synthetic-campaign clean
+.PHONY: all build test vet race check serve serve-fleet serve-e2e serve-load serve-load-guard serve-stream chaos chaos-traced snapshot-diff fuzz-smoke bench bench-guard bench-all perf-smoke scenarios synthetic-campaign clean
 
 all: check
 
@@ -93,6 +93,15 @@ snapshot-diff:
 	$(GO) test ./internal/run -run 'TestSyntheticCheckpointByteEquality|TestVideogameCheckpointByteEquality|TestSnapshotResumeByteEquality|TestWarmSweep' -v
 	$(GO) test ./internal/chaos -run 'TestWarmTrialMatchesCold' -v
 	$(GO) test ./internal/server -run 'TestResumeFromOverHTTP' -v
+
+# Fuzz smoke: each fuzz target for 10 s — the Perfetto encoder against its
+# encoding/json oracle and the decoders that take bytes from outside the
+# process (Spec JSON, snapshot headers, task-set JSON).
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzPerfettoRecord$$' -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/run
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMeta$$' -fuzztime 10s ./internal/snapshot
+	$(GO) test -run '^$$' -fuzz '^FuzzTaskSetJSON$$' -fuzztime 10s ./internal/workload
 
 # Table 2 co-simulation speed (the paper's S/R headline metric) per
 # configuration, plus the bare-kernel synthetic workload and the

@@ -324,34 +324,55 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	err = s.pool.TrySubmit(func(int) { s.runJob(job, jctx, flight) })
+	view, err := s.enqueue(job, func(int) { s.runJob(job, jctx, flight) })
 	if err != nil {
-		s.mu.Lock()
-		delete(s.jobs, job.ID)
-		s.rejected++
-		s.mu.Unlock()
 		cancel(nil)
 		if flight != nil {
 			// Followers that joined between Begin and this failure must not
 			// hang on a flight whose leader never ran.
 			flight.Complete(run.Result{}, fmt.Errorf("leader admission failed: %w", err))
 		}
-		switch {
-		case errors.Is(err, sweep.ErrSaturated):
-			WriteError(w, http.StatusTooManyRequests, CodeSaturated, "queue full, retry later", saturatedRetryAfter)
-		case errors.Is(err, sweep.ErrClosed):
-			WriteError(w, http.StatusServiceUnavailable, CodeDraining, "server shutting down", drainingRetryAfter)
-		default:
-			WriteError(w, http.StatusInternalServerError, CodeInternal, err.Error(), 0)
-		}
+		writeAdmissionError(w, err)
 		return
 	}
+	s.respondAcceptedView(w, view)
+}
+
+// enqueue hands an admitted job to the pool and returns the view its 202
+// reports. The view and the queued event are taken before TrySubmit: once
+// the pool holds the job a worker may already have moved it to running, so
+// only a view taken first is reliably the admission-time one. On rejection
+// the job is dropped and counted.
+func (s *Server) enqueue(job *Job, fn func(int)) (JobView, error) {
 	s.mu.Lock()
-	s.submitted++
 	view := viewOf(job)
 	s.mu.Unlock()
 	s.event(job, Event{Type: EventState, State: StateQueued})
-	s.respondAcceptedView(w, view)
+	err := s.pool.TrySubmit(fn)
+	s.mu.Lock()
+	if err != nil {
+		delete(s.jobs, job.ID)
+		s.rejected++
+	} else {
+		s.submitted++
+		if job.Stream {
+			s.streamJobs++
+		}
+	}
+	s.mu.Unlock()
+	return view, err
+}
+
+// writeAdmissionError answers a submission the pool refused.
+func writeAdmissionError(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, sweep.ErrSaturated):
+		WriteError(w, http.StatusTooManyRequests, CodeSaturated, "queue full, retry later", saturatedRetryAfter)
+	case errors.Is(err, sweep.ErrClosed):
+		WriteError(w, http.StatusServiceUnavailable, CodeDraining, "server shutting down", drainingRetryAfter)
+	default:
+		WriteError(w, http.StatusInternalServerError, CodeInternal, err.Error(), 0)
+	}
 }
 
 // submitStream admits a streaming job. It bypasses singleflight — every
@@ -372,31 +393,15 @@ func (s *Server) submitStream(w http.ResponseWriter, job *Job, jctx context.Cont
 			return
 		}
 	}
-	if err := s.pool.TrySubmit(func(int) { s.runJob(job, jctx, nil) }); err != nil {
-		s.mu.Lock()
-		delete(s.jobs, job.ID)
-		s.rejected++
-		s.mu.Unlock()
+	view, err := s.enqueue(job, func(int) { s.runJob(job, jctx, nil) })
+	if err != nil {
 		job.cancel(nil)
 		for _, ring := range job.streams {
 			ring.Release()
 		}
-		switch {
-		case errors.Is(err, sweep.ErrSaturated):
-			WriteError(w, http.StatusTooManyRequests, CodeSaturated, "queue full, retry later", saturatedRetryAfter)
-		case errors.Is(err, sweep.ErrClosed):
-			WriteError(w, http.StatusServiceUnavailable, CodeDraining, "server shutting down", drainingRetryAfter)
-		default:
-			WriteError(w, http.StatusInternalServerError, CodeInternal, err.Error(), 0)
-		}
+		writeAdmissionError(w, err)
 		return
 	}
-	s.mu.Lock()
-	s.submitted++
-	s.streamJobs++
-	view := viewOf(job)
-	s.mu.Unlock()
-	s.event(job, Event{Type: EventState, State: StateQueued})
 	s.respondAcceptedView(w, view)
 }
 

@@ -3,7 +3,7 @@
 // ring. The producer (a trace exporter, a metrics encoder) writes bytes
 // as the simulation emits them; any number of readers — live HTTP
 // streams, the end-of-run cache landing — read the same byte sequence
-// from any offset. Memory stays O(window): the ring keeps only the
+// from any offset. Memory stays O(window): the ring keeps at most the
 // newest `window` bytes in RAM and spills older bytes to a lazily
 // created temp file, so an arbitrarily long trace costs the server a
 // fixed buffer plus disk, never trace-sized heap.
@@ -34,7 +34,7 @@ const DefaultWindow = 256 << 10
 var ErrClosed = errors.New("stream: ring closed")
 
 // Ring is a bounded spill ring: an io.Writer whose contents remain fully
-// readable while only the newest window bytes stay in memory. Safe for
+// readable while at most the newest window bytes stay in memory. Safe for
 // one writer and many concurrent readers.
 type Ring struct {
 	mu     sync.Mutex
@@ -43,6 +43,7 @@ type Ring struct {
 
 	buf     []byte // bytes [spilled, size)
 	spilled int64  // bytes flushed to the spill file, i.e. file length
+	spills  int    // writes to the spill file
 	size    int64  // total bytes written
 	file    *os.File
 	fileErr error
@@ -88,7 +89,10 @@ func (r *Ring) Write(p []byte) (int, error) {
 	r.buf = append(r.buf, p...)
 	r.size += int64(len(p))
 	if len(r.buf) > r.window {
-		if err := r.spillLocked(len(r.buf) - r.window); err != nil {
+		// Spill down to half the window, not to the window itself: the
+		// next spill is then window/2 bytes away, so each spill is one
+		// large write and the memmove behind it costs O(1) per byte.
+		if err := r.spillLocked(len(r.buf) - r.window/2); err != nil {
 			r.fileErr = err
 			return 0, err
 		}
@@ -113,6 +117,7 @@ func (r *Ring) spillLocked(n int) error {
 		return fmt.Errorf("stream: spill: %w", err)
 	}
 	r.spilled += int64(n)
+	r.spills++
 	r.buf = append(r.buf[:0], r.buf[n:]...)
 	return nil
 }

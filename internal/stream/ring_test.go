@@ -191,3 +191,32 @@ func TestRingBytesBound(t *testing.T) {
 		t.Fatalf("Bytes at bound: err=%v len=%d", err, len(b))
 	}
 }
+
+// TestRingSpillAmortised checks the spill hysteresis: 1 MiB in 4 KiB
+// chunks through a 32 KiB window costs at most one spill per window/2
+// bytes written, not one per chunk, and the content stays byte-exact.
+func TestRingSpillAmortised(t *testing.T) {
+	const (
+		window = 32 << 10
+		total  = 1 << 20
+		chunk  = 4 << 10
+	)
+	want := pattern(total)
+	r := NewRing(t.TempDir(), window)
+	for off := 0; off < total; off += chunk {
+		if _, err := r.Write(want[off : off+chunk]); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+	}
+	r.Close(nil)
+	r.mu.Lock()
+	spills := r.spills
+	r.mu.Unlock()
+	if limit := (total + window/2 - 1) / (window / 2); spills > limit {
+		t.Fatalf("%d spills for %d bytes through a %d-byte window, want <= %d", spills, total, window, limit)
+	}
+	got, err := r.Bytes(0)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("Bytes mismatch (err=%v, %d bytes)", err, len(got))
+	}
+}

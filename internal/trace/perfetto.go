@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
 
 	"repro/internal/event"
 	"repro/internal/sysc"
@@ -21,13 +23,15 @@ import (
 // the underlying writer as it is published, so arbitrarily long runs never
 // buffer the whole trace in memory. Output is deterministic: records are
 // emitted in publish order with fixed field order, so two runs of the same
-// seeded model produce byte-identical files.
+// seeded model produce byte-identical files. Records are appended into one
+// reused buffer, so a steady-state event costs no allocation.
 type Perfetto struct {
 	w       *bufio.Writer
 	sub     *event.Subscription
 	tids    map[string]int
 	nextTid int
-	n       int // records written
+	n       int    // records written
+	buf     []byte // the record being encoded
 	err     error
 }
 
@@ -39,36 +43,6 @@ const pfPid = 1
 
 // picosecond -> microsecond (the trace-event ts/dur unit).
 const psPerUs = 1e6
-
-type pfMeta struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Args map[string]any `json:"args"`
-}
-
-type pfComplete struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`
-	Dur  float64        `json:"dur"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-type pfInstant struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	S    string         `json:"s"`
-	Args map[string]any `json:"args,omitempty"`
-}
 
 // pfKinds is the event subset the exporter records. Quiescent points and
 // time advances are deliberately excluded: they occur at every timed-phase
@@ -93,8 +67,8 @@ func AttachPerfetto(b *event.Bus, w io.Writer) *Perfetto {
 		nextTid: tidKernel + 1,
 	}
 	p.w.WriteString("[")
-	p.meta("process_name", pfPid, tidKernel, map[string]any{"name": "rtk-spec-tron"})
-	p.meta("thread_name", pfPid, tidKernel, map[string]any{"name": "kernel"})
+	p.meta("process_name", tidKernel, "rtk-spec-tron")
+	p.meta("thread_name", tidKernel, "kernel")
 	p.sub = b.Subscribe(p.handle, pfKinds...)
 	return p
 }
@@ -126,71 +100,200 @@ func (p *Perfetto) tid(thread string) int {
 	id := p.nextTid
 	p.nextTid++
 	p.tids[thread] = id
-	p.meta("thread_name", pfPid, id, map[string]any{"name": thread})
+	p.meta("thread_name", id, thread)
 	return id
 }
 
+// The encoder below appends each record into p.buf by hand and reproduces
+// what encoding/json made of the struct-and-map records it replaces, byte
+// for byte: fixed field order, sorted arg keys, no "args" on an event
+// without arguments, encoding/json's float and string formatting. The
+// differential fuzz test FuzzPerfettoRecord holds it to that oracle.
+
 func (p *Perfetto) handle(e event.Event) {
-	switch e.Kind {
-	case event.KindRunSlice:
-		name := e.Obj
-		if name == "" {
-			name = Context(e.Ctx).String()
-		}
-		p.emit(pfComplete{
-			Name: name, Cat: Context(e.Ctx).String(), Ph: "X",
-			Ts: us(e.Start), Dur: us(e.Time - e.Start),
-			Pid: pfPid, Tid: p.tid(e.Thread),
-			Args: map[string]any{"energy_j": float64(e.Energy)},
-		})
-	case event.KindSvcExit:
-		p.instant(e, e.Obj, map[string]any{"er": e.Code})
-	case event.KindSvcEnter:
-		p.instant(e, e.Obj, nil)
-	case event.KindPreempt, event.KindBlock, event.KindRelease:
-		var args map[string]any
-		if e.Obj != "" {
-			args = map[string]any{"detail": e.Obj}
-		}
-		p.instant(e, e.Kind.String(), args)
-	case event.KindIntEnter:
-		p.instant(e, e.Kind.String(), map[string]any{"depth": e.Seq})
-	case event.KindTimerFire:
-		p.instant(e, e.Kind.String(), map[string]any{"armed_us": us(e.Start), "seq": e.Seq})
-	default:
-		p.instant(e, e.Kind.String(), nil)
-	}
-}
-
-// instant emits an "i" record for e on its thread's row.
-func (p *Perfetto) instant(e event.Event, name string, args map[string]any) {
-	p.emit(pfInstant{
-		Name: name, Cat: e.Kind.String(), Ph: "i",
-		Ts: us(e.Time), Pid: pfPid, Tid: p.tid(e.Thread), S: "t",
-		Args: args,
-	})
-}
-
-func (p *Perfetto) meta(name string, pid, tid int, args map[string]any) {
-	p.emit(pfMeta{Name: name, Ph: "M", Pid: pid, Tid: tid, Args: args})
-}
-
-// emit encodes one record and appends it to the array.
-func (p *Perfetto) emit(rec any) {
 	if p.err != nil {
 		return
 	}
-	buf, err := json.Marshal(rec)
-	if err != nil {
-		p.err = err
+	tid := p.tid(e.Thread) // a new thread's metadata record goes first
+	switch e.Kind {
+	case event.KindRunSlice:
+		cat := Context(e.Ctx).String()
+		name := e.Obj
+		if name == "" {
+			name = cat
+		}
+		p.open(name, cat, "X", e.Start)
+		p.raw(`,"dur":`)
+		p.micros(e.Time - e.Start)
+		p.row(tid)
+		p.raw(`,"args":{"energy_j":`)
+		p.float(float64(e.Energy))
+		p.raw("}}")
+	case event.KindSvcExit:
+		p.instant(e, tid, e.Obj)
+		p.raw(`,"args":{"er":`)
+		p.buf = strconv.AppendInt(p.buf, int64(e.Code), 10)
+		p.raw("}}")
+	case event.KindSvcEnter:
+		p.instant(e, tid, e.Obj)
+		p.raw("}")
+	case event.KindPreempt, event.KindBlock, event.KindRelease:
+		p.instant(e, tid, e.Kind.String())
+		if e.Obj != "" {
+			p.raw(`,"args":{"detail":`)
+			p.str(e.Obj)
+			p.raw("}")
+		}
+		p.raw("}")
+	case event.KindIntEnter:
+		p.instant(e, tid, e.Kind.String())
+		p.raw(`,"args":{"depth":`)
+		p.buf = strconv.AppendUint(p.buf, e.Seq, 10)
+		p.raw("}}")
+	case event.KindTimerFire:
+		p.instant(e, tid, e.Kind.String())
+		p.raw(`,"args":{"armed_us":`)
+		p.micros(e.Start)
+		p.raw(`,"seq":`)
+		p.buf = strconv.AppendUint(p.buf, e.Seq, 10)
+		p.raw("}}")
+	default:
+		p.instant(e, tid, e.Kind.String())
+		p.raw("}")
+	}
+	p.commit()
+}
+
+// instant opens an "i" record for e on row tid, up to its "s" field.
+func (p *Perfetto) instant(e event.Event, tid int, name string) {
+	p.open(name, e.Kind.String(), "i", e.Time)
+	p.row(tid)
+	p.raw(`,"s":"t"`)
+}
+
+// meta emits an "M" record naming a process or thread row.
+func (p *Perfetto) meta(name string, tid int, value string) {
+	p.buf = p.separator(p.buf[:0])
+	p.raw(`{"name":`)
+	p.str(name)
+	p.raw(`,"ph":"M"`)
+	p.row(tid)
+	p.raw(`,"args":{"name":`)
+	p.str(value)
+	p.raw("}}")
+	p.commit()
+}
+
+// open starts a record in p.buf: the array separator, then the name, cat,
+// ph and ts fields.
+func (p *Perfetto) open(name, cat, ph string, ts sysc.Time) {
+	p.buf = p.separator(p.buf[:0])
+	p.raw(`{"name":`)
+	p.str(name)
+	p.raw(`,"cat":`)
+	p.str(cat)
+	p.raw(`,"ph":`)
+	p.str(ph)
+	p.raw(`,"ts":`)
+	p.micros(ts)
+}
+
+// separator appends what precedes the next record in the array.
+func (p *Perfetto) separator(b []byte) []byte {
+	if p.n > 0 {
+		return append(b, ",\n"...)
+	}
+	return append(b, '\n')
+}
+
+// row appends the pid and tid fields.
+func (p *Perfetto) row(tid int) {
+	p.raw(`,"pid":`)
+	p.buf = strconv.AppendInt(p.buf, pfPid, 10)
+	p.raw(`,"tid":`)
+	p.buf = strconv.AppendInt(p.buf, int64(tid), 10)
+}
+
+func (p *Perfetto) raw(s string) { p.buf = append(p.buf, s...) }
+
+// str appends s as a JSON string. Printable ASCII that encoding/json leaves
+// unescaped is copied as is; any other string goes through json.Marshal,
+// so HTML escaping, control bytes, invalid UTF-8 and U+2028/2029 come out
+// exactly as encoding/json writes them.
+func (p *Perfetto) str(s string) {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			p.buf = append(p.buf, q...)
+			return
+		}
+	}
+	p.buf = append(p.buf, '"')
+	p.buf = append(p.buf, s...)
+	p.buf = append(p.buf, '"')
+}
+
+// float appends f as encoding/json formats a float64: shortest round-trip
+// digits, exponent form below 1e-6 and from 1e21 up, and a one-digit
+// negative exponent without its leading zero. NaN and ±Inf set p.err to
+// json.Marshal's UnsupportedValueError, which drops the record at commit.
+func (p *Perfetto) float(f float64) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		if p.err == nil {
+			_, p.err = json.Marshal(f)
+		}
 		return
 	}
-	if p.n > 0 {
-		p.w.WriteString(",\n")
-	} else {
-		p.w.WriteString("\n")
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
 	}
-	if _, err := p.w.Write(buf); err != nil {
+	b := strconv.AppendFloat(p.buf, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1] // e-07 -> e-7
+		b = b[:n-1]
+	}
+	p.buf = b
+}
+
+// micros appends simulation time t in trace-event microseconds, exactly as
+// float formats us(t). Below 1e15 ps, float64(t) is exact and us(t) is the
+// correctly rounded value of the decimal t/1e6, which has at most 15
+// significant digits; every such decimal survives a float64 round trip,
+// so it is also us(t)'s shortest form, and it is written here with integer
+// arithmetic. Larger magnitudes take the float path.
+func (p *Perfetto) micros(t sysc.Time) {
+	const exact = 1e15
+	if t <= -exact || t >= exact {
+		p.float(us(t))
+		return
+	}
+	if t < 0 {
+		p.buf = append(p.buf, '-')
+		t = -t
+	}
+	p.buf = strconv.AppendInt(p.buf, int64(t/psPerUs), 10)
+	if frac := int64(t % psPerUs); frac != 0 {
+		digits := [7]byte{'.'}
+		for i := 6; i > 0; i-- {
+			digits[i] = byte('0' + frac%10)
+			frac /= 10
+		}
+		n := len(digits)
+		for digits[n-1] == '0' {
+			n--
+		}
+		p.buf = append(p.buf, digits[:n]...)
+	}
+}
+
+// commit writes the encoded record to the array unless encoding or an
+// earlier write failed.
+func (p *Perfetto) commit() {
+	if p.err != nil {
+		return
+	}
+	if _, err := p.w.Write(p.buf); err != nil {
 		p.err = err
 		return
 	}
