@@ -5,6 +5,9 @@
 //	go test -run '^$' -bench BenchmarkTable2CoSimSpeed -benchtime 2s . \
 //	    | go run ./cmd/benchjson -metric simsec/s -out BENCH_sysc.json
 //
+// Run with -benchmem, go test adds B/op and allocs/op to each line; they
+// are recorded next to ns/op.
+//
 // Stdin is echoed through to stdout, so the harness still shows the live
 // benchmark listing while capturing the JSON.
 package main
@@ -14,6 +17,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -30,6 +34,10 @@ type Report struct {
 	Configs map[string]float64 `json:"configs"`
 	// NsPerOp maps the same keys to the wall nanoseconds per iteration.
 	NsPerOp map[string]float64 `json:"ns_per_op"`
+	// BytesPerOp and AllocsPerOp map the same keys to the heap bytes and
+	// allocations per iteration, for benchmarks run with -benchmem.
+	BytesPerOp  map[string]float64 `json:"bytes_per_op,omitempty"`
+	AllocsPerOp map[string]float64 `json:"allocs_per_op,omitempty"`
 }
 
 func main() {
@@ -46,42 +54,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	rep := Report{
-		Metric:  *metric,
-		Configs: map[string]float64{},
-		NsPerOp: map[string]float64{},
-	}
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	for sc.Scan() {
-		line := sc.Text()
-		fmt.Println(line)
-		fields := strings.Fields(line)
-		if len(fields) < 3 || !strings.HasPrefix(fields[0], "Benchmark") {
-			continue
-		}
-		name := fields[0]
-		// Strip the trailing -GOMAXPROCS suffix go test appends.
-		if i := strings.LastIndexByte(name, '-'); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i]
-			}
-		}
-		// Value/unit pairs follow the iteration count.
-		for i := 2; i+1 < len(fields); i += 2 {
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				continue
-			}
-			switch fields[i+1] {
-			case *metric:
-				rep.Configs[name] = v
-			case "ns/op":
-				rep.NsPerOp[name] = v
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
+	rep, err := parse(os.Stdin, os.Stdout, *metric)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson: read:", err)
 		os.Exit(1)
 	}
@@ -111,6 +85,53 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
+}
+
+// parse reads `go test -bench` output from r, echoing every line to echo,
+// and collects each benchmark's metric, ns/op, B/op and allocs/op.
+func parse(r io.Reader, echo io.Writer, metric string) (Report, error) {
+	rep := Report{
+		Metric:      metric,
+		Configs:     map[string]float64{},
+		NsPerOp:     map[string]float64{},
+		BytesPerOp:  map[string]float64{},
+		AllocsPerOp: map[string]float64{},
+	}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	for sc.Scan() {
+		line := sc.Text()
+		fmt.Fprintln(echo, line)
+		fields := strings.Fields(line)
+		if len(fields) < 3 || !strings.HasPrefix(fields[0], "Benchmark") {
+			continue
+		}
+		name := fields[0]
+		// Strip the trailing -GOMAXPROCS suffix go test appends.
+		if i := strings.LastIndexByte(name, '-'); i > 0 {
+			if _, err := strconv.Atoi(name[i+1:]); err == nil {
+				name = name[:i]
+			}
+		}
+		// Value/unit pairs follow the iteration count.
+		for i := 2; i+1 < len(fields); i += 2 {
+			v, err := strconv.ParseFloat(fields[i], 64)
+			if err != nil {
+				continue
+			}
+			switch fields[i+1] {
+			case metric:
+				rep.Configs[name] = v
+			case "ns/op":
+				rep.NsPerOp[name] = v
+			case "B/op":
+				rep.BytesPerOp[name] = v
+			case "allocs/op":
+				rep.AllocsPerOp[name] = v
+			}
+		}
+	}
+	return rep, sc.Err()
 }
 
 // guard compares the captured metric against a baseline report: any config

@@ -118,16 +118,17 @@ func (b *BFM) Accesses() uint64 { return b.accesses }
 // BusCycles returns the total machine cycles consumed by BFM calls.
 func (b *BFM) BusCycles() uint64 { return b.cycles }
 
-// access builds one BFM call of the given cycle budget — cycles ×
+// access completes one BFM call of the given cycle budget — cycles ×
 // machine-cycle of execution time and cycles × energy-per-cycle of energy —
-// and counts it. apply is the call's effect; it may be nil.
-func (b *BFM) access(cycles int, name string, apply func()) core.Access {
+// and counts it. a carries the call's name, effect and operands.
+func (b *BFM) access(cycles int, a core.Access) core.Access {
 	b.accesses++
 	b.cycles += uint64(cycles)
-	return core.Access{Name: name, Cost: core.Cost{
+	a.Cost = core.Cost{
 		Time:   sysc.Time(cycles) * b.machineCycle,
 		Energy: petri.Energy(cycles) * b.cfg.EnergyPerCycle,
-	}, Apply: apply}
+	}
+	return a
 }
 
 // Do runs an access from closure code: the calling T-THREAD (if any)
@@ -139,13 +140,11 @@ func (b *BFM) Do(a core.Access) {
 			tt.Consume(a.Cost, trace.CtxBFM, a.Name)
 		}
 	}
-	if a.Apply != nil {
-		a.Apply()
-	}
+	a.Apply()
 }
 
 // call charges an effect-free BFM access to the calling T-THREAD.
-func (b *BFM) call(cycles int, name string) { b.Do(b.access(cycles, name, nil)) }
+func (b *BFM) call(cycles int, name string) { b.Do(b.access(cycles, core.Access{Name: name})) }
 
 // probe records a VCD change when a waveform recorder is attached.
 func (b *BFM) probe(signal string, val uint64) {

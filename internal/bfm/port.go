@@ -34,10 +34,22 @@ type Port struct {
 
 	writes uint64
 	reads  uint64
+
+	// Trace names (pN.sel/.wr/.rd), the VCD signal (pN) and the access
+	// effects, all bound once at construction.
+	selName, wrName, rdName, signal string
+	selFx, wrFx, rdFx               func(core.Access)
 }
 
 func newPort(b *BFM, index int) *Port {
-	return &Port{b: b, index: index}
+	p := &Port{b: b, index: index,
+		selName: fmt.Sprintf("p%d.sel", index),
+		wrName:  fmt.Sprintf("p%d.wr", index),
+		rdName:  fmt.Sprintf("p%d.rd", index),
+		signal:  fmt.Sprintf("p%d", index),
+	}
+	p.selFx, p.wrFx, p.rdFx = p.applySelect, p.applyWrite, p.applyRead
+	return p
 }
 
 // Attach connects a peripheral and returns its select index.
@@ -49,38 +61,45 @@ func (p *Port) Attach(dev Peripheral) int {
 // Select multiplexes the port onto the given attached device
 // (1 machine cycle to write the select register).
 func (p *Port) Select(idx int) core.Access {
-	return p.b.access(1, fmt.Sprintf("p%d.sel", p.index), func() {
-		if idx >= 0 && idx < len(p.devices) {
-			p.sel = idx
-		}
-	})
+	return p.b.access(1, core.Access{Name: p.selName, Effect: p.selFx, Arg: idx})
+}
+
+func (p *Port) applySelect(a core.Access) {
+	if a.Arg >= 0 && a.Arg < len(p.devices) {
+		p.sel = a.Arg
+	}
 }
 
 // Write drives a value onto the port (1 machine cycle) and forwards it to
 // the selected peripheral.
 func (p *Port) Write(v byte) core.Access {
-	return p.b.access(1, fmt.Sprintf("p%d.wr", p.index), func() {
-		p.latch = v
-		p.writes++
-		p.b.probe(fmt.Sprintf("p%d", p.index), uint64(v))
-		if p.sel < len(p.devices) {
-			p.devices[p.sel].PortWrite(v)
-		}
-	})
+	return p.b.access(1, core.Access{Name: p.wrName, Effect: p.wrFx, Arg: int(v)})
+}
+
+func (p *Port) applyWrite(a core.Access) {
+	v := byte(a.Arg)
+	p.latch = v
+	p.writes++
+	p.b.probe(p.signal, uint64(v))
+	if p.sel < len(p.devices) {
+		p.devices[p.sel].PortWrite(v)
+	}
 }
 
 // Read samples the port into *dst (1 machine cycle): the selected
 // peripheral's output if any device is attached, else the latch. The
 // sample is taken when the budget is spent.
 func (p *Port) Read(dst *byte) core.Access {
-	return p.b.access(1, fmt.Sprintf("p%d.rd", p.index), func() {
-		p.reads++
-		if p.sel < len(p.devices) {
-			*dst = p.devices[p.sel].PortRead()
-		} else {
-			*dst = p.latch
-		}
-	})
+	return p.b.access(1, core.Access{Name: p.rdName, Effect: p.rdFx, Dst: dst})
+}
+
+func (p *Port) applyRead(a core.Access) {
+	p.reads++
+	if p.sel < len(p.devices) {
+		*a.Dst = p.devices[p.sel].PortRead()
+	} else {
+		*a.Dst = p.latch
+	}
 }
 
 // Latch returns the last written value without bus activity (for tests and

@@ -21,18 +21,22 @@ type SerialIO struct {
 	rx []byte
 
 	txLog []byte // everything transmitted, for inspection/tests
+
+	sendFx func(core.Access) // Send's effect, bound once
 }
 
 // SerialIntLine is the interrupt line used by the serial channel (8051 TI/RI).
 const SerialIntLine = 4
 
 func newSerialIO(b *BFM, baud int) *SerialIO {
-	return &SerialIO{
+	s := &SerialIO{
 		b:       b,
 		baud:    baud,
 		frame:   sysc.Time(int64(sysc.Sec) * 10 / int64(baud)),
 		intLine: SerialIntLine,
 	}
+	s.sendFx = s.applySend
+	return s
 }
 
 // FrameTime returns the line time of one transmitted byte (10 bits).
@@ -47,22 +51,25 @@ func (s *SerialIO) TxBusy() bool { return s.b.sim.Now() < s.busyTill }
 // the one shifting out, like overwriting SBUF. Run the access with BFM.Do
 // or as a Program Io op.
 func (s *SerialIO) Send(v byte) core.Access {
-	return s.b.access(1, "sbuf.wr", func() {
-		s.b.probe("sbuf.tx", uint64(v))
-		now := s.b.sim.Now()
-		start := now
-		if s.busyTill > now {
-			start = s.busyTill
-		}
-		s.busyTill = start + s.frame
-		s.txCount++
-		s.txLog = append(s.txLog, v)
-		done := s.b.sim.NewEvent("serial.txdone")
-		s.b.sim.SpawnMethod("serial.ti", func() {
-			s.b.IntC.Raise(s.intLine)
-		}, done)
-		done.NotifyAfter(s.busyTill - now)
-	})
+	return s.b.access(1, core.Access{Name: "sbuf.wr", Effect: s.sendFx, Arg: int(v)})
+}
+
+func (s *SerialIO) applySend(a core.Access) {
+	v := byte(a.Arg)
+	s.b.probe("sbuf.tx", uint64(v))
+	now := s.b.sim.Now()
+	start := now
+	if s.busyTill > now {
+		start = s.busyTill
+	}
+	s.busyTill = start + s.frame
+	s.txCount++
+	s.txLog = append(s.txLog, v)
+	done := s.b.sim.NewEvent("serial.txdone")
+	s.b.sim.SpawnMethod("serial.ti", func() {
+		s.b.IntC.Raise(s.intLine)
+	}, done)
+	done.NotifyAfter(s.busyTill - now)
 }
 
 // InjectRx delivers a byte from the external line into the receive buffer

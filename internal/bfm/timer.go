@@ -28,6 +28,11 @@ type Timer struct {
 	gen     int // invalidates scheduled overflows on stop/rewrite
 
 	overflows uint64
+
+	// Trace names of the register accesses and of the overflow event and
+	// method, formed at construction.
+	tmodName, thlName, tconName string
+	ovfName, ovfmName           string
 }
 
 // Timer interrupt lines (8051 vectors order: INT0=0, T0=1, INT1=2, T1=3).
@@ -42,13 +47,19 @@ func NewTimer(b *BFM, index int) *Timer {
 	if index != 0 {
 		line = Timer1IntLine
 	}
-	return &Timer{b: b, index: index, intLine: line, mode: 1}
+	return &Timer{b: b, index: index, intLine: line, mode: 1,
+		tmodName: fmt.Sprintf("tmod.t%d", index),
+		thlName:  fmt.Sprintf("thl.t%d", index),
+		tconName: fmt.Sprintf("tcon.tr%d", index),
+		ovfName:  fmt.Sprintf("t%d.ovf", index),
+		ovfmName: fmt.Sprintf("t%d.ovfm", index),
+	}
 }
 
 // SetMode selects mode 1 (16-bit) or mode 2 (8-bit auto-reload); TMOD write
 // costs one machine cycle.
 func (t *Timer) SetMode(mode int) error {
-	t.b.call(1, fmt.Sprintf("tmod.t%d", t.index))
+	t.b.call(1, t.tmodName)
 	if mode != 1 && mode != 2 {
 		return fmt.Errorf("bfm: timer mode %d not supported (1 or 2)", mode)
 	}
@@ -58,7 +69,7 @@ func (t *Timer) SetMode(mode int) error {
 
 // Load writes TH:TL (one machine cycle each on real hardware; merged here).
 func (t *Timer) Load(value uint16) {
-	t.b.call(2, fmt.Sprintf("thl.t%d", t.index))
+	t.b.call(2, t.thlName)
 	t.reload = value
 	if t.running {
 		t.restart()
@@ -67,7 +78,7 @@ func (t *Timer) Load(value uint16) {
 
 // Start sets TRx: the timer counts machine cycles from its current load.
 func (t *Timer) Start() {
-	t.b.call(1, fmt.Sprintf("tcon.tr%d", t.index))
+	t.b.call(1, t.tconName)
 	if t.running {
 		return
 	}
@@ -77,7 +88,7 @@ func (t *Timer) Start() {
 
 // Stop clears TRx.
 func (t *Timer) Stop() {
-	t.b.call(1, fmt.Sprintf("tcon.tr%d", t.index))
+	t.b.call(1, t.tconName)
 	t.running = false
 	t.gen++
 }
@@ -103,8 +114,8 @@ func (t *Timer) restart() {
 	} else {
 		until = sysc.Time(0x10000-int64(t.reload)) * t.b.machineCycle
 	}
-	ev := t.b.sim.NewEvent(fmt.Sprintf("t%d.ovf", t.index))
-	t.b.sim.SpawnMethod(fmt.Sprintf("t%d.ovfm", t.index), func() {
+	ev := t.b.sim.NewEvent(t.ovfName)
+	t.b.sim.SpawnMethod(t.ovfmName, func() {
 		if !t.running || t.gen != gen {
 			return
 		}

@@ -134,13 +134,24 @@ func (a *SimAPI) publish(k event.Kind, t *TThread, obj string) {
 // CreateThread registers a new T-THREAD in the dormant state
 // (SIM_CreateThread). The body runs once per activation cycle.
 func (a *SimAPI) CreateThread(name string, kind Kind, priority int, body func(*TThread)) *TThread {
+	t := a.newThread(name, kind, priority)
+	t.body = body
+	t.th = a.sim.Spawn("tthread."+name, t.run)
+	a.byProc[t.th] = t
+	return t
+}
+
+// newThread registers the engine-independent half of a new dormant
+// T-THREAD: identity, Petri net, dispatch/preempt events and the names its
+// events carry, all formed once here.
+func (a *SimAPI) newThread(name string, kind Kind, priority int) *TThread {
 	a.nextID++
 	t := &TThread{
 		api:          a,
 		id:           a.nextID,
 		name:         name,
+		byName:       "by " + name,
 		kind:         kind,
-		body:         body,
 		priority:     priority,
 		basePriority: priority,
 		state:        StateDormant,
@@ -151,8 +162,6 @@ func (a *SimAPI) CreateThread(name string, kind Kind, priority int, body func(*T
 	t.preemptEv = a.sim.NewEvent(name + ".preempt")
 	a.table[t.id] = t
 	a.order = append(a.order, t)
-	t.th = a.sim.Spawn("tthread."+name, t.run)
-	a.byProc[t.th] = t
 	return t
 }
 
@@ -287,7 +296,7 @@ func (a *SimAPI) dispatch() {
 		}
 		a.preemptions++
 		if a.bus.Wants(event.KindPreempt) {
-			a.publish(event.KindPreempt, cur, "by "+next.name)
+			a.publish(event.KindPreempt, cur, next.byName)
 		}
 		cur.pauseFire()
 		cur.state = StateReady

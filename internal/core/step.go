@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/event"
-	"repro/internal/petri"
 	"repro/internal/sysc"
 	"repro/internal/trace"
 )
@@ -278,23 +277,8 @@ func (t *TThread) coroStep(c *sysc.Coro) {
 // CreateThread. The thread is indistinguishable from a goroutine-backed one
 // to the scheduler, the kernel layers and every observer.
 func (a *SimAPI) CreateThreadCompiled(name string, kind Kind, priority int, body CompiledBody) *TThread {
-	a.nextID++
-	t := &TThread{
-		api:          a,
-		id:           a.nextID,
-		name:         name,
-		kind:         kind,
-		compiled:     body,
-		priority:     priority,
-		basePriority: priority,
-		state:        StateDormant,
-		net:          newTThreadNet(name),
-	}
-	t.seq = petri.NewFiringSequence(t.net)
-	t.dispatchEv = a.sim.NewEvent(name + ".dispatch")
-	t.preemptEv = a.sim.NewEvent(name + ".preempt")
-	a.table[t.id] = t
-	a.order = append(a.order, t)
+	t := a.newThread(name, kind, priority)
+	t.compiled = body
 	t.co = a.sim.SpawnCoro("tthread."+name, t.coroStep)
 	if a.byCoro == nil {
 		a.byCoro = map[*sysc.Coro]*TThread{}

@@ -69,11 +69,12 @@ func newTThreadNet(name string) *petri.Net {
 // which can be interrupted and preempted at preemption points while
 // gathering execution time and energy statistics.
 type TThread struct {
-	api  *SimAPI
-	id   int
-	name string
-	kind Kind
-	body func(*TThread)
+	api    *SimAPI
+	id     int
+	name   string
+	byName string // "by <name>": the Obj of a preempt event this thread causes
+	kind   Kind
+	body   func(*TThread)
 
 	priority     int
 	basePriority int
@@ -267,12 +268,25 @@ func (t *TThread) AwaitCPU() { t.waitForCPU() }
 
 // Access is one timed device access split into its two halves: the budget
 // the executing T-THREAD consumes (Cost, in trace.CtxBFM under Name), and
-// the effect that takes hold once the budget is spent (Apply). The
-// access's arguments are latched when it is built, before the budget.
+// the effect that takes hold once the budget is spent (Effect, run by
+// Apply). The access carries its operands, latched when it is built,
+// before the budget: Arg (the value written, the device selected) and Dst
+// (where a read lands). Devices bind Effect once per register, so building
+// an access allocates nothing.
 type Access struct {
-	Name  string
-	Cost  Cost
-	Apply func()
+	Name   string
+	Cost   Cost
+	Effect func(a Access)
+	Arg    int
+	Dst    *byte
+}
+
+// Apply runs the access's effect on its operands; effect-free accesses do
+// nothing.
+func (a Access) Apply() {
+	if a.Effect != nil {
+		a.Effect(a)
+	}
 }
 
 // Consume is SIM_Wait: the thread consumes cost.Time of execution time and

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -22,28 +23,42 @@ func TestTable1ListsAPIs(t *testing.T) {
 func TestTable2ShapeHolds(t *testing.T) {
 	// Short sweep: S/R must decrease monotonically with the BFM/widget
 	// access rate once the GUI is on, and the GUI run at the maximum rate
-	// must be slower than the corresponding no-GUI run.
+	// must be slower than the corresponding no-GUI run. Each run lasts only
+	// milliseconds of wall time, so each row's S/R is the median of three
+	// repetitions of the sweep; the simulated columns are identical across
+	// repetitions.
 	cfg := Table2Config{
 		SimTime:      500 * sysc.Ms,
 		FramePeriods: []sysc.Time{100 * sysc.Ms, 10 * sysc.Ms},
 		WorkFactor:   GUIWorkFactor,
 	}
-	var b strings.Builder
-	rows := Table2(&b, cfg)
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
+	const reps = 3
+	var sr [4][reps]float64
+	var rows []Table2Row
+	for r := 0; r < reps; r++ {
+		var b strings.Builder
+		rows = Table2(&b, cfg)
+		if len(rows) != 4 {
+			t.Fatalf("rows = %d", len(rows))
+		}
+		for i, row := range rows {
+			sr[i][r] = row.SpeedSoverR
+		}
 	}
-	noGUIMax, guiSlow, guiFast := rows[1], rows[2], rows[3]
-	if guiFast.SpeedSoverR >= guiSlow.SpeedSoverR {
-		t.Errorf("GUI S/R did not fall with access rate: %v vs %v",
-			guiFast.SpeedSoverR, guiSlow.SpeedSoverR)
+	median := func(i int) float64 {
+		v := sr[i]
+		sort.Float64s(v[:])
+		return v[reps/2]
 	}
-	if guiFast.SpeedSoverR >= noGUIMax.SpeedSoverR {
-		t.Errorf("GUI at max rate (%.1f) not slower than no-GUI (%.1f)",
-			guiFast.SpeedSoverR, noGUIMax.SpeedSoverR)
+	noGUIMax, guiSlow, guiFast := median(1), median(2), median(3)
+	if guiFast >= guiSlow {
+		t.Errorf("GUI S/R did not fall with access rate: %v vs %v", guiFast, guiSlow)
 	}
-	if guiFast.Frames == 0 || guiFast.Refreshes <= guiSlow.Refreshes {
-		t.Errorf("refresh counts wrong: %+v vs %+v", guiFast, guiSlow)
+	if guiFast >= noGUIMax {
+		t.Errorf("GUI at max rate (%.1f) not slower than no-GUI (%.1f)", guiFast, noGUIMax)
+	}
+	if rows[3].Frames == 0 || rows[3].Refreshes <= rows[2].Refreshes {
+		t.Errorf("refresh counts wrong: %+v vs %+v", rows[3], rows[2])
 	}
 }
 

@@ -191,7 +191,7 @@ func Encode(sys System, st *State, meta Meta) ([]byte, error) {
 		e.i32(int32(t.ID))
 		e.i32(int32(t.WupCount))
 		e.i32(int32(t.WaitSeq))
-		e.boolean(t.Cancel != nil)
+		e.boolean(t.WaitOn != nil)
 		e.boolean(t.AwTask)
 		e.str(t.AwObj)
 		e.u32(uint32(len(t.Owned)))

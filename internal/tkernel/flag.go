@@ -13,15 +13,17 @@ const (
 
 // EventFlag is a T-Kernel event flag: a 32-bit pattern tasks wait on with
 // AND/OR conditions and optional clearing (tk_cre_flg family).
+// The wait condition of each waiter is the task's embedded flg record.
 type EventFlag struct {
 	id      ID
 	name    string
+	label   string // wait-object label, formed at creation
 	attr    Attr
 	pattern uint32
 	wq      waitQueue
-	waits   map[*Task]*flgWait
 }
 
+// flgWait is a waiter's tk_wai_flg condition.
 type flgWait struct {
 	waiptn uint32
 	mode   FlagMode
@@ -44,9 +46,8 @@ func (k *Kernel) CreFlg(name string, attr Attr, init uint32) (_ ID, er ER) {
 	k.nextFlg++
 	id := k.nextFlg
 	k.flags[id] = &EventFlag{
-		id: id, name: name, attr: attr, pattern: init,
-		wq:    newWaitQueue(attr),
-		waits: map[*Task]*flgWait{},
+		id: id, name: name, label: objName("flg", id, name),
+		attr: attr, pattern: init, wq: newWaitQueue(attr),
 	}
 	return id, EOK
 }
@@ -59,10 +60,7 @@ func (k *Kernel) DelFlg(id ID) (er ER) {
 	if !ok {
 		return ENOEXS
 	}
-	f.wq.drain(func(t *Task) {
-		delete(f.waits, t)
-		k.wake(t, EDLT)
-	})
+	f.wq.drain(func(t *Task) { k.wake(t, EDLT) })
 	delete(k.flags, id)
 	return EOK
 }
@@ -101,8 +99,8 @@ func (k *Kernel) flgRelease(f *EventFlag) {
 	for {
 		released := false
 		for t := f.wq.head(); t != nil; t = t.wqNext {
-			w := f.waits[t]
-			if w == nil || !flgMatch(f.pattern, w.waiptn, w.mode) {
+			w := &t.flg
+			if !flgMatch(f.pattern, w.waiptn, w.mode) {
 				continue
 			}
 			if w.relptn != nil {
@@ -114,7 +112,6 @@ func (k *Kernel) flgRelease(f *EventFlag) {
 				f.pattern &^= w.waiptn
 			}
 			f.wq.remove(t)
-			delete(f.waits, t)
 			k.wake(t, EOK)
 			released = true
 			break
@@ -178,12 +175,12 @@ func (k *Kernel) waiFlgBody(id ID, waiptn uint32, mode FlagMode, tmout TMO, relp
 		return er, nil
 	}
 	f.wq.add(task)
-	f.waits[task] = &flgWait{waiptn: waiptn, mode: mode, relptn: relptn}
-	return EOK, k.armSleep(task, objName("flg", f.id, f.name), tmout, func() {
-		f.wq.remove(task)
-		delete(f.waits, task)
-	})
+	task.flg = flgWait{waiptn: waiptn, mode: mode, relptn: relptn}
+	return EOK, k.armSleep(task, f, f.label, tmout)
 }
+
+// cancelWait implements waitObject.
+func (f *EventFlag) cancelWait(_ *Kernel, t *Task) { f.wq.remove(t) }
 
 // RefFlg returns the event-flag state (tk_ref_flg).
 func (k *Kernel) RefFlg(id ID) (FlagInfo, ER) {

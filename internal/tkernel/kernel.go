@@ -298,7 +298,7 @@ func (k *Kernel) runTimerQ() {
 			k.bus.Publish(event.Event{Kind: event.KindTimerFire,
 				Time: now, Start: it.when, Seq: it.seq})
 		}
-		it.fn()
+		it.target.expire(it.gen)
 	}
 }
 
@@ -337,9 +337,9 @@ func (k *Kernel) warp(now, horizon sysc.Time) {
 	k.ticks += uint64(k.ticker.SkipTo(target))
 }
 
-// after schedules fn to run at the first tick at or after d from now.
-// Returns the entry handle (sequence number) for diagnostics.
-func (k *Kernel) after(d sysc.Time, fn func()) uint64 {
+// after schedules target.expire(gen) to run at the first tick at or after d
+// from now. Returns the entry handle (sequence number) for diagnostics.
+func (k *Kernel) after(d sysc.Time, target timerTarget, gen int) uint64 {
 	when := k.sim.Now() + d
 	if k.ticker != nil && k.tickDelay == nil {
 		// Backstop for deadlines created outside the simulation (service
@@ -347,7 +347,7 @@ func (k *Kernel) after(d sysc.Time, fn func()) uint64 {
 		// this deadline's tick, pull it back and undo the skip credit.
 		k.ticks -= uint64(k.ticker.EnsureFire(when))
 	}
-	return k.timerQ.add(when, fn)
+	return k.timerQ.add(when, target, gen)
 }
 
 // SystemTime returns the current system time (tk_get_tim).
@@ -449,28 +449,45 @@ type armedWait struct {
 	obj  string
 }
 
+// waitObject is a kernel object a task can wait on. cancelWait unlinks a
+// waiter whose wait ends without the object releasing it (timeout,
+// tk_rel_wai, tk_ter_tsk): off the wait queue, its wait record dropped.
+type waitObject interface {
+	cancelWait(k *Kernel, t *Task)
+}
+
 // armSleep is the first half of sleepOn: it commits the calling task to a
-// wait (seq-based timeout invalidation guarantees a stale timeout never
-// releases a newer wait of the same task) and returns the armed wait for
-// the caller's blocking path to complete.
-func (k *Kernel) armSleep(task *Task, obj string, tmout TMO, cancel func()) *armedWait {
+// wait on obj (nil for the object-less sleep and delay waits), labelled
+// label, and returns the armed wait for the caller's blocking path to
+// complete. The timeout entry carries the task's waitSeq, so a stale
+// timeout never releases a newer wait of the same task.
+func (k *Kernel) armSleep(task *Task, obj waitObject, label string, tmout TMO) *armedWait {
 	task.waitSeq++
-	seq := task.waitSeq
-	task.waitCancel = cancel
+	task.waitOn = obj
 	if tmout >= 0 {
-		k.after(tmout, func() {
-			if task.waitSeq == seq && task.tt.State() != core.StateDormant {
-				if task.waitCancel != nil {
-					task.waitCancel()
-					task.waitCancel = nil
-				}
-				k.api.Release(task.tt, ETMOUT)
-			}
-		})
+		k.after(tmout, task, task.waitSeq)
 	}
 	task.aw.task = task
-	task.aw.obj = obj
+	task.aw.obj = label
 	return &task.aw
+}
+
+// expire is a task's wait timeout (timerTarget): it fires only if the wait
+// armed at sequence seq is still the task's current wait.
+func (t *Task) expire(seq int) {
+	if t.waitSeq != seq || t.tt.State() == core.StateDormant {
+		return
+	}
+	t.cancelWait()
+	t.k.api.Release(t.tt, ETMOUT)
+}
+
+// cancelWait unlinks the task from the object it waits on, if any.
+func (t *Task) cancelWait() {
+	if t.waitOn != nil {
+		t.waitOn.cancelWait(t.k, t)
+		t.waitOn = nil
+	}
 }
 
 // endSleep is the second half of sleepOn, run after the block completes
@@ -478,7 +495,7 @@ func (k *Kernel) armSleep(task *Task, obj string, tmout TMO, cancel func()) *arm
 // timeout and resolves the release code.
 func (k *Kernel) endSleep(task *Task, err error) ER {
 	task.waitSeq++
-	task.waitCancel = nil
+	task.waitOn = nil
 	return erOf(err)
 }
 
@@ -504,15 +521,15 @@ func (k *Kernel) finish(er ER, aw *armedWait) ER {
 // sleepOn blocks the calling task on a kernel object with an optional
 // timeout and returns the wait release code (armSleep + finish in one
 // step, for services that are not split onto the program IR).
-func (k *Kernel) sleepOn(task *Task, obj string, tmout TMO, cancel func()) ER {
-	return k.finish(EOK, k.armSleep(task, obj, tmout, cancel))
+func (k *Kernel) sleepOn(task *Task, obj waitObject, label string, tmout TMO) ER {
+	return k.finish(EOK, k.armSleep(task, obj, label, tmout))
 }
 
 // wake releases a waiting task with the given code, invalidating its
 // timeout entry and wait-queue bookkeeping.
 func (k *Kernel) wake(task *Task, code ER) {
 	task.waitSeq++
-	task.waitCancel = nil
+	task.waitOn = nil
 	if code == EOK {
 		k.api.Release(task.tt, nil)
 	} else {
@@ -530,10 +547,22 @@ type timerQueue struct {
 	seq   uint64
 }
 
+// timerItem is one pending time event: at when, target.expire(gen) runs.
+// gen is the target's guard counter when the entry was armed (a task's
+// waitSeq, a handler's activation generation), so an entry outlived by a
+// re-arm or a stop finds the counter moved on and does nothing.
 type timerItem struct {
-	when sysc.Time
-	seq  uint64
-	fn   func()
+	when   sysc.Time
+	seq    uint64
+	target timerTarget
+	gen    int
+}
+
+// timerTarget is what a timer-queue entry fires: a task's wait timeout, a
+// cyclic handler's period or an alarm. Targets are kernel objects, so
+// arming an entry allocates nothing.
+type timerTarget interface {
+	expire(gen int)
 }
 
 func (q *timerQueue) less(i, j int) bool {
@@ -571,9 +600,9 @@ func (q *timerQueue) down(i int) {
 	}
 }
 
-func (q *timerQueue) add(when sysc.Time, fn func()) uint64 {
+func (q *timerQueue) add(when sysc.Time, target timerTarget, gen int) uint64 {
 	q.seq++
-	q.items = append(q.items, timerItem{when: when, seq: q.seq, fn: fn})
+	q.items = append(q.items, timerItem{when: when, seq: q.seq, target: target, gen: gen})
 	q.up(len(q.items) - 1)
 	return q.seq
 }
@@ -586,7 +615,7 @@ func (q *timerQueue) popDue(now sysc.Time) (timerItem, bool) {
 	it := q.items[0]
 	last := len(q.items) - 1
 	q.items[0] = q.items[last]
-	q.items[last] = timerItem{} // drop the fn reference
+	q.items[last] = timerItem{} // drop the target reference
 	q.items = q.items[:last]
 	q.down(0)
 	return it, true
@@ -763,6 +792,7 @@ func (k *Kernel) setEffective(task *Task, p int) {
 }
 
 // objName builds the wait-object label shown in traces and DS listings.
+// Objects call it once, at creation, and keep the label.
 func objName(class string, id ID, name string) string {
 	if name != "" {
 		return fmt.Sprintf("%s#%d(%s)", class, id, name)

@@ -7,6 +7,7 @@ package tkernel
 type MessageBuffer struct {
 	id     ID
 	name   string
+	label  string // wait-object label, formed at creation
 	attr   Attr
 	bufsz  int
 	maxmsz int
@@ -42,7 +43,8 @@ func (k *Kernel) CreMbf(name string, attr Attr, bufsz, maxmsz int) (_ ID, er ER)
 	k.nextMbf++
 	id := k.nextMbf
 	k.mbfs[id] = &MessageBuffer{
-		id: id, name: name, attr: attr, bufsz: bufsz, maxmsz: maxmsz,
+		id: id, name: name, label: objName("mbf", id, name),
+		attr: attr, bufsz: bufsz, maxmsz: maxmsz,
 		sendQ: newWaitQueue(attr), recvQ: newWaitQueue(TaTFIFO),
 		sMsg: map[*Task][]byte{}, rDst: map[*Task]*[]byte{},
 	}
@@ -111,10 +113,7 @@ func (k *Kernel) sndMbfBody(id ID, msg []byte, tmout TMO) (ER, *armedWait) {
 	}
 	b.sendQ.add(task)
 	b.sMsg[task] = own
-	return EOK, k.armSleep(task, objName("mbf", b.id, b.name), tmout, func() {
-		b.sendQ.remove(task)
-		delete(b.sMsg, task)
-	})
+	return EOK, k.armSleep(task, b, b.label, tmout)
 }
 
 // RcvMbf receives the oldest message, waiting up to tmout (tk_rcv_mbf).
@@ -157,10 +156,16 @@ func (k *Kernel) rcvMbfBody(id ID, tmout TMO, dst *[]byte) (ER, *armedWait) {
 	}
 	b.recvQ.add(task)
 	b.rDst[task] = dst
-	return EOK, k.armSleep(task, objName("mbf", b.id, b.name), tmout, func() {
-		b.recvQ.remove(task)
-		delete(b.rDst, task)
-	})
+	return EOK, k.armSleep(task, b, b.label, tmout)
+}
+
+// cancelWait implements waitObject for a blocked sender or receiver (the
+// task is on one queue only; removal from the other is a no-op).
+func (b *MessageBuffer) cancelWait(_ *Kernel, t *Task) {
+	b.sendQ.remove(t)
+	delete(b.sMsg, t)
+	b.recvQ.remove(t)
+	delete(b.rDst, t)
 }
 
 // mbfDrainSenders moves blocked senders' messages into freed space, in

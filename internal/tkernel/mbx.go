@@ -11,12 +11,13 @@ type Message struct {
 // (messages are queued by reference), receivers block until a message
 // arrives.
 type Mailbox struct {
-	id   ID
-	name string
-	attr Attr
-	msgs []*Message
-	wq   waitQueue
-	dest map[*Task]**Message // delivery slot per waiting receiver
+	id    ID
+	name  string
+	label string // wait-object label, formed at creation
+	attr  Attr
+	msgs  []*Message
+	wq    waitQueue
+	dest  map[*Task]**Message // delivery slot per waiting receiver
 }
 
 // MailboxInfo is the tk_ref_mbx snapshot.
@@ -35,8 +36,8 @@ func (k *Kernel) CreMbx(name string, attr Attr) (_ ID, er ER) {
 	defer k.exitSvc("tk_cre_mbx", &er)
 	k.nextMbx++
 	id := k.nextMbx
-	k.mbxs[id] = &Mailbox{id: id, name: name, attr: attr,
-		wq: newWaitQueue(attr), dest: map[*Task]**Message{}}
+	k.mbxs[id] = &Mailbox{id: id, name: name, label: objName("mbx", id, name),
+		attr: attr, wq: newWaitQueue(attr), dest: map[*Task]**Message{}}
 	return id, EOK
 }
 
@@ -127,10 +128,13 @@ func (k *Kernel) rcvMbxBody(id ID, tmout TMO, dst **Message) (ER, *armedWait) {
 	}
 	m.wq.add(task)
 	m.dest[task] = dst
-	return EOK, k.armSleep(task, objName("mbx", m.id, m.name), tmout, func() {
-		m.wq.remove(task)
-		delete(m.dest, task)
-	})
+	return EOK, k.armSleep(task, m, m.label, tmout)
+}
+
+// cancelWait implements waitObject.
+func (m *Mailbox) cancelWait(_ *Kernel, t *Task) {
+	m.wq.remove(t)
+	delete(m.dest, t)
 }
 
 // RefMbx returns the mailbox state (tk_ref_mbx).

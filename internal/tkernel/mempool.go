@@ -15,6 +15,7 @@ type MemBlock struct {
 type FixedPool struct {
 	id          ID
 	name        string
+	label       string // wait-object label, formed at creation
 	attr        Attr
 	blksz       int
 	blkcnt      int
@@ -47,7 +48,8 @@ func (k *Kernel) CreMpf(name string, attr Attr, blkcnt, blksz int) (_ ID, er ER)
 	k.nextMpf++
 	id := k.nextMpf
 	p := &FixedPool{
-		id: id, name: name, attr: attr, blksz: blksz, blkcnt: blkcnt,
+		id: id, name: name, label: objName("mpf", id, name),
+		attr: attr, blksz: blksz, blkcnt: blkcnt,
 		arena: make([]byte, blkcnt*blksz),
 		wq:    newWaitQueue(attr),
 		dst:   map[*Task]**MemBlock{},
@@ -107,10 +109,13 @@ func (k *Kernel) getMpfBody(id ID, tmout TMO, dst **MemBlock) (ER, *armedWait) {
 	}
 	p.wq.add(task)
 	p.dst[task] = dst
-	return EOK, k.armSleep(task, objName("mpf", p.id, p.name), tmout, func() {
-		p.wq.remove(task)
-		delete(p.dst, task)
-	})
+	return EOK, k.armSleep(task, p, p.label, tmout)
+}
+
+// cancelWait implements waitObject.
+func (p *FixedPool) cancelWait(_ *Kernel, t *Task) {
+	p.wq.remove(t)
+	delete(p.dst, t)
 }
 
 func (p *FixedPool) take() *MemBlock {
@@ -176,6 +181,7 @@ func (k *Kernel) mpfInfo(p *FixedPool) FixedPoolInfo {
 type VariablePool struct {
 	id         ID
 	name       string
+	label      string // wait-object label, formed at creation
 	attr       Attr
 	arena      []byte
 	holes      []hole // sorted by offset, coalesced
@@ -216,7 +222,7 @@ func (k *Kernel) CreMpl(name string, attr Attr, mplsz int) (_ ID, er ER) {
 	k.nextMpl++
 	id := k.nextMpl
 	k.mpls[id] = &VariablePool{
-		id: id, name: name, attr: attr,
+		id: id, name: name, label: objName("mpl", id, name), attr: attr,
 		arena: make([]byte, mplsz),
 		holes: []hole{{0, mplsz}},
 		wq:    newWaitQueue(attr),
@@ -323,10 +329,13 @@ func (k *Kernel) getMplBody(id ID, size int, tmout TMO, dst **MemBlock) (ER, *ar
 	}
 	p.wq.add(task)
 	p.reqs[task] = &mplReq{size: size, dst: dst}
-	return EOK, k.armSleep(task, objName("mpl", p.id, p.name), tmout, func() {
-		p.wq.remove(task)
-		delete(p.reqs, task)
-	})
+	return EOK, k.armSleep(task, p, p.label, tmout)
+}
+
+// cancelWait implements waitObject.
+func (p *VariablePool) cancelWait(_ *Kernel, t *Task) {
+	p.wq.remove(t)
+	delete(p.reqs, t)
 }
 
 // RelMpl frees a block (tk_rel_mpl) and satisfies queued requests in order.

@@ -7,6 +7,7 @@ package tkernel
 type Mutex struct {
 	id      ID
 	name    string
+	label   string // wait-object label, formed at creation
 	attr    Attr
 	ceiling int // ceiling priority (TA_CEILING)
 	owner   *Task
@@ -42,8 +43,8 @@ func (k *Kernel) CreMtx(name string, attr Attr, ceilpri int) (_ ID, er ER) {
 	if attr&(TaInherit|TaCeiling) != 0 {
 		wqAttr |= TaTPRI // inheritance/ceiling imply priority-ordered queue
 	}
-	m := &Mutex{id: id, name: name, attr: attr, ceiling: ceilpri,
-		wq: newWaitQueue(wqAttr)}
+	m := &Mutex{id: id, name: name, label: objName("mtx", id, name),
+		attr: attr, ceiling: ceilpri, wq: newWaitQueue(wqAttr)}
 	m.wq.mtx = m
 	k.mtxs[id] = m
 	return id, EOK
@@ -110,10 +111,14 @@ func (k *Kernel) locMtxBody(id ID, tmout TMO) (ER, *armedWait) {
 	}
 	m.wq.add(task)
 	// On success the releaser transfers ownership to the waiter already.
-	return EOK, k.armSleep(task, objName("mtx", m.id, m.name), tmout, func() {
-		m.wq.remove(task)
-		k.recomputeInheritance(m)
-	})
+	return EOK, k.armSleep(task, m, m.label, tmout)
+}
+
+// cancelWait implements waitObject: a waiter leaving may lower the
+// owner's inherited priority.
+func (m *Mutex) cancelWait(k *Kernel, t *Task) {
+	m.wq.remove(t)
+	k.recomputeInheritance(m)
 }
 
 // UnlMtx unlocks the mutex and passes ownership to the head waiter

@@ -22,6 +22,10 @@ type Port struct {
 
 	calls map[*Task]*porCall
 	acps  map[*Task]*porAcp
+
+	// Wait-object labels, formed at creation: porLabel while a call or
+	// accept is queued, rdvLabel while a caller awaits the reply.
+	porLabel, rdvLabel string
 }
 
 type porCall struct {
@@ -65,6 +69,7 @@ func (k *Kernel) CrePor(name string, attr Attr, maxCMsz, maxRMsz int) (_ ID, er 
 	id := k.nextPor
 	k.pors[id] = &Port{
 		id: id, name: name, attr: attr, maxCMsz: maxCMsz, maxRMsz: maxRMsz,
+		porLabel: objName("por", id, name), rdvLabel: objName("rdv", id, name),
 		callQ: newWaitQueue(attr), acpQ: newWaitQueue(TaTFIFO),
 		calls: map[*Task]*porCall{}, acps: map[*Task]*porAcp{},
 	}
@@ -129,9 +134,7 @@ func (k *Kernel) CalPor(id ID, calptn uint32, msg []byte, tmout TMO) (_ []byte, 
 		*acp.msg = own
 		k.wake(srv, EOK)
 		// Rendezvous established: wait (unbounded) for the reply.
-		code := k.sleepOn(task, objName("rdv", p.id, p.name), TmoFevr, func() {
-			k.dropRdvOf(task)
-		})
+		code := k.sleepOn(task, p, p.rdvLabel, TmoFevr)
 		return reply, code
 	}
 
@@ -140,11 +143,7 @@ func (k *Kernel) CalPor(id ID, calptn uint32, msg []byte, tmout TMO) (_ []byte, 
 	}
 	p.callQ.add(task)
 	p.calls[task] = &porCall{calptn: calptn, msg: own, reply: &reply}
-	code := k.sleepOn(task, objName("por", p.id, p.name), tmout, func() {
-		p.callQ.remove(task)
-		delete(p.calls, task)
-		k.dropRdvOf(task)
-	})
+	code := k.sleepOn(task, p, p.porLabel, tmout)
 	return reply, code
 }
 
@@ -170,7 +169,7 @@ func (k *Kernel) AcpPor(id ID, acpptn uint32, tmout TMO) (_ RdvNo, _ []byte, er 
 		// The caller's timeout no longer applies; it now waits for the
 		// reply indefinitely.
 		cl.waitSeq++
-		cl.tt.SetWaitObject(objName("rdv", p.id, p.name))
+		cl.tt.SetWaitObject(p.rdvLabel)
 		no := k.establish(p, cl, call.reply)
 		return no, call.msg, EOK
 	}
@@ -186,10 +185,7 @@ func (k *Kernel) AcpPor(id ID, acpptn uint32, tmout TMO) (_ RdvNo, _ []byte, er 
 	var msg []byte
 	p.acpQ.add(task)
 	p.acps[task] = &porAcp{acpptn: acpptn, rdvno: &no, msg: &msg}
-	code := k.sleepOn(task, objName("por", p.id, p.name), tmout, func() {
-		p.acpQ.remove(task)
-		delete(p.acps, task)
-	})
+	code := k.sleepOn(task, p, p.porLabel, tmout)
 	return no, msg, code
 }
 
@@ -238,6 +234,20 @@ func (k *Kernel) establish(p *Port, client *Task, reply *[]byte) RdvNo {
 	k.rdvs[no] = portRdv{port: p.id, rendezvous: rendezvous{client: client, reply: reply}}
 	client.rdvno = no
 	return no
+}
+
+// cancelWait implements waitObject. A queued acceptor leaves the accept
+// queue; a caller leaves the call queue, if still queued, and drops its
+// rendezvous, if already accepted.
+func (p *Port) cancelWait(k *Kernel, t *Task) {
+	if t.wqIn == &p.acpQ {
+		p.acpQ.remove(t)
+		delete(p.acps, t)
+		return
+	}
+	p.callQ.remove(t)
+	delete(p.calls, t)
+	k.dropRdvOf(t)
 }
 
 // dropRdvOf removes a client's open rendezvous (timeout/forced release).

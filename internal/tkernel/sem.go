@@ -5,6 +5,7 @@ package tkernel
 type Semaphore struct {
 	id      ID
 	name    string
+	label   string // wait-object label, formed at creation
 	attr    Attr
 	count   int
 	maxSem  int
@@ -34,7 +35,7 @@ func (k *Kernel) CreSem(name string, attr Attr, initCount, maxCount int) (_ ID, 
 	k.nextSem++
 	id := k.nextSem
 	k.sems[id] = &Semaphore{
-		id: id, name: name, attr: attr,
+		id: id, name: name, label: objName("sem", id, name), attr: attr,
 		count: initCount, maxSem: maxCount,
 		wq:      newWaitQueue(attr),
 		pending: map[*Task]int{},
@@ -133,11 +134,13 @@ func (k *Kernel) waiSemBody(id ID, cnt int, tmout TMO) (ER, *armedWait) {
 	}
 	s.wq.add(task)
 	s.pending[task] = cnt
-	sid := s.id
-	return EOK, k.armSleep(task, objName("sem", sid, s.name), tmout, func() {
-		s.wq.remove(task)
-		delete(s.pending, task)
-	})
+	return EOK, k.armSleep(task, s, s.label, tmout)
+}
+
+// cancelWait implements waitObject.
+func (s *Semaphore) cancelWait(_ *Kernel, t *Task) {
+	s.wq.remove(t)
+	delete(s.pending, t)
 }
 
 // RefSem returns the semaphore state (tk_ref_sem).

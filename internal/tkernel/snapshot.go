@@ -16,13 +16,14 @@ import (
 // owns the T-THREADs) and sysc.SaveState (which owns processes, events
 // and the timed heap).
 //
-// Closures are restorable here because every one the kernel arms —
-// wait-timeout cancellations, cyclic/alarm firing entries — captures only
-// pointers that are stable across one construction (the kernel, a task, a
-// handler) plus guard counters (waitSeq, gen) that the restore writes
-// back, so a replayed closure observes exactly the state it was created
-// against. The timer queue is therefore captured as a value copy of its
-// heap array, closures included, in exact array order.
+// Timer entries and armed waits are restorable here because each refers
+// only to objects that are stable across one construction — a timer entry
+// to its target (a task, a cyclic or alarm handler) plus the guard counter
+// it was armed against (waitSeq, gen), an armed wait to the waited kernel
+// object — and the restore writes the guard counters back, so a replayed
+// entry observes exactly the state it was armed against. The timer queue
+// is therefore captured as a value copy of its heap array, targets
+// included, in exact array order.
 //
 // Not every object class is supported yet: memory pools hand out
 // *MemBlock pointers that application closures hold across waits, and
@@ -36,8 +37,8 @@ type TaskSnap struct {
 	ID       ID
 	WupCount int
 	WaitSeq  int
-	Cancel   func() // armed wait-cancellation closure (nil when not waiting)
-	AwTask   bool   // task.aw.task is set
+	WaitOn   waitObject // object of the armed wait (nil when not waiting on one)
+	AwTask   bool       // task.aw.task is set
 	AwObj    string
 	Owned    []ID // locked mutexes, acquisition order
 
@@ -150,16 +151,16 @@ type KernelState struct {
 	DisDsp   bool
 }
 
-// TimerEntry is the encodable view of one pending timer-queue callback:
-// the firing instant and push sequence, without the closure (a restore
-// from bytes replays construction, which re-creates the closures).
+// TimerEntry is the encodable view of one pending timer-queue entry: the
+// firing instant and push sequence, without the target (a restore from
+// bytes replays construction, which re-arms the entries).
 type TimerEntry struct {
 	When sysc.Time
 	Seq  uint64
 }
 
 // TimerEntries returns the captured timer queue in exact heap-array
-// order, closures elided.
+// order, targets elided.
 func (st *KernelState) TimerEntries() []TimerEntry {
 	out := make([]TimerEntry, len(st.Timer))
 	for i, it := range st.Timer {
@@ -227,7 +228,7 @@ func (k *Kernel) SaveState() (*KernelState, error) {
 			ID:       id,
 			WupCount: t.wupCount,
 			WaitSeq:  t.waitSeq,
-			Cancel:   t.waitCancel,
+			WaitOn:   t.waitOn,
 			AwTask:   t.aw.task != nil,
 			AwObj:    t.aw.obj,
 		}
@@ -255,10 +256,7 @@ func (k *Kernel) SaveState() (*KernelState, error) {
 		f := k.flags[id]
 		s := FlgSnap{ID: id, Pattern: f.pattern}
 		for t := f.wq.head(); t != nil; t = t.wqNext {
-			w := f.waits[t]
-			if w == nil {
-				return nil, fmt.Errorf("tkernel: flag %d waiter %q has no wait record", id, t.name)
-			}
+			w := &t.flg
 			s.Wait = append(s.Wait, t.id)
 			s.Waiptn = append(s.Waiptn, w.waiptn)
 			s.Mode = append(s.Mode, w.mode)
@@ -381,7 +379,7 @@ func (k *Kernel) LoadState(st *KernelState) error {
 		}
 		t.wupCount = s.WupCount
 		t.waitSeq = s.WaitSeq
-		t.waitCancel = s.Cancel
+		t.waitOn = s.WaitOn
 		t.rdvno = 0
 		if s.AwTask {
 			t.aw.task = t
@@ -441,9 +439,8 @@ func (k *Kernel) LoadState(st *KernelState) error {
 			return err
 		}
 		f.wq.relink(ts)
-		clear(f.waits)
 		for j, t := range ts {
-			f.waits[t] = &flgWait{waiptn: s.Waiptn[j], mode: s.Mode[j], relptn: s.Relptn[j]}
+			t.flg = flgWait{waiptn: s.Waiptn[j], mode: s.Mode[j], relptn: s.Relptn[j]}
 		}
 	}
 	for i := range st.Mtxs {

@@ -14,10 +14,10 @@ type Task struct {
 	tt   *core.TThread
 	name string
 
-	wupCount   int
-	waitSeq    int
-	waitCancel func()
-	rdvno      RdvNo // open rendezvous awaiting reply (0 = none)
+	wupCount int
+	waitSeq  int
+	waitOn   waitObject // object of the armed wait (nil: none, or sleep/delay)
+	rdvno    RdvNo      // open rendezvous awaiting reply (0 = none)
 
 	// Intrusive wait-queue node: a task waits on at most one kernel object,
 	// so one embedded link suffices. Owned by the waitQueue in wqIn.
@@ -28,6 +28,9 @@ type Task struct {
 	// arms at most one wait at a time, so embedding it keeps the split
 	// service bodies allocation-free.
 	aw armedWait
+	// flg is the task's event-flag wait condition while it waits on a
+	// flag, embedded for the same reason.
+	flg flgWait
 	// parked is set while a closure task is blocked inside a service
 	// (finish), so a reset unwinding it skips the service epilogue.
 	parked bool
@@ -143,10 +146,7 @@ func (k *Kernel) TerTsk(id ID) (er ER) {
 	if task.tt.State() == core.StateDormant {
 		return EOBJ
 	}
-	if task.waitCancel != nil {
-		task.waitCancel()
-		task.waitCancel = nil
-	}
+	task.cancelWait()
 	task.waitSeq++
 	k.releaseOwnedMutexes(task)
 	if err := k.api.Terminate(task.tt); err != nil {
@@ -235,7 +235,7 @@ func (k *Kernel) slpTskBody(tmout TMO) (ER, *armedWait) {
 	if tmout == TmoPol {
 		return ETMOUT, nil
 	}
-	return EOK, k.armSleep(task, "sleep", tmout, nil)
+	return EOK, k.armSleep(task, nil, "sleep", tmout)
 }
 
 // WupTsk wakes a sleeping task (tk_wup_tsk); wakeups queue when the task is
@@ -298,7 +298,7 @@ func (k *Kernel) dlyTskBody(d sysc.Time) (ER, *armedWait) {
 	if d <= 0 {
 		return EOK, nil
 	}
-	return EOK, k.armSleep(task, "delay", d, nil)
+	return EOK, k.armSleep(task, nil, "delay", d)
 }
 
 // dlyTskPost remaps the release code: normal expiry of a delay is success.
@@ -322,10 +322,7 @@ func (k *Kernel) RelWai(id ID) (er ER) {
 	if st != core.StateWaiting && st != core.StateWaitSuspended {
 		return EOBJ
 	}
-	if task.waitCancel != nil {
-		task.waitCancel()
-		task.waitCancel = nil
-	}
+	task.cancelWait()
 	k.wake(task, ERLWAI)
 	return EOK
 }

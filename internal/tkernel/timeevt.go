@@ -108,17 +108,20 @@ func (k *Kernel) StaCyc(id ID) (er ER) {
 
 // scheduleCyc arms the next firing d from now.
 func (k *Kernel) scheduleCyc(c *CyclicHandler, d sysc.Time) {
-	gen := c.gen
-	k.after(d, func() {
-		if !c.active || c.gen != gen {
-			return
-		}
-		c.fires++
-		if err := k.api.EnterInterrupt(c.tt); err != nil {
-			c.overruns++ // previous activation still running
-		}
-		k.scheduleCyc(c, c.interval)
-	})
+	k.after(d, c, c.gen)
+}
+
+// expire is a cyclic firing (timerTarget): entries armed before the last
+// stop or restart are stale.
+func (c *CyclicHandler) expire(gen int) {
+	if !c.active || c.gen != gen {
+		return
+	}
+	c.fires++
+	if err := c.k.api.EnterInterrupt(c.tt); err != nil {
+		c.overruns++ // previous activation still running
+	}
+	c.k.scheduleCyc(c, c.interval)
 }
 
 // StpCyc deactivates a cyclic handler (tk_stp_cyc).
@@ -211,16 +214,19 @@ func (k *Kernel) staAlmBody(id ID, d sysc.Time) ER {
 	}
 	a.active = true
 	a.gen++
-	gen := a.gen
-	k.after(d, func() {
-		if !a.active || a.gen != gen {
-			return
-		}
-		a.active = false
-		a.fires++
-		_ = k.api.EnterInterrupt(a.tt)
-	})
+	k.after(d, a, a.gen)
 	return EOK
+}
+
+// expire is the alarm firing (timerTarget): entries armed before the last
+// re-arm or stop are stale.
+func (a *AlarmHandler) expire(gen int) {
+	if !a.active || a.gen != gen {
+		return
+	}
+	a.active = false
+	a.fires++
+	_ = a.k.api.EnterInterrupt(a.tt)
 }
 
 // StpAlm disarms the alarm (tk_stp_alm).

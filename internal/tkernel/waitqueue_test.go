@@ -131,6 +131,12 @@ func TestWaitQueueZeroAllocs(t *testing.T) {
 	}
 }
 
+// firedLog is a timer target recording the generation of every entry it
+// is fired with.
+type firedLog []int
+
+func (l *firedLog) expire(gen int) { *l = append(*l, gen) }
+
 // TestTimerQueueHeapOrder asserts the heap pops in (when, seq) order and
 // earliest() tracks the root.
 func TestTimerQueueHeapOrder(t *testing.T) {
@@ -138,12 +144,11 @@ func TestTimerQueueHeapOrder(t *testing.T) {
 	if _, ok := q.earliest(); ok {
 		t.Fatal("empty queue has an earliest deadline")
 	}
-	var fired []int
-	mk := func(tag int) func() { return func() { fired = append(fired, tag) } }
-	q.add(30*sysc.Ms, mk(3))
-	q.add(10*sysc.Ms, mk(1))
-	q.add(20*sysc.Ms, mk(2))
-	q.add(10*sysc.Ms, mk(11)) // same instant: seq order after tag 1
+	var rec firedLog
+	q.add(30*sysc.Ms, &rec, 3)
+	q.add(10*sysc.Ms, &rec, 1)
+	q.add(20*sysc.Ms, &rec, 2)
+	q.add(10*sysc.Ms, &rec, 11) // same instant: seq order after tag 1
 	if w, ok := q.earliest(); !ok || w != 10*sysc.Ms {
 		t.Fatalf("earliest = %v", w)
 	}
@@ -152,9 +157,9 @@ func TestTimerQueueHeapOrder(t *testing.T) {
 		if !ok {
 			break
 		}
-		it.fn()
+		it.target.expire(it.gen)
 	}
-	if len(fired) != 3 || fired[0] != 1 || fired[1] != 11 || fired[2] != 2 {
+	if fired := []int(rec); len(fired) != 3 || fired[0] != 1 || fired[1] != 11 || fired[2] != 2 {
 		t.Fatalf("fired = %v", fired)
 	}
 	if w, ok := q.earliest(); !ok || w != 30*sysc.Ms {
