@@ -61,10 +61,9 @@ func main() {
 	backends := flag.String("backends", "", "comma-separated shard base URLs for -router; shard names are s0,s1,... in order")
 	cacheEntries := flag.Int("cache-entries", 0, "result-cache entry bound per shard (0 = default, negative = disable)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "result-cache byte bound per shard (0 = default)")
-	cacheDir := flag.String("cache-dir", "", "spill directory for LRU-evicted cache entries; a restarted server warms itself from it (per-shard subdirectories in fleet mode)")
+	cacheDir := flag.String("cache-dir", "", "persistent artifact store: content-addressed blobs plus an index per LRU-evicted cache entry; a restarted server warms itself from it (per-shard subdirectories in fleet mode)")
 	streamWindow := flag.Int("stream-window", 0, "in-memory bytes each streamed artifact keeps before spilling to disk (0 = 256 KiB)")
-	spoolDir := flag.String("spool-dir", "", "spill directory for streamed artifacts (default: OS temp dir)")
-	maxInline := flag.Int64("max-inline-artifact", 0, "largest streamed artifact materialized into the result cache (0 = 8 MiB, negative = never)")
+	spoolDir := flag.String("spool-dir", "", "where each shard makes its ephemeral artifact store when -cache-dir is unset, removed on shutdown (default: OS temp dir)")
 	prof := profiling.AddFlags()
 	flag.Parse()
 
@@ -78,7 +77,7 @@ func main() {
 		dir := *cacheDir
 		if dir != "" && name != "" {
 			// Shards own disjoint key ranges, but separate subdirectories keep
-			// each replica's spill self-contained and restart-safe.
+			// each replica's store self-contained and restart-safe.
 			dir = filepath.Join(dir, name)
 		}
 		return server.Config{
@@ -87,11 +86,10 @@ func main() {
 			Queue:        *queue,
 			MaxJobTime:   *maxJobTime,
 			MaxJobs:      *maxJobs,
-			Cache:             cache.Config{MaxEntries: *cacheEntries, MaxBytes: *cacheBytes, Dir: dir},
-			DisableCache:      *cacheEntries < 0,
-			StreamWindow:      *streamWindow,
-			SpoolDir:          *spoolDir,
-			MaxInlineArtifact: *maxInline,
+			Cache:        cache.Config{MaxEntries: *cacheEntries, MaxBytes: *cacheBytes, Dir: dir},
+			DisableCache: *cacheEntries < 0,
+			StreamWindow: *streamWindow,
+			SpoolDir:     *spoolDir,
 		}
 	}
 

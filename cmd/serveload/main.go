@@ -304,16 +304,15 @@ const streamSpec = `{"scenario":"synthetic","dur":"8s","seed":5,` +
 	`"artifacts":["trace.json","metrics.json"]%s}`
 
 // streamBench runs the long-trace job streamed and then buffered against
-// a single replica with caching off (so the buffered duplicate really
-// simulates) and materialization off (so the streamed trace stays
-// ring-backed — the O(1)-memory path under test).
+// a single replica with caching off, so the buffered duplicate really
+// simulates and the streamed trace stays ring-backed — the O(1)-memory
+// path under test.
 func streamBench() (*StreamReport, error) {
 	ctx := context.Background()
 	srv := server.New(server.Config{
-		Workers:           1,
-		DisableCache:      true,
-		StreamWindow:      streamWindow,
-		MaxInlineArtifact: -1,
+		Workers:      1,
+		DisableCache: true,
+		StreamWindow: streamWindow,
 	})
 	defer srv.Shutdown(ctx)
 	ts := httptest.NewServer(srv)

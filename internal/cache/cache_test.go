@@ -88,11 +88,11 @@ func TestSingleflight(t *testing.T) {
 			case leader:
 				leaders.Add(1)
 				f.Complete(result("once"), nil)
-				res, _ = f.Result()
+				res.Result, _ = f.Result()
 			default:
 				followers.Add(1)
 				<-f.Done()
-				res, _ = f.Result()
+				res.Result, _ = f.Result()
 			}
 			if string(res.Artifacts["a.txt"]) != "once" {
 				t.Errorf("wrong result: %v", res.Artifacts)

@@ -1,83 +1,133 @@
 package cache
 
 import (
+	"bytes"
+	"container/list"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 
 	"repro/internal/run"
+	"repro/internal/stream"
 )
 
-// Spill tier: the disk half of the two-level result cache. Entries evicted
-// from the in-memory LRU are written to Config.Dir as one JSON file per
-// entry, named "<content-hash>.json". Because the key IS the content hash
-// of the canonical spec, the files are self-describing and survive
-// restarts: a new server pointed at the same directory serves its
-// predecessor's results on first miss. Writes are atomic (temp file +
-// fsync + rename) so a crash mid-spill never leaves a torn file under a
-// valid name; a file that nevertheless fails to decode is deleted and
-// counted, never served.
+// Disk tier: an entry evicted from the in-memory LRU of a persistent
+// store persists as "<spec-hash>.json", an index naming its blobs. The
+// key IS the content hash of the canonical spec and a blob's name IS the
+// hash of its bytes, so the files are self-describing and survive
+// restarts. Every file lands whole (blobs via stream.Ring.Keep, indexes
+// via atomicWrite), and a blob is durable before any index names it. An
+// index that fails to decode, or names a blob that is missing or short,
+// is deleted and counted, never served.
 
-// spillFile is the on-disk entry format.
-type spillFile struct {
-	Key       string            `json:"key"`
-	Stats     run.Stats         `json:"stats"`
-	Artifacts map[string][]byte `json:"artifacts,omitempty"`
+// index is the on-disk entry format. Blobs is required, so a file in any
+// other format fails to decode.
+type index struct {
+	Key   string             `json:"key"`
+	Stats run.Stats          `json:"stats"`
+	Blobs map[string]blobRef `json:"blobs"`
 }
 
-// keyPat guards the filename against keys that are not plain content
-// hashes (defense in depth: the server only ever passes run.Hash output).
-var keyPat = regexp.MustCompile(`^[0-9a-f]{16,128}$`)
+type blobRef struct {
+	SHA256 string `json:"sha256"`
+	Size   int64  `json:"size"`
+}
 
-// spillLocked persists one evicted entry to the spill directory. Caller
-// holds c.mu. Errors are counted, not returned: spill is an optimization
-// and the entry was already evicted either way.
+// keyPat and digestPat guard filenames against keys and blob names that
+// are not plain content hashes.
+var (
+	keyPat    = regexp.MustCompile(`^[0-9a-f]{16,128}$`)
+	digestPat = regexp.MustCompile(`^[0-9a-f]{64}$`)
+)
+
+// sweep creates a persistent store, or removes the temp files a crash
+// between create and rename left in it. Hash-named files stay.
+func sweep(dir string) {
+	_ = os.MkdirAll(dir, 0o755)
+	ents, _ := os.ReadDir(dir)
+	for _, e := range ents {
+		if n := e.Name(); strings.HasPrefix(n, ".spill-") || strings.HasPrefix(n, ".ring-") {
+			_ = os.Remove(filepath.Join(dir, n))
+		}
+	}
+}
+
+func (c *Cache) indexPath(key string) string { return filepath.Join(c.dir, key+".json") }
+
+// spillLocked persists an evicted entry: its in-memory artifacts become
+// blobs, then its index is written. Caller holds c.mu. Errors are
+// counted, not returned: the entry was evicted either way.
 func (c *Cache) spillLocked(e *entry) {
 	if c.dir == "" || !keyPat.MatchString(e.key) {
 		return
 	}
-	body, err := json.Marshal(spillFile{Key: e.key, Stats: e.res.Stats, Artifacts: e.res.Artifacts})
-	if err != nil {
-		c.diskErrors++
-		return
+	idx := index{Key: e.key, Stats: e.res.Stats, Blobs: make(map[string]blobRef, len(e.res.Artifacts)+len(e.blobs))}
+	for name, b := range e.blobs {
+		idx.Blobs[name] = blobRef{SHA256: filepath.Base(b.Path), Size: b.Size}
 	}
-	if err := atomicWrite(filepath.Join(c.dir, e.key+".json"), body); err != nil {
+	for name, body := range e.res.Artifacts {
+		// The window holds all of body, so Keep reports any store error.
+		r := stream.NewRing(c.dir, len(body))
+		r.Write(body)
+		path, err := r.Keep(true)
+		r.Release()
+		if err != nil {
+			c.diskErrors++
+			return
+		}
+		idx.Blobs[name] = blobRef{SHA256: filepath.Base(path), Size: int64(len(body))}
+	}
+	body, err := json.Marshal(idx)
+	if err == nil {
+		err = atomicWrite(c.indexPath(e.key), body)
+	}
+	if err != nil {
 		c.diskErrors++
 		return
 	}
 	c.spills++
 }
 
-// reloadLocked tries the spill directory for key and, on success, promotes
-// the entry back into the in-memory LRU. Caller holds c.mu.
-func (c *Cache) reloadLocked(key string) (run.Result, bool) {
+// unindexLocked deletes key's index, if the store is persistent.
+func (c *Cache) unindexLocked(key string) {
+	if c.dir != "" && keyPat.MatchString(key) {
+		_ = os.Remove(c.indexPath(key))
+	}
+}
+
+// reloadLocked promotes key's index, if any, back into the LRU, its
+// artifacts still on disk; hitLocked then checks the blobs it names.
+// Caller holds c.mu.
+func (c *Cache) reloadLocked(key string) *list.Element {
 	if c.dir == "" || !keyPat.MatchString(key) {
-		return run.Result{}, false
+		return nil
 	}
-	path := filepath.Join(c.dir, key+".json")
-	body, err := os.ReadFile(path)
+	body, err := os.ReadFile(c.indexPath(key))
 	if err != nil {
-		return run.Result{}, false
+		return nil
 	}
-	var sf spillFile
-	if err := json.Unmarshal(body, &sf); err != nil || sf.Key != key {
+	var idx index
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	ok := dec.Decode(&idx) == nil && idx.Key == key && idx.Blobs != nil
+	e := &entry{key: key, res: run.Result{Stats: idx.Stats}, blobs: make(map[string]Blob, len(idx.Blobs))}
+	for name, ref := range idx.Blobs {
+		ok = ok && digestPat.MatchString(ref.SHA256)
+		e.blobs[name] = Blob{Path: filepath.Join(c.dir, ref.SHA256), Size: ref.Size}
+	}
+	if !ok {
 		c.diskErrors++
-		os.Remove(path)
-		return run.Result{}, false
+		c.unindexLocked(key)
+		return nil
 	}
-	res := run.Result{Stats: sf.Stats, Artifacts: sf.Artifacts}
-	c.diskHits++
-	c.insertLocked(key, res)
-	return res, true
+	return c.insertLocked(e)
 }
 
 // atomicWrite lands body at path via a same-directory temp file, fsync and
 // rename, so readers only ever see complete files.
 func atomicWrite(path string, body []byte) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
 	f, err := os.CreateTemp(filepath.Dir(path), ".spill-*")
 	if err != nil {
 		return err

@@ -6,7 +6,7 @@ import "repro/internal/sysc"
 // of a T-THREAD. Its characteristic vector S̄ counts how many times each
 // transition fired; the attached ETM/EEM sums give the sequence's execution
 // time and energy. Only the counts are kept — the ordered firing list is not
-// materialized, so a cycle of any length records in O(1) space.
+// stored, so a cycle of any length records in O(1) space.
 type FiringSequence struct {
 	net    *Net
 	n      int

@@ -280,7 +280,6 @@ type Totals struct {
 	StreamJobs            uint64 `json:"stream_jobs"`
 	ArtifactStreamsServed uint64 `json:"artifact_streams_served"`
 	EventStreamsServed    uint64 `json:"event_streams_served"`
-	StreamResultsCached   uint64 `json:"stream_results_cached"`
 	// Failovers counts submissions served by a non-primary replica after
 	// their owning shard answered 5xx.
 	Failovers uint64 `json:"failovers"`
@@ -313,7 +312,6 @@ func (rt *Router) handleVarz(w http.ResponseWriter, r *http.Request) {
 		v.Totals.StreamJobs += sv.StreamJobs
 		v.Totals.ArtifactStreamsServed += sv.ArtifactStreamsServed
 		v.Totals.EventStreamsServed += sv.EventStreamsServed
-		v.Totals.StreamResultsCached += sv.StreamResultsCached
 		if sv.Cache != nil {
 			v.Totals.CacheHits += sv.Cache.Hits
 			v.Totals.CacheMisses += sv.Cache.Misses

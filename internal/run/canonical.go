@@ -16,7 +16,7 @@ import (
 // cache and the shard router treat them as one job.
 //
 // The canonical form is scenario-aware: every knob the scenario reads is
-// materialized to its effective value, and every knob it ignores is erased.
+// set to its effective value, and every knob it ignores is erased.
 // Fields that can never change a *successful* run's artifacts are erased
 // too: Deadline only decides whether a run completes (a completed run's
 // artifacts are deadline-independent, and only completed runs are cached)
@@ -35,7 +35,7 @@ const (
 )
 
 // Canonicalize returns the canonical form of spec: validated, every
-// scenario-relevant default materialized, every ignored or
+// scenario-relevant default filled in, every ignored or
 // throughput-only field erased, and the artifact list sorted and
 // deduplicated. It is idempotent: Canonicalize(Canonicalize(s)) ==
 // Canonicalize(s).

@@ -31,7 +31,7 @@ func TestHashDefaultsMaterialized(t *testing.T) {
 		t.Fatal(err)
 	}
 	if hb != hf {
-		t.Fatalf("defaults not materialized: %s vs %s", hb, hf)
+		t.Fatalf("defaults not filled in: %s vs %s", hb, hf)
 	}
 	if len(hb) != 64 {
 		t.Fatalf("hash length %d: %s", len(hb), hb)

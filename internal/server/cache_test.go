@@ -30,7 +30,7 @@ func getVarz(t *testing.T, ts *httptest.Server) Varz {
 }
 
 // TestCacheHitByteIdentical is the acceptance criterion: resubmitting an
-// identical Spec — even spelled with its defaults materialized — is
+// identical Spec — even spelled with its defaults written out — is
 // served from cache without simulating, and every artifact is
 // byte-identical to the cold run's.
 func TestCacheHitByteIdentical(t *testing.T) {

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
 	"sort"
 	"strconv"
 	"sync"
@@ -84,15 +85,10 @@ type Config struct {
 	// StreamWindow bounds the in-memory bytes each streamed artifact keeps
 	// (default stream.DefaultWindow); older bytes spill to disk.
 	StreamWindow int
-	// SpoolDir is where streamed artifacts spill past the window (default:
-	// the OS temp dir). Spill files are unlinked on creation.
+	// SpoolDir is where the artifact store streamed artifacts spill into
+	// is made when Cache.Dir is empty (default: the OS temp dir). That
+	// store is created on first use and removed by Shutdown.
 	SpoolDir string
-	// MaxInlineArtifact caps the size at which a finished streamed artifact
-	// is materialized into the result cache (default 8 MiB; negative
-	// disables cache landing for streamed jobs entirely). Oversize
-	// artifacts stay ring-backed — served from disk + window — and their
-	// job's result is not cached.
-	MaxInlineArtifact int64
 	// Execute overrides the run executor. Tests use it to substitute
 	// controllable fakes; nil means run.Execute.
 	Execute func(context.Context, run.Spec) (run.Result, error)
@@ -141,20 +137,19 @@ type Server struct {
 	jobs     map[string]*Job
 	seq      uint64
 	draining bool
+	spool    string // the ephemeral artifact store, once made
 
 	// varz counters.
-	submitted      uint64
-	rejected       uint64
-	completed      uint64
-	failed         uint64
-	cancelled      uint64
-	fromCache      uint64
-	coalesced      uint64
-	streamJobs     uint64
-	streamsServed  uint64
-	eventStreams   uint64
-	streamCached   uint64
-	streamOversize uint64
+	submitted     uint64
+	rejected      uint64
+	completed     uint64
+	failed        uint64
+	cancelled     uint64
+	fromCache     uint64
+	coalesced     uint64
+	streamJobs    uint64
+	streamsServed uint64
+	eventStreams  uint64
 }
 
 // New builds and starts the service: the worker pool is live and the
@@ -165,9 +160,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.MaxJobs <= 0 {
 		cfg.MaxJobs = 1024
-	}
-	if cfg.MaxInlineArtifact == 0 {
-		cfg.MaxInlineArtifact = DefaultMaxInlineArtifact
 	}
 	s := &Server{
 		cfg:        cfg,
@@ -220,7 +212,25 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.stop(fmt.Errorf("server: shutdown: %w", err))
 		_ = s.pool.Drain(context.Background())
 	}
+	s.mu.Lock()
+	if s.spool != "" {
+		_ = os.RemoveAll(s.spool)
+	}
+	s.mu.Unlock()
 	return err
+}
+
+// storeDirLocked returns the artifact store: Cache.Dir, or this server's
+// ephemeral store under SpoolDir. Caller holds s.mu.
+func (s *Server) storeDirLocked() (string, error) {
+	if s.cfg.Cache.Dir != "" {
+		return s.cfg.Cache.Dir, nil
+	}
+	var err error
+	if s.spool == "" {
+		s.spool, err = os.MkdirTemp(s.cfg.SpoolDir, "rtk-store-*")
+	}
+	return s.spool, err
 }
 
 // --- job lifecycle ---
@@ -249,21 +259,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		hash = ""
 	}
 
-	// A streaming submission needs something to stream; build its rings
-	// before admission so the job record is complete when it becomes
-	// visible.
-	var rings map[string]*stream.Ring
-	if spec.Stream {
-		streamable := run.StreamableArtifacts(spec)
-		if len(streamable) == 0 {
-			WriteError(w, http.StatusBadRequest, CodeInvalidSpec,
-				"stream: spec requests no streamable artifact (trace, metrics)", 0)
-			return
-		}
-		rings = make(map[string]*stream.Ring, len(streamable))
-		for _, name := range streamable {
-			rings[name] = stream.NewRing(s.cfg.SpoolDir, s.cfg.StreamWindow)
-		}
+	// A streaming submission needs something to stream; its rings are
+	// built before the job record becomes visible, so that it is complete.
+	streamable := run.StreamableArtifacts(spec)
+	if spec.Stream && len(streamable) == 0 {
+		WriteError(w, http.StatusBadRequest, CodeInvalidSpec,
+			"stream: spec requests no streamable artifact (trace, metrics)", 0)
+		return
 	}
 
 	s.mu.Lock()
@@ -274,6 +276,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		WriteError(w, http.StatusServiceUnavailable, CodeDraining, "server shutting down", drainingRetryAfter)
 		return
+	}
+	var rings map[string]*stream.Ring
+	if spec.Stream {
+		dir, err := s.storeDirLocked()
+		if err != nil {
+			s.mu.Unlock()
+			WriteError(w, http.StatusInternalServerError, CodeInternal, "artifact store: "+err.Error(), 0)
+			return
+		}
+		rings = make(map[string]*stream.Ring, len(streamable))
+		for _, name := range streamable {
+			rings[name] = stream.NewRing(dir, s.cfg.StreamWindow)
+		}
 	}
 	s.seq++
 	job := &Job{
@@ -302,10 +317,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// (singleflight), and only a genuinely new spec claims a worker.
 	var flight *cache.Flight
 	if s.cache != nil && hash != "" && run.Cacheable(spec) {
-		res, f, leader := s.cache.Begin(hash)
+		hit, f, leader := s.cache.Begin(hash)
 		switch {
 		case f == nil: // hit
-			s.finishFromCache(job, res)
+			s.finishFromCache(job, hit)
 			s.respondAccepted(w, job)
 			return
 		case !leader: // follower: wait out the leader's run, off-pool
@@ -377,18 +392,14 @@ func writeAdmissionError(w http.ResponseWriter, err error) {
 
 // submitStream admits a streaming job. It bypasses singleflight — every
 // live feed needs its own run — but not the cache: a completed identical
-// spec answers immediately (its rings are dropped; the finished bytes
-// serve buffered), and a successful streamed run lands back in the cache
-// when its artifacts fit the inline bound, so streamed and buffered
-// submissions of one spec stay one cache entry (Spec.Stream is erased by
-// canonicalization).
+// spec answers immediately (the hit's rings replace its unused ones), and a
+// successful streamed run lands back in the cache as blobs, so streamed
+// and buffered submissions of one spec stay one cache entry (Spec.Stream
+// is erased by canonicalization).
 func (s *Server) submitStream(w http.ResponseWriter, job *Job, jctx context.Context) {
 	if s.cache != nil && job.Hash != "" && run.Cacheable(job.Spec) {
-		if res, ok := s.cache.Get(job.Hash); ok {
-			s.mu.Lock()
-			job.streams = nil
-			s.mu.Unlock()
-			s.finishFromCache(job, res)
+		if hit, ok := s.cache.Lookup(job.Hash); ok {
+			s.finishFromCache(job, hit)
 			s.respondAccepted(w, job)
 			return
 		}
@@ -416,13 +427,14 @@ func (s *Server) jobID(seq uint64) string {
 }
 
 // finishFromCache completes a job synchronously from a cached result.
-func (s *Server) finishFromCache(job *Job, res run.Result) {
+func (s *Server) finishFromCache(job *Job, hit cache.Hit) {
 	job.cancel(nil)
 	s.mu.Lock()
 	job.State = StateDone
 	job.Cached = true
-	job.Stats = res.Stats
-	job.Artifacts = res.Artifacts
+	job.Stats = hit.Stats
+	job.Artifacts = hit.Artifacts
+	job.streams = hit.Rings
 	s.submitted++
 	s.completed++
 	s.fromCache++
@@ -749,11 +761,6 @@ type Varz struct {
 	ArtifactStreamsServed uint64 `json:"artifact_streams_served,omitempty"`
 	// EventStreamsServed counts SSE feeds opened on /events.
 	EventStreamsServed uint64 `json:"event_streams_served,omitempty"`
-	// StreamResultsCached counts streamed runs whose artifacts fit the
-	// inline bound and landed in the result cache; StreamResultsOversize
-	// counts those that stayed ring-backed and uncached.
-	StreamResultsCached   uint64 `json:"stream_results_cached,omitempty"`
-	StreamResultsOversize uint64 `json:"stream_results_oversize,omitempty"`
 
 	Pool  sweep.PoolStats `json:"pool"`
 	Cache *cache.Stats    `json:"cache,omitempty"`
@@ -780,8 +787,6 @@ func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
 		StreamJobs:            s.streamJobs,
 		ArtifactStreamsServed: s.streamsServed,
 		EventStreamsServed:    s.eventStreams,
-		StreamResultsCached:   s.streamCached,
-		StreamResultsOversize: s.streamOversize,
 
 		Pool: s.pool.Stats(),
 	}

@@ -16,7 +16,7 @@ import (
 // streamable artifact (trace, metrics) attached to a stream.Ring: the
 // exporters write into the ring from their bus subscribers as the
 // simulation emits events, the ring keeps only a fixed window in memory
-// (older bytes spill to an unlinked temp file), and GET
+// (older bytes spill to a file in the artifact store), and GET
 // .../artifacts/{name}?stream=1 serves the ring over chunked transfer
 // while the job still runs. Server memory per streamed artifact is
 // O(window), never O(trace).
@@ -24,9 +24,9 @@ import (
 // The determinism contract is preserved end to end: a streamed artifact
 // is byte-identical to its buffered twin (same exporter, different
 // io.Writer), Spec.Stream is erased by canonicalization so both
-// submissions share one content hash, and a finished streamed result
-// small enough to materialize still lands in the result cache — streaming
-// changes transport, never content or identity.
+// submissions share one content hash, and a finished streamed result of
+// any size lands in the result cache, its rings kept as content-addressed
+// blobs — streaming changes transport, never content or identity.
 
 // TrailerStreamError is the HTTP trailer a live artifact stream sets when
 // the producing run fails mid-stream. Error envelopes need headers, and
@@ -34,17 +34,11 @@ import (
 // the post-header error channel; a clean stream omits it.
 const TrailerStreamError = "X-Stream-Error"
 
-// DefaultMaxInlineArtifact bounds which finished streamed artifacts are
-// materialized into the result cache.
-const DefaultMaxInlineArtifact = 8 << 20
-
 // runStreamed executes a streaming job: every pre-built ring becomes the
 // sink for its artifact, progress snapshots feed the job's event log, and
-// the rings are closed with the run's terminal status so every live
-// reader observes the same end the job did. On success the result is
-// landed in the content-addressed cache when all streamed artifacts fit
-// the inline bound; an oversize artifact stays ring-backed (disk + window,
-// strong ETag) and the result is simply not cached.
+// the rings end with the run's terminal status so every live reader
+// observes the same end the job did. A successful, cacheable run's rings
+// are kept as the blobs of its cache entry; any other ending unlinks them.
 func (s *Server) runStreamed(ctx context.Context, job *Job) (run.Result, error) {
 	sinks := make(run.Sinks, len(job.streams))
 	for name, ring := range job.streams {
@@ -57,47 +51,14 @@ func (s *Server) runStreamed(ctx context.Context, job *Job) (run.Result, error) 
 			s.event(job, Event{Type: EventProgress, Stats: &stc})
 		},
 	})
-	for _, ring := range job.streams {
-		ring.Close(err)
-	}
 	if err == nil && s.cache != nil && job.Hash != "" && run.Cacheable(job.Spec) {
-		if full, ok := s.materialize(job, res); ok {
-			s.cache.Put(job.Hash, full)
-			s.mu.Lock()
-			s.streamCached++
-			s.mu.Unlock()
-		} else {
-			s.mu.Lock()
-			s.streamOversize++
-			s.mu.Unlock()
+		s.cache.Keep(job.Hash, res, job.streams)
+	} else {
+		for _, ring := range job.streams {
+			ring.Close(err)
 		}
 	}
 	return res, err
-}
-
-// materialize rebuilds the full buffered result of a finished streamed
-// job for the cache: the buffered artifacts plus each ring's content,
-// refusing any ring past the inline bound.
-func (s *Server) materialize(job *Job, res run.Result) (run.Result, bool) {
-	max := s.cfg.MaxInlineArtifact
-	if max < 0 {
-		return run.Result{}, false
-	}
-	full := run.Result{
-		Stats:     res.Stats,
-		Artifacts: make(map[string][]byte, len(res.Artifacts)+len(job.streams)),
-	}
-	for name, b := range res.Artifacts {
-		full.Artifacts[name] = b
-	}
-	for name, ring := range job.streams {
-		b, err := ring.Bytes(max)
-		if err != nil {
-			return run.Result{}, false
-		}
-		full.Artifacts[name] = b
-	}
-	return full, true
 }
 
 // serveRing serves a ring-backed artifact. Finished rings serve like any

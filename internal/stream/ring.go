@@ -2,17 +2,20 @@
 // incrementally produced artifact and its concurrent readers: a spill
 // ring. The producer (a trace exporter, a metrics encoder) writes bytes
 // as the simulation emits them; any number of readers — live HTTP
-// streams, the end-of-run cache landing — read the same byte sequence
-// from any offset. Memory stays O(window): the ring keeps at most the
-// newest `window` bytes in RAM and spills older bytes to a lazily
-// created temp file, so an arbitrarily long trace costs the server a
-// fixed buffer plus disk, never trace-sized heap.
+// streams, later downloads — read the same byte sequence from any offset.
+// Memory stays O(window): the ring keeps at most the newest `window`
+// bytes in RAM and spills older bytes to a lazily created ".ring-*" file
+// in its directory, so an arbitrarily long trace costs the server a fixed
+// buffer plus disk, never trace-sized heap.
 //
 // The byte contract is exact: every reader observes precisely the bytes
 // written, in order, with no gaps — a streamed artifact is byte-identical
 // to its buffered twin by construction. A SHA-256 runs incrementally over
 // the writes, so the strong ETag of the finished artifact is available
-// without ever materializing it.
+// without reading it back.
+//
+// A ring ends one of two ways: Close unlinks the spool file, while Keep
+// renames it to the content's SHA-256, a blob that Open serves again.
 package stream
 
 import (
@@ -24,6 +27,7 @@ import (
 	"hash"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 )
 
@@ -32,6 +36,22 @@ const DefaultWindow = 256 << 10
 
 // ErrClosed rejects writes after Close.
 var ErrClosed = errors.New("stream: ring closed")
+
+var errReleased = errors.New("stream: ring released")
+
+// windows recycles the memory windows of kept rings (*[]byte): after Keep
+// a ring reads only from its file, so a server streaming one artifact
+// after another reuses a few windows instead of allocating one each.
+var windows sync.Pool
+
+// newWindow returns an empty buffer that holds a full window plus one
+// write of up to window/2 bytes, so a ring's buffer never regrows.
+func newWindow(window int) []byte {
+	if b, ok := windows.Get().(*[]byte); ok && cap(*b) >= window+window/2 {
+		return *b
+	}
+	return make([]byte, 0, window+window/2)
+}
 
 // Ring is a bounded spill ring: an io.Writer whose contents remain fully
 // readable while at most the newest window bytes stay in memory. Safe for
@@ -46,6 +66,7 @@ type Ring struct {
 	spills  int    // writes to the spill file
 	size    int64  // total bytes written
 	file    *os.File
+	path    string // the spool file's name until it is unlinked or kept
 	fileErr error
 
 	hash   hash.Hash
@@ -53,14 +74,16 @@ type Ring struct {
 	closed bool
 	err    error
 
-	// wake is closed and replaced whenever data arrives or the ring
-	// closes; readers park on the current instance.
-	wake chan struct{}
+	// wake is closed and replaced when data arrives or the ring closes,
+	// if a reader has parked on it since it was made (parked); readers
+	// park on the current instance.
+	wake   chan struct{}
+	parked bool
 }
 
 // NewRing builds a ring spilling to dir (the OS temp dir when empty) once
-// writes exceed window bytes (DefaultWindow when <= 0). The spill file is
-// created lazily — a small artifact never touches disk.
+// writes exceed window bytes (DefaultWindow when <= 0). The spool file is
+// created lazily — a small artifact that is never kept never touches disk.
 func NewRing(dir string, window int) *Ring {
 	if window <= 0 {
 		window = DefaultWindow
@@ -74,7 +97,7 @@ func NewRing(dir string, window int) *Ring {
 }
 
 // Write appends p to the ring, spilling bytes beyond the memory window to
-// the temp file. It never blocks on readers — a slow reader costs disk,
+// the spool file. It never blocks on readers — a slow reader costs disk,
 // not backpressure into the simulation.
 func (r *Ring) Write(p []byte) (int, error) {
 	r.mu.Lock()
@@ -85,18 +108,23 @@ func (r *Ring) Write(p []byte) (int, error) {
 	if r.fileErr != nil {
 		return 0, r.fileErr
 	}
-	r.hash.Write(p)
+	if r.buf == nil {
+		r.buf = newWindow(r.window)
+	}
 	r.buf = append(r.buf, p...)
-	r.size += int64(len(p))
 	if len(r.buf) > r.window {
 		// Spill down to half the window, not to the window itself: the
 		// next spill is then window/2 bytes away, so each spill is one
 		// large write and the memmove behind it costs O(1) per byte.
 		if err := r.spillLocked(len(r.buf) - r.window/2); err != nil {
+			// A failed write stays unwritten: readers never see p.
+			r.buf = r.buf[:len(r.buf)-len(p)]
 			r.fileErr = err
 			return 0, err
 		}
 	}
+	r.hash.Write(p)
+	r.size += int64(len(p))
 	r.wakeLocked()
 	return len(p), nil
 }
@@ -104,14 +132,11 @@ func (r *Ring) Write(p []byte) (int, error) {
 // spillLocked flushes the oldest n buffered bytes to the spill file.
 func (r *Ring) spillLocked(n int) error {
 	if r.file == nil {
-		f, err := os.CreateTemp(r.dir, "rtk-stream-*.spill")
+		f, err := os.CreateTemp(r.dir, ".ring-*")
 		if err != nil {
 			return fmt.Errorf("stream: spill: %w", err)
 		}
-		// Unlink immediately: the file lives exactly as long as the ring
-		// holds it open, however the process exits.
-		_ = os.Remove(f.Name())
-		r.file = f
+		r.file, r.path = f, f.Name()
 	}
 	if _, err := r.file.WriteAt(r.buf[:n], r.spilled); err != nil {
 		return fmt.Errorf("stream: spill: %w", err)
@@ -124,28 +149,100 @@ func (r *Ring) spillLocked(n int) error {
 
 // wakeLocked rouses every parked reader.
 func (r *Ring) wakeLocked() {
-	close(r.wake)
-	r.wake = make(chan struct{})
+	if r.parked {
+		close(r.wake)
+		r.wake, r.parked = make(chan struct{}), false
+	}
 }
 
 // Close marks the stream terminal. A nil err means the producer finished
 // cleanly: readers drain the remaining bytes and get io.EOF. A non-nil
 // err is a mid-stream failure: readers drain and then receive it. Closing
-// twice keeps the first terminal state.
+// twice keeps the first terminal state. The spool file is unlinked; open
+// readers keep reading through the ring's descriptor.
 func (r *Ring) Close(err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
 		return
 	}
+	r.closeLocked(err)
+	r.unlinkLocked()
+}
+
+func (r *Ring) closeLocked(err error) {
 	r.closed = true
 	r.err = err
 	r.etag = `"` + hex.EncodeToString(r.hash.Sum(nil)) + `"`
 	r.wakeLocked()
 }
 
-// Release drops the spill file. Call once no reader will touch the ring
-// again (job eviction); it does not wake or fail readers.
+// unlinkLocked drops the spool file's name, if it still has one.
+func (r *Ring) unlinkLocked() {
+	if r.path != "" {
+		_ = os.Remove(r.path)
+		r.path = ""
+	}
+}
+
+// Keep is Close(nil) for content that outlives the ring: the in-memory
+// tail flushes to the spool file (fsync'd when sync is set), which is
+// renamed to "<dir>/<sha256-hex>", the ETag's digest; Keep returns that
+// path. On an error the ring still closes cleanly and the file is
+// unlinked.
+func (r *Ring) Keep(sync bool) (string, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
+		return "", ErrClosed
+	}
+	r.closeLocked(nil)
+	err := r.fileErr
+	if err == nil {
+		err = r.spillLocked(len(r.buf))
+	}
+	if err == nil && sync {
+		err = r.file.Sync()
+	}
+	var blob string
+	if err == nil {
+		blob = filepath.Join(filepath.Dir(r.path), r.etag[1:len(r.etag)-1])
+		err = os.Rename(r.path, blob)
+	}
+	if err != nil {
+		r.unlinkLocked()
+		return "", fmt.Errorf("stream: keep: %w", err)
+	}
+	if cap(r.buf) >= r.window {
+		buf := r.buf[:0]
+		windows.Put(&buf)
+	}
+	r.path, r.buf = "", nil
+	return blob, nil
+}
+
+// Open serves a blob Keep landed as a finished read-only ring. A blob
+// that is missing or not size bytes long is an error, never a partial
+// serve.
+func Open(path string, size int64) (*Ring, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("stream: open blob: %w", err)
+	}
+	if fi, err := f.Stat(); err != nil || fi.Size() != size {
+		f.Close()
+		return nil, fmt.Errorf("stream: blob %s is not %d bytes", path, size)
+	}
+	return &Ring{
+		file: f, spilled: size, size: size, closed: true,
+		etag: `"` + filepath.Base(path) + `"`,
+		wake: make(chan struct{}),
+	}, nil
+}
+
+// Release closes the spool file and unlinks it unless Keep named it.
+// Call once no reader will touch the ring again (job eviction); it does
+// not wake or fail readers.
 func (r *Ring) Release() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -153,6 +250,7 @@ func (r *Ring) Release() {
 		_ = r.file.Close()
 		r.file = nil
 	}
+	r.unlinkLocked()
 }
 
 // Size returns the total bytes written so far.
@@ -194,6 +292,9 @@ func (r *Ring) readAtLocked(p []byte, off int64) (int, error) {
 	// Spilled region: read from the file without holding readers to the
 	// memory window. Cap at the spilled boundary; the next call continues
 	// from memory.
+	if r.file == nil {
+		return 0, errReleased
+	}
 	want := int64(len(p))
 	if rem := r.spilled - off; rem < want {
 		want = rem
@@ -203,32 +304,6 @@ func (r *Ring) readAtLocked(p []byte, off int64) (int, error) {
 		return n, fmt.Errorf("stream: spill read: %w", err)
 	}
 	return n, nil
-}
-
-// Bytes materializes the full content, refusing past max (<= 0 means no
-// bound). Only valid once the ring is closed; the server uses it to land
-// small finished artifacts in the result cache.
-func (r *Ring) Bytes(max int64) ([]byte, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.closed {
-		return nil, errors.New("stream: Bytes before Close")
-	}
-	if max > 0 && r.size > max {
-		return nil, fmt.Errorf("stream: content %d bytes exceeds inline bound %d", r.size, max)
-	}
-	out := make([]byte, r.size)
-	for off := int64(0); off < r.size; {
-		n, err := r.readAtLocked(out[off:], off)
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			return nil, fmt.Errorf("stream: short read at %d of %d", off, r.size)
-		}
-		off += int64(n)
-	}
-	return out, nil
 }
 
 // Reader is a sequential blocking reader over the ring's full byte
@@ -271,6 +346,7 @@ func (rd *Reader) Read(p []byte) (int, error) {
 			return 0, err
 		}
 		wake := r.wake
+		r.parked = true
 		r.mu.Unlock()
 		select {
 		case <-wake:
@@ -279,6 +355,3 @@ func (rd *Reader) Read(p []byte) (int, error) {
 		}
 	}
 }
-
-// Offset returns how many bytes this reader has consumed.
-func (rd *Reader) Offset() int64 { return rd.off }

@@ -8,6 +8,8 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -23,7 +25,7 @@ func pattern(n int) []byte {
 
 // TestRingByteExactness writes several windows' worth of data in ragged
 // chunks and checks that a concurrent reader, a late reader, and the
-// materializer all observe exactly the written bytes.
+// reader on the kept blob all observe exactly the written bytes.
 func TestRingByteExactness(t *testing.T) {
 	const total = 1 << 20 // 4x the window
 	want := pattern(total)
@@ -52,7 +54,10 @@ func TestRingByteExactness(t *testing.T) {
 		}
 		off += n
 	}
-	r.Close(nil)
+	blob, err := r.Keep(false)
+	if err != nil {
+		t.Fatalf("keep: %v", err)
+	}
 	wg.Wait()
 
 	if !bytes.Equal(live, want) {
@@ -62,10 +67,30 @@ func TestRingByteExactness(t *testing.T) {
 	if err != nil || !bytes.Equal(lateB, want) {
 		t.Fatalf("late reader mismatch (err=%v, %d bytes)", err, len(lateB))
 	}
-	mat, err := r.Bytes(0)
-	if err != nil || !bytes.Equal(mat, want) {
-		t.Fatalf("Bytes mismatch (err=%v, %d bytes)", err, len(mat))
+	if got := readBlob(t, blob, int64(total)); !bytes.Equal(got, want) {
+		t.Fatalf("kept blob mismatch (%d bytes)", len(got))
 	}
+}
+
+// readAll drains a fresh reader over r.
+func readAll(t *testing.T, r *Ring) []byte {
+	t.Helper()
+	b, err := io.ReadAll(r.Reader(context.Background()))
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	return b
+}
+
+// readBlob reads a kept blob back through Open.
+func readBlob(t *testing.T, path string, size int64) []byte {
+	t.Helper()
+	r, err := Open(path, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Release()
+	return readAll(t, r)
 }
 
 // TestRingMemoryBound checks the spill actually happens: after writing far
@@ -92,9 +117,8 @@ func TestRingMemoryBound(t *testing.T) {
 		t.Fatalf("expected spill file after overflow (spilled=%d)", spilled)
 	}
 	r.Close(nil)
-	b, err := r.Bytes(0)
-	if err != nil || int64(len(b)) != r.Size() {
-		t.Fatalf("materialize after spill: err=%v len=%d size=%d", err, len(b), r.Size())
+	if b := readAll(t, r); int64(len(b)) != r.Size() {
+		t.Fatalf("read after spill: len=%d size=%d", len(b), r.Size())
 	}
 }
 
@@ -179,16 +203,75 @@ func TestRingReaderContextCancel(t *testing.T) {
 	}
 }
 
-// TestRingBytesBound checks the inline bound is enforced.
-func TestRingBytesBound(t *testing.T) {
-	r := NewRing(t.TempDir(), 0)
-	r.Write(pattern(2048))
-	r.Close(nil)
-	if _, err := r.Bytes(1024); err == nil {
-		t.Fatal("Bytes over bound should fail")
+// TestRingKeep checks the keep-or-unlink ending: a kept ring lands as a
+// blob named by its ETag's digest, fsync'd or not, which Open serves back
+// byte-exact under the same ETag; a closed or released ring leaves no
+// file behind.
+func TestRingKeep(t *testing.T) {
+	for _, n := range []int{0, 100, 5000} { // empty, in-window, spilled
+		dir := t.TempDir()
+		want := pattern(n)
+		r := NewRing(dir, 1024)
+		r.Write(want)
+		blob, err := r.Keep(n%2 == 0)
+		if err != nil {
+			t.Fatalf("%d bytes: keep: %v", n, err)
+		}
+		if etag := r.ETag(); blob != filepath.Join(dir, etag[1:len(etag)-1]) {
+			t.Fatalf("%d bytes: blob %s not named by ETag %s", n, blob, etag)
+		}
+		if got := readAll(t, r); !bytes.Equal(got, want) {
+			t.Fatalf("%d bytes: kept ring read %d bytes", n, len(got))
+		}
+		r.Release()
+		if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+			t.Fatalf("%d bytes: store holds %d files, want the blob alone", n, len(ents))
+		}
+		o, err := Open(blob, int64(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := readAll(t, o); !bytes.Equal(got, want) || o.ETag() != r.ETag() || !o.Closed() {
+			t.Fatalf("%d bytes: reopened blob differs", n)
+		}
+		o.Release()
+		if _, err := r.Keep(false); !errors.Is(err, ErrClosed) {
+			t.Fatalf("second keep = %v, want ErrClosed", err)
+		}
 	}
-	if b, err := r.Bytes(2048); err != nil || len(b) != 2048 {
-		t.Fatalf("Bytes at bound: err=%v len=%d", err, len(b))
+
+	for _, end := range []func(*Ring){
+		func(r *Ring) { r.Close(nil) },
+		func(r *Ring) { r.Close(errors.New("failed")) },
+		func(r *Ring) {}, // never closed: Release alone
+	} {
+		dir := t.TempDir()
+		r := NewRing(dir, 1024)
+		r.Write(pattern(5000))
+		end(r)
+		r.Release()
+		if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+			t.Fatalf("unkept ring left %s behind", ents[0].Name())
+		}
+	}
+}
+
+// TestOpenRejectsDamagedBlob checks a missing or short blob never opens.
+func TestOpenRejectsDamagedBlob(t *testing.T) {
+	dir := t.TempDir()
+	r := NewRing(dir, 0)
+	r.Write(pattern(2048))
+	blob, err := r.Keep(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Release()
+	if _, err := Open(blob, 4096); err == nil {
+		t.Fatal("short blob opened")
+	}
+	os.Remove(blob)
+	if _, err := Open(blob, 2048); err == nil {
+		t.Fatal("missing blob opened")
 	}
 }
 
@@ -215,8 +298,20 @@ func TestRingSpillAmortised(t *testing.T) {
 	if limit := (total + window/2 - 1) / (window / 2); spills > limit {
 		t.Fatalf("%d spills for %d bytes through a %d-byte window, want <= %d", spills, total, window, limit)
 	}
-	got, err := r.Bytes(0)
-	if err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("Bytes mismatch (err=%v, %d bytes)", err, len(got))
+	if got := readAll(t, r); !bytes.Equal(got, want) {
+		t.Fatalf("read mismatch (%d bytes)", len(got))
+	}
+}
+
+// TestRingWriteAllocs pins the write path allocation-free once the window
+// exists: spills reuse it, and no wake channel is made while no reader
+// is parked.
+func TestRingWriteAllocs(t *testing.T) {
+	r := NewRing(t.TempDir(), 32<<10)
+	defer r.Release()
+	chunk := pattern(4 << 10)
+	r.Write(chunk)
+	if n := testing.AllocsPerRun(200, func() { r.Write(chunk) }); n != 0 {
+		t.Fatalf("%.1f allocations per write, want 0", n)
 	}
 }
