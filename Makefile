@@ -17,8 +17,10 @@ build:
 test:
 	$(GO) test ./...
 
+# vet also fails when any file is not gofmt-formatted.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 race:
 	$(GO) test -race ./...

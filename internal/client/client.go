@@ -362,7 +362,7 @@ func (es *EventStream) Next() (server.Event, error) {
 				return server.Event{}, fmt.Errorf("events: bad frame: %w", err)
 			}
 			sawData = true
-		// id: and event: lines duplicate fields of the JSON body.
+			// id: and event: lines duplicate fields of the JSON body.
 		}
 	}
 }

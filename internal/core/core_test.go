@@ -790,3 +790,61 @@ func TestStatsCounters(t *testing.T) {
 		t.Fatalf("preemptions = %d", r.api.Preemptions())
 	}
 }
+
+// Waiters of one event resume in the order they armed their waits,
+// whatever their process kind — threads and coroutines share a single wait
+// list — and statically sensitive methods run after all of them. Inside a
+// closure T-THREAD body, CurrentThread, CurrentCoro and ExecutingThread
+// all name the body's own process.
+func TestWakeOrderAndExecutingThread(t *testing.T) {
+	r := newRig()
+	defer r.sim.Shutdown()
+	ev := r.sim.NewEvent("go")
+	var order []string
+	r.sim.SpawnMethod("method", func() { order = append(order, "method") }, ev)
+	// Elaboration runs processes in spawn order, so each arms in turn.
+	r.sim.Spawn("threadA", func(th *sysc.Thread) {
+		th.WaitEvent(ev)
+		order = append(order, "threadA")
+	})
+	r.sim.SpawnCoro("coro", func(c *sysc.Coro) {
+		if c.Fired() == ev {
+			order = append(order, "coro")
+			return
+		}
+		c.WaitEvent(ev)
+	})
+	r.sim.Spawn("threadB", func(th *sysc.Thread) {
+		th.WaitEvent(ev)
+		order = append(order, "threadB")
+	})
+	ev.NotifyAfter(sysc.Ms)
+
+	var inBody bool
+	task := r.api.CreateThread("task", core.KindTask, 10, func(tt *core.TThread) {
+		inBody = true
+		th := r.sim.CurrentThread()
+		if th == nil || th.Name() != "tthread.task" {
+			t.Errorf("CurrentThread in a closure body = %v", th)
+		} else if th.Coro() != r.sim.CurrentCoro() {
+			t.Error("CurrentCoro in a closure body is not its thread's coroutine")
+		}
+		if got := r.api.ExecutingThread(); got != tt {
+			t.Errorf("ExecutingThread in a closure body = %v, want %v", got, tt)
+		}
+	})
+	if err := r.api.Activate(task); err != nil {
+		t.Fatal(err)
+	}
+	r.mustRun(t, 2*sysc.Ms)
+	if !inBody {
+		t.Fatal("closure body never ran")
+	}
+	if r.api.ExecutingThread() != nil || r.sim.CurrentThread() != nil || r.sim.CurrentCoro() != nil {
+		t.Fatal("an executing process is reported outside the run")
+	}
+	want := "threadA coro threadB method"
+	if got := strings.Join(order, " "); got != want {
+		t.Fatalf("wake order %q, want %q", got, want)
+	}
+}

@@ -41,8 +41,7 @@ type SimAPI struct {
 
 	table  map[int]*TThread // SIM_HashTB
 	order  []*TThread
-	byProc map[*sysc.Thread]*TThread
-	byCoro map[*sysc.Coro]*TThread // continuation-engine threads
+	byCoro map[*sysc.Coro]*TThread // the coroutine each T-THREAD runs on
 	nextID int
 
 	current *TThread   // the RUNNING task (nil when the CPU idles)
@@ -101,7 +100,7 @@ func NewSimAPI(sim *sysc.Simulator, sched Scheduler, bus *event.Bus, opts ...Opt
 		sched:  sched,
 		bus:    bus,
 		table:  map[int]*TThread{},
-		byProc: map[*sysc.Thread]*TThread{},
+		byCoro: map[*sysc.Coro]*TThread{},
 	}
 	for _, o := range opts {
 		o(a)
@@ -137,7 +136,8 @@ func (a *SimAPI) CreateThread(name string, kind Kind, priority int, body func(*T
 	t := a.newThread(name, kind, priority)
 	t.body = body
 	t.th = a.sim.Spawn("tthread."+name, t.run)
-	a.byProc[t.th] = t
+	t.co = t.th.Coro()
+	a.byCoro[t.co] = t
 	return t
 }
 
@@ -172,12 +172,7 @@ func (a *SimAPI) DeleteThread(t *TThread) error {
 	}
 	t.state = StateNonExistent
 	delete(a.table, t.id)
-	if t.th != nil {
-		delete(a.byProc, t.th)
-	}
-	if t.co != nil {
-		delete(a.byCoro, t.co)
-	}
+	delete(a.byCoro, t.co)
 	for i, x := range a.order {
 		if x == t {
 			a.order = append(a.order[:i], a.order[i+1:]...)
@@ -219,18 +214,12 @@ func (a *SimAPI) CPUOwner() *TThread {
 	return a.current
 }
 
-// ExecutingThread returns the T-THREAD whose body is executing on the
-// calling goroutine right now, or nil when kernel code runs in a plain
-// simulation process (central module, interrupt dispatch, boot). Kernel
-// layers use it to attribute service-call costs to the calling task safely.
+// ExecutingThread returns the T-THREAD whose body is executing right now,
+// or nil when kernel code runs in a plain simulation process (central
+// module, interrupt dispatch, boot). Kernel layers use it to attribute
+// service-call costs to the calling task safely.
 func (a *SimAPI) ExecutingThread() *TThread {
-	if cur := a.sim.CurrentThread(); cur != nil {
-		return a.byProc[cur]
-	}
-	if co := a.sim.CurrentCoro(); co != nil {
-		return a.byCoro[co]
-	}
-	return nil
+	return a.byCoro[a.sim.CurrentCoro()]
 }
 
 // InHandler reports whether a handler-level context is active.
@@ -337,9 +326,9 @@ func (a *SimAPI) Activate(t *TThread) error {
 	return nil
 }
 
-// threadExited handles a task body returning (tk_ext_tsk): the thread goes
+// bodyReturned handles a task body returning (tk_ext_tsk): the thread goes
 // dormant, the CPU is released and the next task is dispatched.
-func (a *SimAPI) threadExited(t *TThread) {
+func (a *SimAPI) bodyReturned(t *TThread) {
 	if t.kind.HandlerLevel() {
 		a.exitHandler(t)
 		return
@@ -438,23 +427,12 @@ func (a *SimAPI) BlockCurrent(waitObj string) error {
 	if t == nil {
 		panic("core: BlockCurrent from a non-T-THREAD context")
 	}
-	if len(a.istack) > 0 {
-		panic("core: BlockCurrent from handler context")
+	for {
+		s, err := t.StepBlock(waitObj)
+		if !t.park(s) {
+			return err
+		}
 	}
-	t.waitForCPU()
-	if t.hasPendingRel {
-		t.hasPendingRel = false
-		return t.pendingRel
-	}
-	t.state = StateWaiting
-	t.waitObj = waitObj
-	t.relCode = nil
-	a.publish(event.KindBlock, t, waitObj)
-	t.fire(trEw, Cost{})
-	a.current = nil
-	a.RequestDispatch()
-	t.waitForCPU()
-	return t.relCode
 }
 
 // Release is SIM_Wakeup: a waiting thread's sleep event has arrived. The

@@ -13,12 +13,12 @@ import (
 // every T-THREAD's dynamic state and of the library's own dispatching
 // state. It sits directly above sysc.SaveState/LoadState — the sysc layer
 // owns process wait sets and the timed heap; this layer owns the Petri
-// markings, the firing sequences, the saved continuation frames, the
+// markings, the firing sequences, the saved primitive frames, the
 // ready-queue order and the interrupt stack.
 
 // ConsumeState is the exported mirror of the consumeState frame: where
-// inside an in-flight Consume episode a continuation-engine thread is
-// parked, and the episode's remaining budget.
+// inside an in-flight Consume episode a thread is parked, and the
+// episode's remaining budget.
 type ConsumeState struct {
 	Phase     uint8
 	Cost      Cost
@@ -31,19 +31,20 @@ type ConsumeState struct {
 
 // TThreadState is the captured dynamic state of one T-THREAD.
 type TThreadState struct {
-	ID           int // registry identifier, for cross-checks only
-	Priority     int
-	BasePriority int
-	State        State
-	SuspCount    int
-	Terminated   bool
-	WaitObj      string
-	RelCode      error // T-Kernel ER singletons or nil
-	ActCount     int
+	ID            int // registry identifier, for cross-checks only
+	Priority      int
+	BasePriority  int
+	State         State
+	SuspCount     int
+	Terminated    bool
+	WaitObj       string
+	RelCode       error // T-Kernel ER singletons or nil
+	ActCount      int
 	PendingRel    error
 	HasPendingRel bool
 
-	// Continuation-engine resumption state (zero for goroutine threads).
+	// Resumption state of the resumable primitives (CrInBody: compiled
+	// bodies only).
 	CrInBody bool
 	Consume  ConsumeState
 	Block    uint8 // blockPhase
@@ -72,8 +73,8 @@ type APIState struct {
 	MaxIStack   int
 }
 
-// CompiledBody returns the compiled state machine driving the thread on
-// the continuation engine, or nil for goroutine-backed threads. The kernel
+// CompiledBody returns the compiled state machine driving the thread, or
+// nil for a closure body. The kernel
 // snapshot layer uses it to reach the machine's own resumption state
 // (program counter, service phase).
 func (t *TThread) CompiledBody() CompiledBody { return t.compiled }

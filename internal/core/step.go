@@ -6,18 +6,16 @@ import (
 	"repro/internal/trace"
 )
 
-// This file is the continuation-engine face of the T-THREAD: resumable
-// counterparts of the goroutine blocking primitives (waitForCPU, Consume,
-// BlockCurrent) and the coroutine cycle driver that replaces TThread.run.
+// This file holds the resumable T-THREAD primitives (StepAwaitCPU,
+// StepConsume, StepBlock) and the coroutine cycle driver of compiled
+// bodies.
 //
-// Each Step* primitive mirrors its blocking twin phase for phase: where the
-// goroutine version parks its process inside sysc.Thread.Wait*, the
-// resumable version arms the identical wait on the T-THREAD's sysc.Coro and
-// returns StepWait; the next coroutine step re-enters the primitive, which
-// resumes from its recorded phase. Because both versions traverse the same
-// bookkeeping in the same order (fires, charges, bus publishes, scheduler
-// calls), a compiled body produces byte-identical kernel dynamics on either
-// engine.
+// A Step* primitive arms its wait on the T-THREAD's sysc.Coro and returns
+// StepWait; re-entering it resumes from its recorded phase. They are the
+// only implementation of these primitives: a compiled body re-enters them
+// on its next coroutine step, and the blocking forms a closure body calls
+// (AwaitCPU, Consume, BlockCurrent) loop over them, parking the body's
+// thread on every StepWait.
 
 // Step is the outcome of driving one resumable primitive.
 type Step uint8
@@ -30,8 +28,8 @@ const (
 	// BodyWait and re-enter the same primitive on the next step.
 	StepWait
 	// StepReset: the thread was terminated mid-primitive; the machine must
-	// unwind and return BodyReset (the resetSignal panic of the goroutine
-	// engine, without a stack to unwind).
+	// unwind and return BodyReset (a closure body unwinds with the
+	// resetSignal panic instead).
 	StepReset
 )
 
@@ -40,7 +38,7 @@ type BodyStep uint8
 
 // Body outcomes.
 const (
-	// BodyDone: the body finished its cycle (the goroutine body returned).
+	// BodyDone: the body finished its cycle (a closure body returned).
 	// The machine has rewound itself for the next activation.
 	BodyDone BodyStep = iota
 	// BodyWait: the body parked at a yield point; step again when the armed
@@ -52,9 +50,9 @@ const (
 )
 
 // CompiledBody is a T-THREAD body expressed as a resumable state machine
-// for the continuation engine. Step drives the body until it completes,
-// parks, or is reset; on BodyDone/BodyReset the implementation must have
-// rewound its own state so the next Step begins a fresh cycle.
+// driven inline by a sysc coroutine. Step drives the body until it
+// completes, parks, or is reset; on BodyDone/BodyReset the implementation
+// must have rewound its own state so the next Step begins a fresh cycle.
 type CompiledBody interface {
 	Step(t *TThread) BodyStep
 }
@@ -64,10 +62,10 @@ type consumePhase uint8
 
 const (
 	csIdle      consumePhase = iota
-	csAcquire                // initial waitForCPU (and first-slice arm)
+	csAcquire                // initial CPU acquisition (and first-slice arm)
 	csSlice                  // parked in WaitTimeout(remaining, preemptEv)
-	csReacquire              // waitForCPU after a preemption mid-budget
-	csFinal                  // final waitForCPU before the Ec fire
+	csReacquire              // CPU reacquisition after a preemption mid-budget
+	csFinal                  // final CPU acquisition before the Ec fire
 )
 
 // consumeState is the saved frame of one in-flight StepConsume.
@@ -86,12 +84,13 @@ type blockPhase uint8
 
 const (
 	bsIdle    blockPhase = iota
-	bsAcquire            // pre-commit waitForCPU + pendingRel fast path
+	bsAcquire            // pre-commit CPU acquisition + pendingRel fast path
 	bsPark               // committed to WAITING, parked for redispatch
 )
 
-// StepAwaitCPU is the resumable waitForCPU/AwaitCPU: re-enter until it
-// stops returning StepWait.
+// StepAwaitCPU is the resumable AwaitCPU: re-enter until it stops
+// returning StepWait. Flags are re-checked before every park so a
+// terminate/reset raised just before parking is never lost.
 func (t *TThread) StepAwaitCPU() Step {
 	if t.terminated {
 		return StepReset
@@ -175,7 +174,7 @@ func (t *TThread) StepConsume(cost Cost, ctx trace.Context, note string) Step {
 		case csFinal:
 			// The step may have completed at the same instant the thread was
 			// scheduled out; the Ec transition fires once it owns the CPU
-			// again (the trailing waitForCPU of the goroutine version).
+			// again.
 			if t.terminated {
 				cs.phase = csIdle
 				return StepReset
@@ -241,7 +240,7 @@ func (t *TThread) StepBlock(waitObj string) (Step, error) {
 }
 
 // coroStep is the coroutine cycle driver wrapping a compiled T-THREAD: the
-// continuation-engine twin of TThread.run. One invocation drives the body
+// compiled-body twin of TThread.run. One invocation drives the body
 // as far as it can go — through whole cycles when activations chain — and
 // returns with exactly one wait armed.
 func (t *TThread) coroStep(c *sysc.Coro) {
@@ -265,7 +264,7 @@ func (t *TThread) coroStep(c *sysc.Coro) {
 			t.cycleEnd()
 			t.crInBody = false
 		case BodyDone:
-			t.api.threadExited(t)
+			t.api.bodyReturned(t)
 			t.cycleEnd()
 			t.crInBody = false
 		}
@@ -273,20 +272,17 @@ func (t *TThread) coroStep(c *sysc.Coro) {
 }
 
 // CreateThreadCompiled registers a new T-THREAD whose body is a compiled
-// state machine driven by a sysc coroutine — the continuation engine's
-// CreateThread. The thread is indistinguishable from a goroutine-backed one
-// to the scheduler, the kernel layers and every observer.
+// state machine driven inline by a sysc coroutine. The thread is
+// indistinguishable from a closure-bodied one to the scheduler, the kernel
+// layers and every observer.
 func (a *SimAPI) CreateThreadCompiled(name string, kind Kind, priority int, body CompiledBody) *TThread {
 	t := a.newThread(name, kind, priority)
 	t.compiled = body
 	t.co = a.sim.SpawnCoro("tthread."+name, t.coroStep)
-	if a.byCoro == nil {
-		a.byCoro = map[*sysc.Coro]*TThread{}
-	}
 	a.byCoro[t.co] = t
 	return t
 }
 
 // Compiled reports whether the thread's body is a compiled state machine
-// (continuation engine) rather than a goroutine closure.
+// rather than a Go closure.
 func (t *TThread) Compiled() bool { return t.compiled != nil }

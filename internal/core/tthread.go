@@ -79,13 +79,13 @@ type TThread struct {
 	priority     int
 	basePriority int
 
-	th         *sysc.Thread
-	dispatchEv *sysc.Event // Es/Ex/Ei carrier: fired when given the CPU
-	preemptEv  *sysc.Event // asks the thread to yield at its next preemption point
+	th         *sysc.Thread // the closure body's thread, nil for a compiled body
+	dispatchEv *sysc.Event  // Es/Ex/Ei carrier: fired when given the CPU
+	preemptEv  *sysc.Event  // asks the thread to yield at its next preemption point
 
-	// Continuation engine: the coroutine driving a compiled body, the body
-	// machine itself, and the saved frames of in-flight resumable
-	// primitives (see step.go). nil/zero for goroutine-backed threads.
+	// The coroutine the thread runs on (its closure thread's, or the one
+	// driving its compiled body), the compiled body machine, and the saved
+	// frames of in-flight resumable primitives (see step.go).
 	co       *sysc.Coro
 	compiled CompiledBody
 	crInBody bool // the compiled body is mid-cycle
@@ -243,19 +243,19 @@ func (t *TThread) ownsCPU() bool {
 	return a.current == t
 }
 
-// waitForCPU parks the thread's sysc process until it owns the CPU again.
-// Flags are re-checked before every sleep so a terminate/reset raised just
-// before parking is never lost.
-func (t *TThread) waitForCPU() {
-	for {
-		if t.terminated {
-			panic(resetSignal{})
-		}
-		if t.ownsCPU() {
-			return
-		}
-		t.th.WaitEvent(t.dispatchEv)
+// park carries out one outcome of a resumable primitive for a closure
+// body: StepWait parks the body until the armed wait fires and reports
+// that the primitive must be re-entered, StepReset unwinds the body, and
+// StepDone reports that the primitive finished.
+func (t *TThread) park(s Step) bool {
+	switch s {
+	case StepWait:
+		t.th.Park()
+		return true
+	case StepReset:
+		panic(resetSignal{})
 	}
+	return false
 }
 
 // AwaitCPU parks the thread until it owns the processor. Kernel layers call
@@ -264,7 +264,10 @@ func (t *TThread) waitForCPU() {
 // not begin a new atomic service body until it is dispatched again —
 // otherwise it would disable dispatching while parked and deadlock the
 // system.
-func (t *TThread) AwaitCPU() { t.waitForCPU() }
+func (t *TThread) AwaitCPU() {
+	for t.park(t.StepAwaitCPU()) {
+	}
+}
 
 // Access is one timed device access split into its two halves: the budget
 // the executing T-THREAD consumes (Cost, in trace.CtxBFM under Name), and
@@ -303,39 +306,8 @@ func (t *TThread) Consume(cost Cost, ctx trace.Context, note string) {
 	if t.th == nil {
 		panic(fmt.Sprintf("core: thread %q: Consume from a compiled body (express the cost as a Work op, a device access as an Io op)", t.name))
 	}
-	if t.api.consumeShaper != nil {
-		cost = t.api.consumeShaper(t, cost, ctx)
+	for t.park(t.StepConsume(cost, ctx, note)) {
 	}
-	t.waitForCPU()
-	total := cost.Time
-	remaining := total
-	if remaining <= 0 {
-		// Zero-time step: record the marker and the energy, fire Ec.
-		t.charge(t.th.Now(), t.th.Now(), cost.Energy, ctx, note)
-		t.fire(trEc, cost)
-		return
-	}
-	for remaining > 0 {
-		start := t.th.Now()
-		_, timedOut := t.th.WaitTimeout(remaining, t.preemptEv)
-		consumed := t.th.Now() - start
-		if consumed > 0 || timedOut {
-			frac := float64(consumed) / float64(total)
-			t.charge(start, start+consumed, Energy(float64(cost.Energy)*frac), ctx, note)
-			remaining -= consumed
-		}
-		if timedOut {
-			break
-		}
-		if t.terminated {
-			panic(resetSignal{})
-		}
-		t.waitForCPU()
-	}
-	// The step may have completed at the same instant the thread was
-	// scheduled out; the Ec transition fires once it owns the CPU again.
-	t.waitForCPU()
-	t.fire(trEc, cost)
 }
 
 // Exit ends the current execution cycle from within the thread's own body
@@ -386,7 +358,7 @@ func (t *TThread) run(th *sysc.Thread) {
 		}
 		// Exit bookkeeping fires the exit transition before the cycle's
 		// firing sequence is snapshotted.
-		t.api.threadExited(t)
+		t.api.bodyReturned(t)
 		t.cycleEnd()
 	}
 }

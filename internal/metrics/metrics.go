@@ -26,9 +26,9 @@ const histBuckets = 24
 
 // Histogram is a log2-bucketed latency histogram over simulated time.
 type Histogram struct {
-	Count   uint64             `json:"count"`
-	SumUs   float64            `json:"sum_us"`
-	MaxUs   float64            `json:"max_us"`
+	Count   uint64              `json:"count"`
+	SumUs   float64             `json:"sum_us"`
+	MaxUs   float64             `json:"max_us"`
 	Buckets [histBuckets]uint64 `json:"log2_us_buckets"`
 }
 

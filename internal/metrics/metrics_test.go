@@ -84,10 +84,10 @@ func TestRunSliceRollups(t *testing.T) {
 
 func TestHistogramBuckets(t *testing.T) {
 	var h Histogram
-	h.observe(0)                    // bucket 0
-	h.observe(1 * sysc.Us)          // bucket 1
-	h.observe(3 * sysc.Us)          // bucket 2
-	h.observe(1000000 * sysc.Sec)   // clamped to last bucket
+	h.observe(0)                  // bucket 0
+	h.observe(1 * sysc.Us)        // bucket 1
+	h.observe(3 * sysc.Us)        // bucket 2
+	h.observe(1000000 * sysc.Sec) // clamped to last bucket
 	if h.Buckets[0] != 1 || h.Buckets[1] != 1 || h.Buckets[2] != 1 || h.Buckets[histBuckets-1] != 1 {
 		t.Fatalf("buckets: %v", h.Buckets)
 	}

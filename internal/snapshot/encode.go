@@ -9,7 +9,7 @@ import (
 	"repro/internal/tkernel"
 )
 
-// Binary snapshot format, version 2. Everything is little-endian with
+// Binary snapshot format, version 3. Everything is little-endian with
 // fixed-width integers; strings and byte blobs are u32 length + bytes.
 // All pointers are flattened to registry indices, all maps are emitted
 // in sorted-key order (the Save layers already do this), so encoding is
@@ -27,8 +27,10 @@ import (
 var magic = [8]byte{'R', 'T', 'K', 'S', 'N', 'A', 'P', '1'}
 
 // Version is the binary snapshot format version. Version 1 headers carried
-// the T-THREAD engine name; version 2 dropped it with the engine choice.
-const Version uint32 = 2
+// the T-THREAD engine name; version 2 dropped it with the engine choice;
+// version 3 drops the sysc thread section and the per-event thread wait
+// lists, since threads are coroutines.
+const Version uint32 = 3
 
 // relNil marks a nil release code on the wire (release codes are
 // otherwise T-Kernel ER values, all small negatives).
@@ -112,13 +114,7 @@ func Encode(sys System, st *State, meta Meta) ([]byte, error) {
 	}
 	e.u32(uint32(len(s.Events)))
 	for _, ev := range s.Events {
-		e.i32s(ev.Waiters)
 		e.i32s(ev.CWaiters)
-	}
-	e.u32(uint32(len(s.Threads)))
-	for _, t := range s.Threads {
-		e.boolean(t.Done)
-		e.i32s(t.Waiting)
 	}
 	e.u32(uint32(len(s.Coros)))
 	for _, c := range s.Coros {

@@ -32,11 +32,14 @@ func TestDecodeMetaRoundTrip(t *testing.T) {
 }
 
 // TestDecodeMetaRefusesV1: a version 1 snapshot (engine-named header) is
-// honest format drift, not damage.
+// honest format drift, not damage — and so is a version 2 one (sysc thread
+// section).
 func TestDecodeMetaRefusesV1(t *testing.T) {
-	_, err := DecodeMeta(header(1, 42, []byte(`{}`)))
-	if !errors.Is(err, ErrIncompatible) {
-		t.Fatalf("v1 header: got %v, want ErrIncompatible", err)
+	for _, v := range []uint32{1, 2} {
+		_, err := DecodeMeta(header(v, 42, []byte(`{}`)))
+		if !errors.Is(err, ErrIncompatible) {
+			t.Fatalf("v%d header: got %v, want ErrIncompatible", v, err)
+		}
 	}
 }
 
@@ -49,6 +52,7 @@ func FuzzDecodeMeta(f *testing.F) {
 	f.Add(header(1, 5, []byte(`{}`)))
 	f.Add(magic[:])
 	f.Add([]byte{})
+	f.Add(header(2, 5, []byte(`{}`)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		meta, err := DecodeMeta(data)
 		if err != nil {

@@ -124,9 +124,9 @@ func Capture(sys System) (*State, error) {
 
 // RestoreInPlace writes a captured state back into the same construction
 // it came from, leaving the system ready to run from State.At. Processes
-// spawned after the capture are neutralized; a goroutine thread that
-// moved past its captured park point refuses the restore
-// (*sysc.ErrThreadMoved), leaving the system untouched.
+// spawned after the capture are neutralized; a thread whose body moved
+// past its captured park point refuses the restore (*sysc.ErrThreadMoved),
+// leaving the system untouched.
 func RestoreInPlace(sys System, st *State) error {
 	if st == nil {
 		return fmt.Errorf("snapshot: nil state")

@@ -3,11 +3,11 @@ package sysc
 import "fmt"
 
 // Coro is a continuation-style process: a resumable step function driven
-// inline by the scheduler loop. Where a Thread parks its goroutine at every
-// Wait* call (one channel handoff per context switch), a Coro's step
-// function *returns* having armed its next wait, and the scheduler simply
-// calls it again when that wait fires — the steady-state data path runs on
-// a single goroutine with zero channel operations per context switch.
+// inline by the scheduler loop. A step *returns* having armed its next
+// wait, and the scheduler simply calls it again when that wait fires — the
+// steady-state data path runs on a single goroutine with zero channel
+// operations per context switch. Coros are the only suspendable process
+// kind: a Thread is a Coro whose step resumes a goroutine body.
 //
 // The yield-point contract: a step must arm at most one wait (WaitEvent /
 // WaitTimeout / Wait / YieldDelta) and then return. Returning without
@@ -21,6 +21,7 @@ type Coro struct {
 	idx  int32 // position in the simulator's creation-order registry
 	name string
 	step func(*Coro)
+	th   *Thread // the thread this coroutine runs, nil for a plain step function
 
 	queued  bool     // already on the runnable queue
 	waiting []*Event // events of the armed wait set
@@ -32,10 +33,10 @@ type Coro struct {
 	done  bool
 }
 
-// SpawnCoro creates a coroutine process. Like a Thread it becomes runnable
-// immediately: at elaboration it runs when Start is first called, and when
-// spawned from a running process it runs within the current evaluation
-// phase. Unlike a Thread it owns no goroutine.
+// SpawnCoro creates a coroutine process. It becomes runnable immediately:
+// at elaboration it runs when Start is first called, and when spawned from
+// a running process it runs within the current evaluation phase. It owns
+// no goroutine.
 func (s *Simulator) SpawnCoro(name string, step func(*Coro)) *Coro {
 	s.nextID++
 	c := &Coro{sim: s, id: s.nextID, name: name, step: step, idx: int32(len(s.coros))}
@@ -99,9 +100,8 @@ func (c *Coro) WaitTimeout(d Time, evs ...*Event) {
 }
 
 // TimedOut resolves the WaitTimeout that parked the previous step: it
-// reports whether the timeout fired, and — exactly as Thread.WaitTimeout
-// does on its resume path — cancels the pending timer notification when
-// another event of the set fired first.
+// reports whether the timeout fired, and cancels the pending timer
+// notification when another event of the set fired first.
 func (c *Coro) TimedOut() bool {
 	if c.trigEv == c.timer {
 		return true
@@ -117,10 +117,9 @@ func (c *Coro) YieldDelta() {
 	c.WaitEvent(c.timer)
 }
 
-// runCoro executes one step of a coroutine inline, converting a panic into
-// a simulation abort. Like methods it may run on the scheduler goroutine or
-// on a thread goroutine passing the baton; CurrentThread is nil either way,
-// and CurrentCoro names the stepping coroutine for the duration.
+// runCoro executes one step of a coroutine inline on the scheduler
+// goroutine, converting a panic into a simulation abort. CurrentCoro names
+// the stepping coroutine for the duration (and CurrentThread its thread).
 func (s *Simulator) runCoro(c *Coro) {
 	prev := s.curCoro
 	s.curCoro = c

@@ -2,11 +2,13 @@ package sysc
 
 import "testing"
 
-// The engine microbenchmarks isolate the per-handoff cost of the two process
-// engines. Each pair is structurally identical — same events, same
-// notification discipline, same step count — so the goroutine/continuation
-// delta is exactly the cost of parking a goroutine versus returning from a
-// step function.
+// The microbenchmarks isolate the per-handoff cost of the two ways to write
+// a suspendable process. Both run as coroutines: a Thread's step hands
+// control to its goroutine body and waits for it to park ("goroutine"),
+// while a plain Coro's step function returns having armed its wait
+// ("continuation"). Each pair is structurally identical — same events,
+// same notification discipline, same step count — so the delta is exactly
+// the cost of the goroutine round trip.
 
 // BenchmarkContextSwitch measures a two-process ping-pong: each round is one
 // delta notification plus one process-to-process handoff in each direction.
@@ -109,7 +111,7 @@ func BenchmarkYieldResume(b *testing.B) {
 	})
 }
 
-// TestContinuationSteadyStateZeroAlloc asserts the continuation engine's
+// TestContinuationSteadyStateZeroAlloc asserts the coroutine
 // steady-state data path — timer self-yields, event ping-pong handoffs, and
 // the WaitTimeout scratch-buffer path — performs zero heap allocations per
 // Start window once warm. The timed queue recycles entries through its free

@@ -1,12 +1,12 @@
 package sysc
 
 // Event is a synchronization primitive with SystemC sc_event semantics.
-// Processes wait on events dynamically (Thread.Wait*) or are statically
-// sensitive to them (Method processes). An event holds at most one pending
-// notification; re-notification follows the SystemC override rules:
-// an immediate notification discards any pending one, a delta notification
-// overrides a timed one, and an earlier timed notification overrides a
-// later one.
+// Processes wait on events dynamically (Thread.Wait*, Coro.Wait*) or are
+// statically sensitive to them (Method processes). An event holds at most
+// one pending notification; re-notification follows the SystemC override
+// rules: an immediate notification discards any pending one, a delta
+// notification overrides a timed one, and an earlier timed notification
+// overrides a later one.
 //
 // Events are not persistent: notifying an event nobody is waiting on has no
 // effect on later waiters.
@@ -15,9 +15,8 @@ type Event struct {
 	name string
 	idx  int32 // position in the simulator's creation-order registry
 
-	// waiters are threads dynamically waiting on this event.
-	waiters []*Thread
-	// cwaiters are coroutines dynamically waiting on this event.
+	// cwaiters are the coroutines (threads included) dynamically waiting on
+	// this event, in arm order.
 	cwaiters []*Coro
 	// static are processes statically sensitive to this event.
 	static []*Method
@@ -111,25 +110,11 @@ func (e *Event) Pending() bool { return e.pendingKind != notifyNone }
 // addStatic registers a method process as statically sensitive.
 func (e *Event) addStatic(m *Method) { e.static = append(e.static, m) }
 
-// removeWaiter detaches a thread from the waiter list (when the thread is
-// resumed by a different event of its wait set, or killed). Swap-delete: the
-// relative order of the remaining waiters is not preserved, which is fine —
-// wake order is fixed per run (the list mutates identically on every run),
-// so the simulation stays deterministic.
-func (e *Event) removeWaiter(t *Thread) {
-	for i, w := range e.waiters {
-		if w == t {
-			last := len(e.waiters) - 1
-			e.waiters[i] = e.waiters[last]
-			e.waiters[last] = nil
-			e.waiters = e.waiters[:last]
-			return
-		}
-	}
-}
-
-// removeCoroWaiter is removeWaiter for coroutine waiters, with the same
-// swap-delete determinism argument.
+// removeCoroWaiter detaches a coroutine from the waiter list (when it is
+// resumed by a different event of its wait set). Swap-delete: the relative
+// order of the remaining waiters is not preserved, which is fine — wake
+// order is fixed per run (the list mutates identically on every run), so
+// the simulation stays deterministic.
 func (e *Event) removeCoroWaiter(c *Coro) {
 	for i, w := range e.cwaiters {
 		if w == c {

@@ -2,7 +2,9 @@ package sysc
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // Cancelled items are skipped (and recycled) rather than fired: the queue
@@ -149,8 +151,78 @@ func TestShutdownReclaimsThreadsParkedInWaitEvent(t *testing.T) {
 	sim.Shutdown()
 }
 
-// CurrentThread is nil while a method executes, even though methods now run
-// inline on whichever goroutine passes the baton.
+// Shutdown leaves no thread goroutine behind, whatever state each thread
+// reached: parked, returned, panicked, spawned but never run, or spawned
+// after a capture and neutralized by LoadState.
+func TestShutdownLeavesNoGoroutines(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func(t *testing.T, sim *Simulator)
+	}{
+		{"parked", func(t *testing.T, sim *Simulator) {
+			never := sim.NewEvent("never")
+			sim.Spawn("event", func(th *Thread) { th.WaitEvent(never) })
+			sim.Spawn("timeout", func(th *Thread) { th.WaitTimeout(MaxTime/2, never) })
+			if err := sim.Start(Ms); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"returned", func(t *testing.T, sim *Simulator) {
+			sim.Spawn("once", func(th *Thread) { th.Wait(Us) })
+			if err := sim.Start(Ms); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"panicked", func(t *testing.T, sim *Simulator) {
+			sim.Spawn("bomb", func(th *Thread) {
+				th.Wait(Us)
+				panic("boom")
+			})
+			if err := sim.Start(Ms); err == nil {
+				t.Fatal("expected the body panic as an error")
+			}
+		}},
+		{"never run", func(t *testing.T, sim *Simulator) {
+			sim.Spawn("idle", func(th *Thread) { th.Wait(Us) })
+		}},
+		{"neutralized", func(t *testing.T, sim *Simulator) {
+			never := sim.NewEvent("never")
+			sim.Spawn("pinned", func(th *Thread) { th.WaitEvent(never) })
+			if err := sim.Start(Ms); err != nil {
+				t.Fatal(err)
+			}
+			st, err := sim.SaveState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim.Spawn("late", func(th *Thread) { th.WaitEvent(never) })
+			if err := sim.Start(2 * Ms); err != nil {
+				t.Fatal(err)
+			}
+			if err := sim.LoadState(st); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			sim := NewSimulator()
+			tc.build(t, sim)
+			sim.Shutdown()
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > base {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after Shutdown, want at most %d", runtime.NumGoroutine(), base)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+}
+
+// CurrentThread is nil while a method executes, and names the thread while
+// its body runs.
 func TestCurrentThreadNilInsideMethod(t *testing.T) {
 	sim := NewSimulator()
 	defer sim.Shutdown()

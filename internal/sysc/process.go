@@ -1,29 +1,25 @@
 package sysc
 
-import "fmt"
-
 // Thread is an SC_THREAD-style process: a function running on its own
-// goroutine, cooperatively scheduled so that exactly one process executes at
-// a time. The body receives the Thread itself and blocks simulated time via
-// the Wait* methods. When the body returns the thread terminates.
+// goroutine and blocking simulated time through the Wait* methods. It is a
+// Coro whose step resumes the body: the scheduler goroutine hands control to
+// the body and sleeps until the body parks on the wait it armed on its
+// coroutine, returns (the thread terminates) or panics. Exactly one of the
+// two goroutines runs at a time, so the body sees the same single-threaded
+// simulator as every other process.
 type Thread struct {
-	sim  *Simulator
-	id   int
-	idx  int32 // position in the simulator's creation-order registry
-	name string
-	fn   func(*Thread)
+	co *Coro
+	fn func(*Thread)
 
+	// The handoff channels are buffered (capacity 1) so neither side ever
+	// blocks on send: at most one token is in flight per direction. park
+	// carries nil when the body parks or returns, and the panic value when
+	// it panics.
 	resume chan struct{}
-	park   chan struct{}
+	park   chan any
 
-	queued  bool // already on the runnable queue
-	waiting []*Event
-	scratch []*Event // reusable wait-set buffer (WaitTimeout fast path)
-	trigEv  *Event   // event that resumed the last wait
-	timer   *Event   // per-thread timer for Wait/WaitTimeout
-
-	done   bool
-	killed bool
+	live   bool // the body goroutine has started and not yet ended
+	killed bool // Shutdown is unwinding the body
 }
 
 // killedSentinel unwinds a thread goroutine during Simulator.Shutdown.
@@ -31,69 +27,67 @@ type killedSentinel struct{}
 
 // Spawn creates a thread process. The thread becomes runnable immediately
 // (at elaboration it runs when Start is first called; when spawned from a
-// running process it runs within the current evaluation phase).
+// running process it runs within the current evaluation phase). Its
+// goroutine starts on the thread's first step.
 func (s *Simulator) Spawn(name string, fn func(*Thread)) *Thread {
-	s.nextID++
-	// The handoff channels are buffered (capacity 1) so neither side ever
-	// blocks on send: at most one token is in flight per direction, and a
-	// send whose peer has not yet reached its receive completes immediately
-	// instead of parking the sender for an extra Go-scheduler round trip.
-	t := &Thread{
-		sim:    s,
-		id:     s.nextID,
-		idx:    int32(len(s.threads)),
-		name:   name,
-		fn:     fn,
-		resume: make(chan struct{}, 1),
-		park:   make(chan struct{}, 1),
-	}
-	t.timer = s.NewEvent(name + ".timer")
-	s.threads = append(s.threads, t)
-	go t.main()
-	s.makeRunnable(procRef{t: t})
+	t := &Thread{fn: fn, resume: make(chan struct{}, 1), park: make(chan any, 1)}
+	t.co = s.SpawnCoro(name, t.step)
+	t.co.th = t
 	return t
 }
 
-func (t *Thread) main() {
-	<-t.resume
-	defer func() {
-		r := recover()
-		if _, ok := r.(killedSentinel); ok {
-			r = nil
-		}
-		t.done = true
-		if t.killed {
-			// Shutdown handshake: the killer waits on the park channel.
-			t.park <- struct{}{}
-			return
-		}
-		// Normal termination (or a body panic) during simulation: record
-		// the outcome and pass the evaluation baton on.
-		t.sim.threadExit(t, r)
-	}()
-	if !t.killed {
-		t.fn(t)
+// step is the coroutine step of a thread: it resumes the body (starting its
+// goroutine on the first step) and blocks until the body hands control
+// back. A body panic is re-raised here so runCoro records it; the coroutine
+// is marked done first, so Shutdown never waits on a dead body.
+func (t *Thread) step(c *Coro) {
+	if t.live {
+		t.resume <- struct{}{}
+	} else {
+		t.live = true
+		go t.main()
+	}
+	if r := <-t.park; r != nil {
+		t.live = false
+		c.done = true
+		panic(r)
+	}
+	if !c.armed {
+		t.live = false // the body returned
 	}
 }
 
+func (t *Thread) main() {
+	defer func() {
+		r := recover()
+		if t.killed {
+			r = nil // Shutdown drops whatever the unwinding body raised
+		}
+		t.park <- r
+	}()
+	t.fn(t)
+}
+
 // Name returns the thread's diagnostic name.
-func (t *Thread) Name() string { return t.name }
+func (t *Thread) Name() string { return t.co.name }
 
 // Sim returns the owning simulator.
-func (t *Thread) Sim() *Simulator { return t.sim }
+func (t *Thread) Sim() *Simulator { return t.co.sim }
 
 // Now returns the current simulation time.
-func (t *Thread) Now() Time { return t.sim.now }
+func (t *Thread) Now() Time { return t.co.sim.now }
 
 // Done reports whether the thread body has returned.
-func (t *Thread) Done() bool { return t.done }
+func (t *Thread) Done() bool { return t.co.done }
 
-// yield suspends the thread: it passes the evaluation baton to the next
-// runnable process (or wakes the scheduler when the phase is over) and parks
-// until resumed. It panics with killedSentinel when the simulator is
-// shutting down.
-func (t *Thread) yield() {
-	t.sim.passBaton()
+// Coro returns the coroutine that runs the thread. A body arms a wait on it
+// (the resumable kernel primitives do) and then calls Park.
+func (t *Thread) Coro() *Coro { return t.co }
+
+// Park suspends the body until the wait armed on its coroutine fires. It
+// panics with killedSentinel when the simulator is shutting down.
+func (t *Thread) Park() {
+	t.park <- nil
 	<-t.resume
 	if t.killed {
 		panic(killedSentinel{})
@@ -102,47 +96,35 @@ func (t *Thread) yield() {
 
 // Wait suspends the thread for duration d of simulated time.
 func (t *Thread) Wait(d Time) {
-	t.timer.NotifyAfter(d)
-	t.WaitEvent(t.timer)
+	t.co.Wait(d)
+	t.Park()
 }
 
 // WaitEvent suspends the thread until one of the given events triggers and
 // returns the event that fired. It panics if called with no events (the
 // thread could never resume).
 func (t *Thread) WaitEvent(evs ...*Event) *Event {
-	if len(evs) == 0 {
-		panic(fmt.Sprintf("sysc: thread %q waits on empty event set", t.name))
-	}
-	t.waiting = append(t.waiting[:0], evs...)
-	for _, e := range evs {
-		e.waiters = append(e.waiters, t)
-	}
-	t.trigEv = nil
-	t.yield()
-	return t.trigEv
+	t.co.WaitEvent(evs...)
+	t.Park()
+	return t.co.trigEv
 }
 
 // WaitTimeout suspends the thread until one of evs triggers or d elapses.
 // It returns the triggering event and false, or nil and true on timeout.
-// The combined wait set lives in a per-thread scratch buffer so the call
-// does not allocate.
 func (t *Thread) WaitTimeout(d Time, evs ...*Event) (fired *Event, timedOut bool) {
-	t.timer.NotifyAfter(d)
-	t.scratch = append(t.scratch[:0], t.timer)
-	t.scratch = append(t.scratch, evs...)
-	got := t.WaitEvent(t.scratch...)
-	if got == t.timer {
+	t.co.WaitTimeout(d, evs...)
+	t.Park()
+	if t.co.TimedOut() {
 		return nil, true
 	}
-	t.timer.Cancel()
-	return got, false
+	return t.co.trigEv, false
 }
 
 // YieldDelta suspends the thread for one delta cycle: it resumes at the same
 // simulation time, after all currently runnable processes have run.
 func (t *Thread) YieldDelta() {
-	t.timer.NotifyDelta()
-	t.WaitEvent(t.timer)
+	t.co.YieldDelta()
+	t.Park()
 }
 
 // Method is an SC_METHOD-style process: a function invoked (never blocking)
@@ -170,9 +152,8 @@ func (s *Simulator) SpawnMethod(name string, fn func(), sensitivity ...*Event) *
 // Name returns the method's diagnostic name.
 func (m *Method) Name() string { return m.name }
 
-// procRef is one entry in the runnable queue: exactly one of t, m, c is set.
+// procRef is one entry in the runnable queue: exactly one of m, c is set.
 type procRef struct {
-	t *Thread
 	m *Method
 	c *Coro
 }

@@ -10,7 +10,7 @@ import (
 // Build a model by spawning processes and creating events/signals, then call
 // Start. Start may be called repeatedly with increasing horizons to step the
 // simulation (the paper's "step mode"). Call Shutdown when finished to
-// reclaim process goroutines.
+// reclaim thread goroutines.
 type Simulator struct {
 	now        Time
 	deltaCount uint64
@@ -21,10 +21,8 @@ type Simulator struct {
 	timed    timedQueue
 	updates  []updater
 
-	threads []*Thread
 	events  []*Event // every event ever created, in creation order (state.go)
 	coros   []*Coro  // every coroutine ever spawned, in creation order
-	running *Thread  // thread currently executing (nil outside evaluate)
 	curCoro *Coro    // coroutine currently stepping (nil outside a step)
 	nextID  int
 
@@ -40,11 +38,6 @@ type Simulator struct {
 	// fast-forward moves a Ticker's generator across a gap of no-op firings —
 	// but it must not make any process runnable at the current time.
 	warp func(now, horizon Time)
-
-	// schedWake resumes the scheduler goroutine when an evaluation phase
-	// drains. Buffered so the scheduler can hand itself the token when the
-	// whole phase ran inline (methods only).
-	schedWake chan struct{}
 
 	// cancel, when non-nil, is polled at every quiescent point (the model
 	// is stable there): once closed, the run stops before the clock
@@ -63,7 +56,7 @@ type updater interface{ update() }
 
 // NewSimulator returns an empty simulation ready for model construction.
 func NewSimulator() *Simulator {
-	return &Simulator{schedWake: make(chan struct{}, 1)}
+	return &Simulator{}
 }
 
 // Now returns the current simulation time.
@@ -71,7 +64,12 @@ func (s *Simulator) Now() Time { return s.now }
 
 // CurrentThread returns the thread process executing right now (nil when
 // called from outside the evaluation of a thread, e.g. from a Method).
-func (s *Simulator) CurrentThread() *Thread { return s.running }
+func (s *Simulator) CurrentThread() *Thread {
+	if c := s.curCoro; c != nil {
+		return c.th
+	}
+	return nil
+}
 
 // CurrentCoro returns the coroutine process stepping right now (nil when
 // called from outside a coroutine step).
@@ -143,11 +141,6 @@ func (s *Simulator) Err() error { return s.err }
 // makeRunnable appends a process to the runnable queue exactly once.
 func (s *Simulator) makeRunnable(p procRef) {
 	switch {
-	case p.t != nil:
-		if p.t.queued || p.t.done {
-			return
-		}
-		p.t.queued = true
 	case p.m != nil:
 		if p.m.queued {
 			return
@@ -167,35 +160,18 @@ func (s *Simulator) requestUpdate(u updater) {
 	s.updates = append(s.updates, u)
 }
 
-// trigger fires an event immediately: every dynamically waiting thread and
-// every statically sensitive method becomes runnable in the current
-// evaluation phase.
+// trigger fires an event immediately: every dynamically waiting coroutine
+// (threads included), in arm order, and then every statically sensitive
+// method becomes runnable in the current evaluation phase.
 func (s *Simulator) trigger(e *Event) {
-	if len(e.waiters) > 0 {
-		// Keep the backing array for the next wait generation: nothing can
-		// re-append to e.waiters while this loop runs (woken threads only
-		// become runnable here; they execute later in the evaluation phase).
-		ws := e.waiters
-		e.waiters = ws[:0]
-		for _, t := range ws {
-			// Detach the thread from the other events of its wait set.
-			for _, other := range t.waiting {
-				if other != e {
-					other.removeWaiter(t)
-				}
-			}
-			t.waiting = t.waiting[:0]
-			t.trigEv = e
-			s.makeRunnable(procRef{t: t})
-		}
-	}
 	if len(e.cwaiters) > 0 {
-		// Coroutine waiters wake after threads, before static methods — the
-		// order is fixed, so runs stay deterministic. The backing array is
-		// kept for the next wait generation like the thread list above.
+		// Keep the backing array for the next wait generation: nothing can
+		// re-append to e.cwaiters while this loop runs (woken coroutines
+		// only become runnable here; they step later in the phase).
 		cs := e.cwaiters
 		e.cwaiters = cs[:0]
 		for _, c := range cs {
+			// Detach the coroutine from the other events of its wait set.
 			for _, other := range c.waiting {
 				if other != e {
 					other.removeCoroWaiter(c)
@@ -211,57 +187,8 @@ func (s *Simulator) trigger(e *Event) {
 	}
 }
 
-// passBaton advances the evaluation phase from whichever goroutine currently
-// holds control: the scheduler at the start of a phase, or a thread that is
-// yielding or terminating. Runnable methods execute inline (no goroutine
-// switch); the first runnable thread receives the baton directly, so a
-// thread-to-thread context switch costs a single channel handoff instead of
-// the former two (thread -> scheduler -> thread). When the queue drains (or
-// a stop is requested) the scheduler goroutine is woken to run the update,
-// delta and timed phases.
-func (s *Simulator) passBaton() {
-	if !s.stopRequested {
-		for s.runHead < len(s.runnable) {
-			p := s.runnable[s.runHead]
-			s.runHead++
-			if m := p.m; m != nil {
-				m.queued = false
-				s.running = nil
-				s.runMethod(m)
-				if s.stopRequested {
-					break
-				}
-				continue
-			}
-			if c := p.c; c != nil {
-				c.queued = false
-				if c.done {
-					continue
-				}
-				s.running = nil
-				s.runCoro(c)
-				if s.stopRequested {
-					break
-				}
-				continue
-			}
-			t := p.t
-			t.queued = false
-			if t.done {
-				continue
-			}
-			s.running = t
-			t.resume <- struct{}{}
-			return
-		}
-	}
-	s.running = nil
-	s.schedWake <- struct{}{}
-}
-
-// runMethod invokes a method process, converting a panic into a simulation
-// abort. It may run on the scheduler goroutine or inline on a thread
-// goroutine passing the baton; CurrentThread is nil either way.
+// runMethod invokes a method process inline on the scheduler goroutine,
+// converting a panic into a simulation abort. CurrentThread is nil there.
 func (s *Simulator) runMethod(m *Method) {
 	defer func() {
 		if r := recover(); r != nil && s.err == nil {
@@ -270,16 +197,6 @@ func (s *Simulator) runMethod(m *Method) {
 		}
 	}()
 	m.fn()
-}
-
-// threadExit finishes a thread's participation in the evaluation phase from
-// the thread's own goroutine: record a panic, then pass the baton on.
-func (s *Simulator) threadExit(t *Thread, panicVal any) {
-	if panicVal != nil && s.err == nil {
-		s.err = fmt.Errorf("sysc: process %q panicked: %v", t.name, panicVal)
-		s.stopRequested = true
-	}
-	s.passBaton()
 }
 
 // Start runs the simulation until no activity remains, Stop is called, a
@@ -293,24 +210,15 @@ func (s *Simulator) Start(until Time) error {
 	}
 	for !s.stopRequested {
 		// Evaluation phase: run until no process is runnable. Methods and
-		// coroutines execute inline on the scheduler goroutine; only when a
-		// thread reaches the queue head does the baton pass engage (threads
-		// resume each other directly and the scheduler sleeps until the
-		// phase is over). A phase containing no runnable thread therefore
-		// completes without a single channel operation. The queue drains by
-		// index so the head pop neither copies nor pins the whole backing
-		// array; once empty it resets to reuse the capacity.
+		// coroutines execute inline on the scheduler goroutine (a thread's
+		// step hands control to its body and waits for it to park). The
+		// queue drains by index so the head pop neither copies nor pins the
+		// whole backing array; once empty it resets to reuse the capacity.
 		for s.runHead < len(s.runnable) && !s.stopRequested {
 			p := s.runnable[s.runHead]
-			if p.t != nil {
-				s.passBaton()
-				<-s.schedWake
-				break
-			}
 			s.runHead++
 			if m := p.m; m != nil {
 				m.queued = false
-				s.running = nil
 				s.runMethod(m)
 				continue
 			}
@@ -319,7 +227,6 @@ func (s *Simulator) Start(until Time) error {
 			if c.done {
 				continue
 			}
-			s.running = nil
 			s.runCoro(c)
 		}
 		if s.runHead == len(s.runnable) {
@@ -447,20 +354,25 @@ func (s *Simulator) StartContext(ctx context.Context, until Time) error {
 	return nil
 }
 
-// Shutdown terminates all live process goroutines. The simulator cannot be
-// restarted afterwards. It is safe to call multiple times.
+// Shutdown terminates every thread and unwinds the goroutine of each one
+// that started and is still live. The simulator cannot be restarted
+// afterwards. It is safe to call multiple times.
 func (s *Simulator) Shutdown() {
 	if s.shutdown {
 		return
 	}
 	s.shutdown = true
 	s.stopRequested = true
-	for _, t := range s.threads {
-		if t.done {
+	for _, c := range s.coros {
+		t := c.th
+		if t == nil {
 			continue
 		}
-		t.killed = true
-		t.resume <- struct{}{}
-		<-t.park
+		c.done = true
+		if t.live {
+			t.killed = true
+			t.resume <- struct{}{}
+			<-t.park
+		}
 	}
 }

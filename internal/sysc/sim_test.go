@@ -161,7 +161,7 @@ func TestEventDeltaOverridesTimed(t *testing.T) {
 	sim.Spawn("waiter", func(th *Thread) {
 		th.WaitEvent(ev)
 		woke = th.Now()
-		delta = th.sim.DeltaCount()
+		delta = th.Sim().DeltaCount()
 	})
 	sim.Spawn("notifier", func(th *Thread) {
 		th.Wait(1 * Ms)

@@ -10,19 +10,18 @@ import "fmt"
 // model is stable — nothing runnable, no pending update or delta. At that
 // instant the whole dynamic state of the simulator is plain data: the
 // clock, the delta counter, the timed heap's live (when, seq, event)
-// triples, each event's wait lists, and each coroutine's armed wait set.
+// triples, each event's wait list, and each coroutine's armed wait set.
 //
-// Goroutine-backed threads are the one process kind whose resumption
-// state (a parked stack) cannot be serialized. They are handled by
-// *pinning*: a live thread's armed wait set is captured, and LoadState
-// verifies the thread is still parked on exactly that wait set — meaning
-// its goroutine has not moved since the capture, so its stack needs no
+// A Thread is a coroutine whose resumption state also includes a parked
+// goroutine stack, which cannot be serialized. Threads are handled by
+// *pinning*: LoadState verifies that every coroutine carrying a thread is
+// still parked on exactly the wait set it held at the capture (or still
+// done) — meaning its goroutine has not moved since, so its stack needs no
 // rewinding at all. A thread that advanced between capture and restore
-// (anything the goroutine engine dispatches) fails the check and the load
-// is refused; callers fall back to a cold run. The continuation engine
-// exists precisely so that hot-path configurations have no moving
-// goroutine threads — only pinned ones (the INIT boot task parked forever
-// at the top of its cycle).
+// fails the check and the load is refused; callers fall back to a cold
+// run. Snapshottable configurations run their T-THREADs as compiled
+// bodies, so their only live threads are pinned ones (the INIT boot task
+// parked forever at the top of its cycle).
 //
 // LoadState writes a captured state back into the *same* construction.
 // Pointer identities (events, coroutines, closures) are stable across one
@@ -33,9 +32,9 @@ import "fmt"
 // wait-list membership dropped, so they can never fire into the restored
 // timeline.
 
-// ErrThreadMoved reports a restore attempt after a goroutine-backed
-// thread advanced past its captured park point. Callers treat it as
-// "this configuration is not warm-restorable", not as a fault.
+// ErrThreadMoved reports a restore attempt after a thread advanced past
+// its captured park point. Callers treat it as "this configuration is not
+// warm-restorable", not as a fault.
 type ErrThreadMoved struct{ Name string }
 
 func (e *ErrThreadMoved) Error() string {
@@ -53,17 +52,9 @@ type TimedItemState struct {
 
 // EventState is the per-event dynamic state. Pending notifications are
 // not stored here — the heap list is their single source of truth — so an
-// event's own state is its wait lists, in wake (append) order.
+// event's own state is its wait list, in wake (arm) order.
 type EventState struct {
-	Waiters  []int32 // thread registry indices (pinned live threads)
 	CWaiters []int32 // coro registry indices
-}
-
-// ThreadState is the captured state of a goroutine-backed thread: either
-// done, or parked on an armed wait set it must still hold at restore.
-type ThreadState struct {
-	Done    bool
-	Waiting []int32 // armed wait set, event registry indices in arm order
 }
 
 // CoroState is the resumption state of one coroutine between steps.
@@ -83,7 +74,6 @@ type SimState struct {
 	HeapSeq    uint64           // timed queue's next-seq counter
 	Heap       []TimedItemState // live entries sorted by (When, Seq)
 	Events     []EventState     // registry order
-	Threads    []ThreadState    // registry order
 	Coros      []CoroState      // registry order
 }
 
@@ -106,7 +96,6 @@ func (s *Simulator) SaveState() (*SimState, error) {
 		DeltaCount: s.deltaCount,
 		HeapSeq:    s.timed.seq,
 		Events:     make([]EventState, len(s.events)),
-		Threads:    make([]ThreadState, len(s.threads)),
 		Coros:      make([]CoroState, len(s.coros)),
 	}
 	for _, it := range s.timed.items {
@@ -121,13 +110,6 @@ func (s *Simulator) SaveState() (*SimState, error) {
 		if e.pendingKind == notifyDelta {
 			return nil, fmt.Errorf("sysc: event %q has a pending delta at a quiescent point", e.name)
 		}
-		if n := len(e.waiters); n > 0 {
-			ws := make([]int32, n)
-			for j, t := range e.waiters {
-				ws[j] = t.idx
-			}
-			st.Events[i].Waiters = ws
-		}
 		if n := len(e.cwaiters); n > 0 {
 			ws := make([]int32, n)
 			for j, c := range e.cwaiters {
@@ -135,22 +117,6 @@ func (s *Simulator) SaveState() (*SimState, error) {
 			}
 			st.Events[i].CWaiters = ws
 		}
-	}
-	for i, t := range s.threads {
-		ts := ThreadState{Done: t.done}
-		if !t.done {
-			if len(t.waiting) == 0 {
-				// Unreachable at a quiescent point: a live thread not parked
-				// on anything would be runnable.
-				return nil, fmt.Errorf("sysc: live thread %q is not parked at a quiescent point", t.name)
-			}
-			ws := make([]int32, len(t.waiting))
-			for j, e := range t.waiting {
-				ws[j] = e.idx
-			}
-			ts.Waiting = ws
-		}
-		st.Threads[i] = ts
 	}
 	for i, c := range s.coros {
 		cs := CoroState{TrigEv: -1, Armed: c.armed, Done: c.done}
@@ -173,7 +139,7 @@ func (s *Simulator) SaveState() (*SimState, error) {
 // registries may have grown since the capture (processes spawned after a
 // fork); the extras are neutralized. Shrunken registries mean the state
 // belongs to a different construction and the load is refused, as is any
-// goroutine thread that moved past its captured park point.
+// thread that moved past its captured park point.
 func (s *Simulator) LoadState(st *SimState) error {
 	if s.shutdown {
 		return fmt.Errorf("sysc: cannot restore state after shutdown")
@@ -181,31 +147,17 @@ func (s *Simulator) LoadState(st *SimState) error {
 	if s.err != nil {
 		return fmt.Errorf("sysc: cannot restore state into a failed simulation: %w", s.err)
 	}
-	if len(s.events) < len(st.Events) || len(s.coros) < len(st.Coros) || len(s.threads) < len(st.Threads) {
-		return fmt.Errorf("sysc: state mismatch: captured %d events/%d coros/%d threads, simulator has %d/%d/%d",
-			len(st.Events), len(st.Coros), len(st.Threads), len(s.events), len(s.coros), len(s.threads))
+	if len(s.events) < len(st.Events) || len(s.coros) < len(st.Coros) {
+		return fmt.Errorf("sysc: state mismatch: captured %d events/%d coros, simulator has %d/%d",
+			len(st.Events), len(st.Coros), len(s.events), len(s.coros))
 	}
-	// Verify every captured goroutine thread is exactly where the capture
-	// left it before mutating anything: done threads must still be done,
-	// live ones must still hold the identical armed wait set.
-	for i, t := range s.threads {
-		if i >= len(st.Threads) {
-			continue // spawned after the capture: neutralized below
-		}
-		ts := &st.Threads[i]
-		if t.done != ts.Done {
-			return &ErrThreadMoved{Name: t.name}
-		}
-		if t.done {
-			continue
-		}
-		if len(t.waiting) != len(ts.Waiting) {
-			return &ErrThreadMoved{Name: t.name}
-		}
-		for j, e := range t.waiting {
-			if e.idx != ts.Waiting[j] {
-				return &ErrThreadMoved{Name: t.name}
-			}
+	// Verify every captured thread is exactly where the capture left it
+	// before mutating anything: done threads must still be done, live ones
+	// must still hold the identical armed wait set.
+	for i, cs := range st.Coros {
+		c := s.coros[i]
+		if c.th != nil && (c.done != cs.Done || !sameWaitSet(c.waiting, cs.Waiting)) {
+			return &ErrThreadMoved{Name: c.name}
 		}
 	}
 	s.now = st.Now
@@ -236,12 +188,6 @@ func (s *Simulator) LoadState(st *SimState) error {
 	}
 	for i := range st.Events {
 		e := s.events[i]
-		for _, ti := range st.Events[i].Waiters {
-			if int(ti) >= len(s.threads) {
-				return fmt.Errorf("sysc: event %q wait list references unknown thread %d", e.name, ti)
-			}
-			e.waiters = append(e.waiters, s.threads[ti])
-		}
 		for _, ci := range st.Events[i].CWaiters {
 			if int(ci) >= len(s.coros) {
 				return fmt.Errorf("sysc: event %q wait list references unknown coro %d", e.name, ci)
@@ -249,15 +195,11 @@ func (s *Simulator) LoadState(st *SimState) error {
 			e.cwaiters = append(e.cwaiters, s.coros[ci])
 		}
 	}
-	// Threads past len(st.Threads) were never re-added to a waiters list
-	// above, so they stay parked until Shutdown kills them.
-	for _, t := range s.threads {
-		t.queued = false
-	}
 	for i, c := range s.coros {
 		c.queued = false
 		if i >= len(st.Coros) {
-			// Spawned after the capture: park it forever.
+			// Spawned after the capture: park it forever (a started
+			// thread's goroutine stays parked until Shutdown unwinds it).
 			c.waiting = c.waiting[:0]
 			c.trigEv = nil
 			c.armed = false
@@ -279,13 +221,22 @@ func (s *Simulator) LoadState(st *SimState) error {
 	return nil
 }
 
-// clearWaiters empties an event's dynamic wait lists without freeing the
-// backing arrays.
-func clearWaiters(e *Event) {
-	for i := range e.waiters {
-		e.waiters[i] = nil
+// sameWaitSet reports whether a live wait set matches a captured one.
+func sameWaitSet(evs []*Event, idx []int32) bool {
+	if len(evs) != len(idx) {
+		return false
 	}
-	e.waiters = e.waiters[:0]
+	for j, e := range evs {
+		if e.idx != idx[j] {
+			return false
+		}
+	}
+	return true
+}
+
+// clearWaiters empties an event's dynamic wait list without freeing the
+// backing array.
+func clearWaiters(e *Event) {
 	for i := range e.cwaiters {
 		e.cwaiters[i] = nil
 	}
