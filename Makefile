@@ -99,13 +99,14 @@ snapshot-diff:
 # Fuzz smoke: each fuzz target for 10 s — the Perfetto encoder against its
 # encoding/json oracle and the decoders that take bytes from outside the
 # process (Spec JSON, snapshot headers, task-set JSON, the artifact
-# store's disk-tier indexes).
+# store's disk-tier indexes, the client's SSE event feed).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPerfettoRecord$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/run
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMeta$$' -fuzztime 10s ./internal/snapshot
 	$(GO) test -run '^$$' -fuzz '^FuzzTaskSetJSON$$' -fuzztime 10s ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadIndex$$' -fuzztime 10s ./internal/cache
+	$(GO) test -run '^$$' -fuzz '^FuzzEventStream$$' -fuzztime 10s ./internal/client
 
 # Table 2 co-simulation speed (the paper's S/R headline metric) per
 # configuration, plus the bare-kernel synthetic workload and the

@@ -322,16 +322,37 @@ func (es *EventStream) LastID() uint64 { return es.lastID }
 // Close releases the feed.
 func (es *EventStream) Close() error { return es.body.Close() }
 
-// readLine returns the next newline-terminated line of the feed.
+// MaxEventLine caps one line of an SSE feed, in bytes before its line
+// ending. The server writes one small JSON event per data line, far below
+// the cap; a feed that sends more without a newline is broken or hostile.
+const MaxEventLine = 1 << 20
+
+// ErrLineTooLong reports an SSE line longer than MaxEventLine.
+var ErrLineTooLong = errors.New("events: line exceeds 1 MiB")
+
+// eventReadChunk is how much the feed reader asks the body for per read.
+const eventReadChunk = 4096
+
+// readLine returns the next line of the feed without its LF or CRLF
+// ending. A line past MaxEventLine fails with ErrLineTooLong before the
+// buffer grows further, so a feed that never sends a newline holds at most
+// MaxEventLine+1+eventReadChunk bytes.
 func (es *EventStream) readLine() (string, error) {
 	for {
-		if i := bytes.IndexByte(es.buf[es.off:], '\n'); i >= 0 {
-			line := string(es.buf[es.off : es.off+i])
+		pending := es.buf[es.off:]
+		if i := bytes.IndexByte(pending, '\n'); i >= 0 {
+			line := bytes.TrimSuffix(pending[:i], []byte{'\r'})
+			if len(line) > MaxEventLine {
+				return "", ErrLineTooLong
+			}
 			es.off += i + 1
-			return line, nil
+			return string(line), nil
 		}
-		es.buf = append(es.buf[:copy(es.buf, es.buf[es.off:])], make([]byte, 4096)...)
-		rest := len(es.buf) - 4096
+		if len(pending) > MaxEventLine+1 { // +1: a CR may precede the LF
+			return "", ErrLineTooLong
+		}
+		es.buf = append(es.buf[:copy(es.buf, pending)], make([]byte, eventReadChunk)...)
+		rest := len(es.buf) - eventReadChunk
 		es.off = 0
 		n, err := es.body.Read(es.buf[rest:])
 		es.buf = es.buf[:rest+n]

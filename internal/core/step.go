@@ -11,11 +11,13 @@ import (
 // bodies.
 //
 // A Step* primitive arms its wait on the T-THREAD's sysc.Coro and returns
-// StepWait; re-entering it resumes from its recorded phase. They are the
-// only implementation of these primitives: a compiled body re-enters them
-// on its next coroutine step, and the blocking forms a closure body calls
-// (AwaitCPU, Consume, BlockCurrent) loop over them, parking the body's
-// thread on every StepWait.
+// StepWait; re-entering it resumes from its recorded phase. A consume slice
+// that nothing can interrupt elapses inline instead (sysc.Coro.Elapse): the
+// primitive continues into its csSlice phase as if the timeout had fired.
+// They are the only implementation of these primitives: a compiled body
+// re-enters them on its next coroutine step, and the blocking forms a
+// closure body calls (AwaitCPU, Consume, BlockCurrent) loop over them,
+// parking the body's thread on every StepWait.
 
 // Step is the outcome of driving one resumable primitive.
 type Step uint8
@@ -134,8 +136,11 @@ func (t *TThread) StepConsume(cost Cost, ctx trace.Context, note string) Step {
 				return StepDone
 			}
 			cs.start = t.Now()
-			t.co.WaitTimeout(cs.remaining, t.preemptEv)
 			cs.phase = csSlice
+			if t.co.Elapse(cs.remaining) {
+				continue
+			}
+			t.co.WaitTimeout(cs.remaining, t.preemptEv)
 			return StepWait
 		case csSlice:
 			timedOut := t.co.TimedOut()
@@ -166,8 +171,11 @@ func (t *TThread) StepConsume(cost Cost, ctx trace.Context, note string) Step {
 			}
 			if cs.remaining > 0 {
 				cs.start = t.Now()
-				t.co.WaitTimeout(cs.remaining, t.preemptEv)
 				cs.phase = csSlice
+				if t.co.Elapse(cs.remaining) {
+					continue
+				}
+				t.co.WaitTimeout(cs.remaining, t.preemptEv)
 				return StepWait
 			}
 			cs.phase = csFinal

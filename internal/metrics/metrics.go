@@ -91,7 +91,15 @@ type Collector struct {
 	sub *event.Subscription
 
 	tasks map[string]*taskState
-	ctxs  map[uint8]*ContextMetrics
+	// ctxs is indexed by the event's context byte (a trace.Context); nil
+	// marks a context not seen yet.
+	ctxs [256]*ContextMetrics
+
+	// last caches the most recent task lookup: consecutive events mostly
+	// name the same thread, and the publisher reuses one name string per
+	// thread, so the comparison is usually a pointer check.
+	lastName string
+	last     *taskState
 
 	end sysc.Time
 }
@@ -115,10 +123,7 @@ var collectorKinds = []event.Kind{
 
 // Attach subscribes a new collector to the bus.
 func Attach(b *event.Bus) *Collector {
-	c := &Collector{
-		tasks: map[string]*taskState{},
-		ctxs:  map[uint8]*ContextMetrics{},
-	}
+	c := &Collector{tasks: map[string]*taskState{}}
 	c.sub = b.Subscribe(c.handle, collectorKinds...)
 	return c
 }
@@ -128,11 +133,15 @@ func (c *Collector) Close() { c.sub.Close() }
 
 // task returns (creating on first sight) the state for a thread name.
 func (c *Collector) task(name string) *taskState {
+	if c.last != nil && name == c.lastName {
+		return c.last
+	}
 	t, ok := c.tasks[name]
 	if !ok {
 		t = &taskState{m: TaskMetrics{Thread: name}}
 		c.tasks[name] = t
 	}
+	c.lastName, c.last = name, t
 	return t
 }
 
@@ -146,8 +155,8 @@ func (c *Collector) handle(e event.Event) {
 		dur := e.Time - e.Start
 		t.m.CETUs += float64(dur) / 1e6
 		t.m.CEEJoules += e.Energy.Joules()
-		ctx, ok := c.ctxs[e.Ctx]
-		if !ok {
+		ctx := c.ctxs[e.Ctx]
+		if ctx == nil {
 			ctx = &ContextMetrics{Context: trace.Context(e.Ctx).String()}
 			c.ctxs[e.Ctx] = ctx
 		}
@@ -191,7 +200,9 @@ func (c *Collector) Report() Report {
 	}
 	sort.Slice(r.Tasks, func(i, j int) bool { return r.Tasks[i].Thread < r.Tasks[j].Thread })
 	for _, x := range c.ctxs {
-		r.Contexts = append(r.Contexts, *x)
+		if x != nil {
+			r.Contexts = append(r.Contexts, *x)
+		}
 	}
 	sort.Slice(r.Contexts, func(i, j int) bool { return r.Contexts[i].Context < r.Contexts[j].Context })
 	return r

@@ -122,3 +122,67 @@ func TestWriteJSONDeterministic(t *testing.T) {
 		t.Fatalf("rows not name-sorted: %+v", r.Tasks)
 	}
 }
+
+// handleStream is a steady-state slice of collector traffic: eight threads
+// taking turns on the CPU, each dispatched, charged a few task and service
+// run slices, and then preempted or blocked and released.
+func handleStream() []event.Event {
+	names := []string{"t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7"}
+	var evs []event.Event
+	at := sysc.Time(0)
+	slice := func(th string, ctx uint8) {
+		evs = append(evs, event.Event{Kind: event.KindRunSlice, Thread: th, Ctx: ctx,
+			Start: at, Time: at + 10*sysc.Us, Energy: petri.MilliJ})
+		at += 10 * sysc.Us
+	}
+	for i, th := range names {
+		evs = append(evs, ev(event.KindDispatch, th, at))
+		slice(th, 1)
+		slice(th, 2)
+		slice(th, 1)
+		slice(th, 4)
+		slice(th, 1)
+		if i%2 == 0 {
+			evs = append(evs, ev(event.KindPreempt, th, at))
+		} else {
+			evs = append(evs, ev(event.KindBlock, th, at),
+				ev(event.KindRelease, names[(i+3)%len(names)], at))
+		}
+	}
+	return evs
+}
+
+func BenchmarkCollectorHandle(b *testing.B) {
+	c := Attach(event.NewBus())
+	evs := handleStream()
+	for _, e := range evs {
+		c.handle(e)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.handle(evs[i%len(evs)])
+	}
+}
+
+// TestLoadStateResetsLookupCache rewinds a collector whose cached task
+// lookup points at a row the restore replaces: later events must land in
+// the restored row.
+func TestLoadStateResetsLookupCache(t *testing.T) {
+	b := event.NewBus()
+	c := Attach(b)
+	b.Publish(ev(event.KindDispatch, "a", 0))
+	st := c.SaveState()
+	b.Publish(ev(event.KindDispatch, "a", sysc.Ms))
+	c.LoadState(st)
+	b.Publish(ev(event.KindDispatch, "a", 2*sysc.Ms))
+	b.Publish(event.Event{Kind: event.KindRunSlice, Thread: "a", Ctx: 1,
+		Start: 2 * sysc.Ms, Time: 3 * sysc.Ms})
+	r := c.Report()
+	if len(r.Tasks) != 1 || r.Tasks[0].Dispatches != 2 || r.Tasks[0].CETUs != 1000 {
+		t.Fatalf("tasks after restore: %+v", r.Tasks)
+	}
+	if len(r.Contexts) != 1 || r.Contexts[0].Context != "task" || r.Contexts[0].Slices != 1 {
+		t.Fatalf("contexts after restore: %+v", r.Contexts)
+	}
+}

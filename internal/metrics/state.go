@@ -18,14 +18,16 @@ type CollectorState struct {
 func (c *Collector) SaveState() CollectorState {
 	st := CollectorState{
 		tasks: make(map[string]taskState, len(c.tasks)),
-		ctxs:  make(map[uint8]ContextMetrics, len(c.ctxs)),
+		ctxs:  map[uint8]ContextMetrics{},
 		end:   c.end,
 	}
 	for name, t := range c.tasks {
 		st.tasks[name] = *t
 	}
 	for k, x := range c.ctxs {
-		st.ctxs[k] = *x
+		if x != nil {
+			st.ctxs[uint8(k)] = *x
+		}
 	}
 	return st
 }
@@ -37,7 +39,8 @@ func (c *Collector) LoadState(st CollectorState) {
 		tc := t
 		c.tasks[name] = &tc
 	}
-	clear(c.ctxs)
+	c.lastName, c.last = "", nil
+	c.ctxs = [256]*ContextMetrics{}
 	for k, x := range st.ctxs {
 		xc := x
 		c.ctxs[k] = &xc

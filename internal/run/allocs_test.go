@@ -42,8 +42,7 @@ func steadyAllocsPerSimsec(t *testing.T, spec []byte) float64 {
 // bodies, BFM accesses) on the benchmark's videogame shape: trace names
 // are formed when objects are created, accesses carry operands instead of
 // closures, and kernel waits re-arm without closures, so a simulated second
-// costs at most a handful of allocations. The synthetic figure is logged
-// for reference only.
+// costs at most a handful of allocations.
 func TestVideogameSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments allocations")
@@ -55,7 +54,22 @@ func TestVideogameSteadyStateAllocs(t *testing.T) {
 	if vg > budget {
 		t.Errorf("videogame: %.0f allocs per simulated second, want <= %d", vg, budget)
 	}
+}
+
+// TestSyntheticSteadyStateAllocs pins the allocation budget of the
+// benchmark's synthetic shape: the bare kernel, the Program machine and the
+// metrics.json collector. Most of its steady-state allocations are the
+// semantic message-buffer payload copies of the generated SndMbf ops; an
+// inline consume (sysc.Coro.Elapse) adds none.
+func TestSyntheticSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocations")
+	}
+	const budget = 450
 	syn := steadyAllocsPerSimsec(t, []byte(`{"scenario":"synthetic","seed":1,`+
 		`"synthetic":{"gen":{"tasks":8,"util":0.7,"interrupts":2}},"artifacts":["metrics.json"]}`))
 	t.Logf("synthetic: %.0f allocs per simulated second", syn)
+	if syn > budget {
+		t.Errorf("synthetic: %.0f allocs per simulated second, want <= %d", syn, budget)
+	}
 }

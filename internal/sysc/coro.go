@@ -110,6 +110,56 @@ func (c *Coro) TimedOut() bool {
 	return false
 }
 
+// Elapse lets d of simulated time pass inside the current step when
+// nothing else can run before it ends, and reports whether it did. It is
+// the inline form of WaitTimeout(d, ...) followed by a timeout: on success
+// the step continues at now+d with TimedOut reporting true; on false
+// nothing changed and the step arms its wait as usual.
+//
+// It succeeds only when c is the coroutine stepping right now and has not
+// armed a wait in this step, d > 0, the run is not stopping, no other
+// process is runnable, no update or delta is pending, c's timer is idle,
+// now+d is within the Start horizon and every pending timed notification
+// is strictly later than now+d (an equal time falls back so seq order
+// decides as before). The scheduler would then
+// reach a quiescent point, advance the clock to c's timer and resume c;
+// Elapse does the same inline: it polls the StartContext cancellation,
+// fires Observer.Quiescent with CurrentCoro cleared, draws the heap seq the
+// timer push would have drawn (so HeapSeq and every later entry's seq
+// match), advances the clock and fires Observer.TimeAdvance. The warp hook
+// is skipped (see SetWarpHook).
+func (c *Coro) Elapse(d Time) bool {
+	s := c.sim
+	if s.curCoro != c || d <= 0 || c.armed || s.stopRequested ||
+		s.runHead != len(s.runnable) || len(s.deltaQ) > 0 || len(s.updates) > 0 ||
+		c.timer.pendingKind != notifyNone || d > s.until-s.now {
+		return false
+	}
+	if next, ok := s.timed.nextTime(); ok && next <= s.now+d {
+		return false
+	}
+	if s.cancel != nil {
+		select {
+		case <-s.cancel:
+			return false
+		default:
+		}
+	}
+	if s.observer != nil {
+		s.curCoro = nil
+		s.observer.Quiescent(s.now)
+		s.curCoro = c
+	}
+	s.timed.seq++
+	prev := s.now
+	s.now += d
+	if s.observer != nil {
+		s.observer.TimeAdvance(prev, s.now)
+	}
+	c.trigEv = c.timer
+	return true
+}
+
 // YieldDelta arms the coroutine to resume in the next delta cycle, after
 // all currently runnable processes have run.
 func (c *Coro) YieldDelta() {

@@ -46,6 +46,10 @@ type Simulator struct {
 	cancel    <-chan struct{}
 	cancelled bool
 
+	// until is the horizon of the Start in progress: Coro.Elapse never
+	// advances the clock past it.
+	until Time
+
 	stopRequested bool
 	shutdown      bool
 	err           error
@@ -85,6 +89,11 @@ func (s *Simulator) DeltaCount() uint64 { return s.deltaCount }
 // the natural place for live invariant checking. TimeAdvance fires after the
 // timed phase moves the clock from `from` to `to`. Observers must only
 // observe — they must not spawn processes or notify events.
+//
+// A quiescent point may also be reached inside a coroutine step, when
+// Coro.Elapse advances the clock without parking: both callbacks then fire
+// exactly as the scheduler would have fired them (CurrentCoro reads nil
+// during Quiescent), so an observer sees the same stream either way.
 type Observer interface {
 	Quiescent(now Time)
 	TimeAdvance(from, to Time)
@@ -99,6 +108,12 @@ func (s *Simulator) SetObserver(o Observer) { s.observer = o }
 // current time and the Start horizon, and may re-arm timed notifications to
 // fast-forward periodic sources across provably idle gaps. One slot: the
 // kernel layer owns it.
+//
+// Coro.Elapse does not call the hook. An elapse happens only when the
+// stepping coroutine's own wake at now+d is strictly earlier than every
+// pending timed notification, so there is no idle gap to cross: a hook that
+// fast-forwards a source up to the next other wake would find its target at
+// or before the source's next fire and do nothing.
 func (s *Simulator) SetWarpHook(fn func(now, horizon Time)) { s.warp = fn }
 
 // NextTimedExcluding returns the earliest pending timed-notification time
@@ -208,6 +223,7 @@ func (s *Simulator) Start(until Time) error {
 	if s.shutdown {
 		return fmt.Errorf("sysc: simulator already shut down")
 	}
+	s.until = until
 	for !s.stopRequested {
 		// Evaluation phase: run until no process is runnable. Methods and
 		// coroutines execute inline on the scheduler goroutine (a thread's
