@@ -17,9 +17,11 @@ build:
 test:
 	$(GO) test ./...
 
-# vet also fails when any file is not gofmt-formatted.
+# vet also vets the benchmark module (bench/ is its own module, which the
+# root ./... never compiles) and fails when any file is not gofmt-formatted.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 race:

@@ -386,6 +386,7 @@ func BenchmarkServiceCall(b *testing.B) {
 	if err := sim.Start(10 * sysc.Ms); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if er := k.SigSem(sem, 1); er != tkernel.EOK {

@@ -65,11 +65,6 @@ type SimAPI struct {
 	// it is frozen at construction (WithConsumeShaper) so concurrent
 	// simulations can never race on it.
 	consumeShaper func(t *TThread, c Cost, ctx trace.Context) Cost
-
-	// elog/elogSub: the attached kernel-dynamics recorder and its bus
-	// subscription (SetEventLog).
-	elog    *EventLog
-	elogSub *event.Subscription
 }
 
 // Option configures a SimAPI instance at construction. Intervention hooks
@@ -429,7 +424,7 @@ func (a *SimAPI) BlockCurrent(waitObj string) error {
 	}
 	for {
 		s, err := t.StepBlock(waitObj)
-		if !t.park(s) {
+		if !t.Park(s) {
 			return err
 		}
 	}

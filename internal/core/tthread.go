@@ -243,11 +243,19 @@ func (t *TThread) ownsCPU() bool {
 	return a.current == t
 }
 
-// park carries out one outcome of a resumable primitive for a closure
+// Park carries out one outcome of a resumable primitive for a closure
 // body: StepWait parks the body until the armed wait fires and reports
 // that the primitive must be re-entered, StepReset unwinds the body, and
-// StepDone reports that the primitive finished.
-func (t *TThread) park(s Step) bool {
+// StepDone reports that the primitive finished. The blocking forms below
+// and a kernel's own resumable frames (a service call) loop over it.
+//
+// A compiled body cannot park inside an opaque closure: time it consumes
+// belongs in a Work op, a device access in an Io op, and a service call in
+// a service op.
+func (t *TThread) Park(s Step) bool {
+	if t.th == nil {
+		panic(fmt.Sprintf("core: thread %q: blocking call from a compiled body (express time as a Work op, a device access as an Io op, a service call as a service op)", t.name))
+	}
 	switch s {
 	case StepWait:
 		t.th.Park()
@@ -265,7 +273,7 @@ func (t *TThread) park(s Step) bool {
 // otherwise it would disable dispatching while parked and deadlock the
 // system.
 func (t *TThread) AwaitCPU() {
-	for t.park(t.StepAwaitCPU()) {
+	for t.Park(t.StepAwaitCPU()) {
 	}
 }
 
@@ -299,14 +307,10 @@ func (a Access) Apply() {
 // emitted, and the thread suspends until it is dispatched again, then
 // resumes the remaining budget. Completion fires one Ec transition.
 //
-// Consume must be called from within the thread's own closure body.
-// Compiled bodies cannot park inside an opaque closure: time they consume
-// belongs in a Work op, and a device access in an Io op.
+// Consume must be called from within the thread's own closure body (see
+// Park).
 func (t *TThread) Consume(cost Cost, ctx trace.Context, note string) {
-	if t.th == nil {
-		panic(fmt.Sprintf("core: thread %q: Consume from a compiled body (express the cost as a Work op, a device access as an Io op)", t.name))
-	}
-	for t.park(t.StepConsume(cost, ctx, note)) {
+	for t.Park(t.StepConsume(cost, ctx, note)) {
 	}
 }
 

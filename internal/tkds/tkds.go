@@ -17,7 +17,8 @@ import (
 
 // DS is a debugger-support session bound to a kernel instance.
 type DS struct {
-	k *tkernel.Kernel
+	k    *tkernel.Kernel
+	elog *EventLog // the attached kernel-dynamics recorder, nil when none
 }
 
 // New attaches debugger support to a kernel.
@@ -261,21 +262,22 @@ func list(refs []tkernel.WaitRef) string {
 // AttachEventLog attaches a kernel-dynamics event recorder (dispatches,
 // preemptions, blocks, releases, interrupt entries/exits...) capped at
 // limit events (0 = unlimited), and returns it. Rendering goes through
-// KernelEvents.
-func (d *DS) AttachEventLog(limit int) *core.EventLog {
-	l := core.NewEventLog(limit)
-	d.k.API().SetEventLog(l)
-	return l
+// KernelEvents. A recorder attached earlier is detached.
+func (d *DS) AttachEventLog(limit int) *EventLog {
+	if d.elog != nil {
+		d.elog.Close()
+	}
+	d.elog = NewEventLog(d.k.Bus(), limit)
+	return d.elog
 }
 
 // KernelEvents writes the recorded kernel-dynamics event trace.
 func (d *DS) KernelEvents(w io.Writer) {
-	l := d.k.API().EventLog()
-	if l == nil {
+	if d.elog == nil {
 		fmt.Fprintln(w, "(no event log attached)")
 		return
 	}
-	l.Render(w)
+	d.elog.Render(w)
 }
 
 // Watch registers a periodic DS dump into sink every interval of simulated

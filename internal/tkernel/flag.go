@@ -40,29 +40,30 @@ type FlagInfo struct {
 
 // CreFlg creates an event flag with an initial pattern (tk_cre_flg).
 // TaWMUL permits multiple simultaneous waiters.
-func (k *Kernel) CreFlg(name string, attr Attr, init uint32) (_ ID, er ER) {
-	k.enterSvc("tk_cre_flg")
-	defer k.exitSvc("tk_cre_flg", &er)
-	k.nextFlg++
-	id := k.nextFlg
-	k.flags[id] = &EventFlag{
-		id: id, name: name, label: objName("flg", id, name),
-		attr: attr, pattern: init, wq: newWaitQueue(attr),
-	}
-	return id, EOK
+func (k *Kernel) CreFlg(name string, attr Attr, init uint32) (id ID, er ER) {
+	er = k.call("tk_cre_flg", func(k *Kernel) (ER, *armedWait) {
+		k.nextFlg++
+		id = k.nextFlg
+		k.flags[id] = &EventFlag{
+			id: id, name: name, label: objName("flg", id, name),
+			attr: attr, pattern: init, wq: newWaitQueue(attr),
+		}
+		return EOK, nil
+	})
+	return id, er
 }
 
 // DelFlg deletes an event flag; waiters are released with E_DLT (tk_del_flg).
-func (k *Kernel) DelFlg(id ID) (er ER) {
-	k.enterSvc("tk_del_flg")
-	defer k.exitSvc("tk_del_flg", &er)
-	f, ok := k.flags[id]
-	if !ok {
-		return ENOEXS
-	}
-	f.wq.drain(func(t *Task) { k.wake(t, EDLT) })
-	delete(k.flags, id)
-	return EOK
+func (k *Kernel) DelFlg(id ID) ER {
+	return k.call("tk_del_flg", func(k *Kernel) (ER, *armedWait) {
+		f, ok := k.flags[id]
+		if !ok {
+			return ENOEXS, nil
+		}
+		f.wq.drain(func(t *Task) { k.wake(t, EDLT) })
+		delete(k.flags, id)
+		return EOK, nil
+	})
 }
 
 // flgMatch evaluates a wait condition against the current pattern.
@@ -75,13 +76,11 @@ func flgMatch(pattern, waiptn uint32, mode FlagMode) bool {
 
 // SetFlg sets bits in the pattern and releases all satisfied waiters in
 // queue order (tk_set_flg).
-func (k *Kernel) SetFlg(id ID, setptn uint32) (er ER) {
-	k.enterSvc("tk_set_flg")
-	defer k.exitSvc("tk_set_flg", &er)
-	return k.setFlgBody(id, setptn)
+func (k *Kernel) SetFlg(id ID, setptn uint32) ER {
+	return k.call("tk_set_flg", func(k *Kernel) (ER, *armedWait) { return k.setFlgBody(id, setptn), nil })
 }
 
-// setFlgBody is the split call body of SetFlg.
+// setFlgBody is the body of SetFlg, shared with its program op.
 func (k *Kernel) setFlgBody(id ID, setptn uint32) ER {
 	f, ok := k.flags[id]
 	if !ok {
@@ -124,28 +123,25 @@ func (k *Kernel) flgRelease(f *EventFlag) {
 
 // ClrFlg clears bits: pattern &= clrptn (tk_clr_flg; clrptn is the mask of
 // bits to KEEP, per the T-Kernel signature).
-func (k *Kernel) ClrFlg(id ID, clrptn uint32) (er ER) {
-	k.enterSvc("tk_clr_flg")
-	defer k.exitSvc("tk_clr_flg", &er)
-	f, ok := k.flags[id]
-	if !ok {
-		return ENOEXS
-	}
-	f.pattern &= clrptn
-	return EOK
+func (k *Kernel) ClrFlg(id ID, clrptn uint32) ER {
+	return k.call("tk_clr_flg", func(k *Kernel) (ER, *armedWait) {
+		f, ok := k.flags[id]
+		if !ok {
+			return ENOEXS, nil
+		}
+		f.pattern &= clrptn
+		return EOK, nil
+	})
 }
 
 // WaiFlg waits until the flag pattern satisfies (waiptn, mode), delivering
 // the pattern at release time (tk_wai_flg).
-func (k *Kernel) WaiFlg(id ID, waiptn uint32, mode FlagMode, tmout TMO) (_ uint32, er ER) {
-	k.enterSvc("tk_wai_flg")
-	defer k.exitSvc("tk_wai_flg", &er)
-	var relptn uint32
-	er = k.finish(k.waiFlgBody(id, waiptn, mode, tmout, &relptn))
+func (k *Kernel) WaiFlg(id ID, waiptn uint32, mode FlagMode, tmout TMO) (relptn uint32, er ER) {
+	er = k.call("tk_wai_flg", func(k *Kernel) (ER, *armedWait) { return k.waiFlgBody(id, waiptn, mode, tmout, &relptn) })
 	return relptn, er
 }
 
-// waiFlgBody is the split call body of WaiFlg: the release pattern
+// waiFlgBody is the body of WaiFlg, shared with its program op: the release pattern
 // is delivered through relptn (zero on error paths).
 func (k *Kernel) waiFlgBody(id ID, waiptn uint32, mode FlagMode, tmout TMO, relptn *uint32) (ER, *armedWait) {
 	f, ok := k.flags[id]

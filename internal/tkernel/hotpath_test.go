@@ -235,6 +235,25 @@ func TestFlagWaitWakeAllocs(t *testing.T) {
 	}
 }
 
+// TestClosureServiceCallAllocs pins a closure-face service call at zero
+// heap allocations: tk_sig_sem issued from outside any T-THREAD, as
+// BenchmarkServiceCall issues it, runs its frame and its body closure on
+// the caller's stack.
+func TestClosureServiceCallAllocs(t *testing.T) {
+	var sem tkernel.ID
+	k, sim := boot(t, func(k *tkernel.Kernel) {
+		sem, _ = k.CreSem("s", tkernel.TaTFIFO, 0, 1<<30)
+	})
+	run(t, sim, 10*sysc.Ms)
+	if n := testing.AllocsPerRun(200, func() {
+		if er := k.SigSem(sem, 1); er != tkernel.EOK {
+			t.Fatal(er)
+		}
+	}); n != 0 {
+		t.Errorf("%v allocs per SigSem outside a T-THREAD, want 0", n)
+	}
+}
+
 // BenchmarkFlagWaitWake is the cost of one wai_flg/set_flg round trip
 // between two program tasks, scheduler and simulator included.
 func BenchmarkFlagWaitWake(b *testing.B) {

@@ -41,22 +41,27 @@ const (
 // DefInt defines the interrupt handler for interrupt number intno
 // (tk_def_int). Redefinition replaces the previous handler; a nil fn
 // removes the definition.
-func (k *Kernel) DefInt(intno int, name string, fn HandlerFunc) (er ER) {
-	k.enterSvc("tk_def_int")
-	defer k.exitSvc("tk_def_int", &er)
-	if intno < 0 {
-		return EPAR
-	}
+func (k *Kernel) DefInt(intno int, name string, fn HandlerFunc) ER {
 	if fn == nil {
-		delete(k.isrs, intno)
-		return EOK
+		return k.defInt(intno, name, nil)
 	}
-	isr := &ISR{intno: intno, name: name}
-	isr.tt = k.api.CreateThread(name, core.KindISR, 0, func(tt *core.TThread) {
-		fn(&HandlerCtx{K: k, tt: tt})
+	return k.defInt(intno, name, k.closureHandler(name, core.KindISR, fn))
+}
+
+// defInt is tk_def_int for DefInt and DefIntProg: thread creates the
+// handler's T-THREAD; nil removes the definition.
+func (k *Kernel) defInt(intno int, name string, thread func() *core.TThread) ER {
+	return k.call("tk_def_int", func(k *Kernel) (ER, *armedWait) {
+		if intno < 0 {
+			return EPAR, nil
+		}
+		if thread == nil {
+			delete(k.isrs, intno)
+			return EOK, nil
+		}
+		k.isrs[intno] = &ISR{intno: intno, name: name, tt: thread()}
+		return EOK, nil
 	})
-	k.isrs[intno] = isr
-	return EOK
 }
 
 // RaiseInterrupt is the Interrupt Dispatch entry: it identifies and

@@ -371,45 +371,115 @@ func (k *Kernel) caller() *Task {
 	return nil
 }
 
-// enterSvc is the service-call prologue: it locks dispatching for the
-// duration of the call body (service-call atomicity), publishes the enter
-// event and charges the service ETM/EEM annotation to the calling T-THREAD.
-// Every service pairs it with a deferred exitSvc over a named ER result, so
-// the exit event carries the resolved return code on every path — including
-// early E_ID/E_NOEXS error returns.
-func (k *Kernel) enterSvc(name string) {
-	tt := k.api.ExecutingThread()
-	if tt != nil {
-		// A preempted caller must be dispatched again before it may begin
-		// an atomic service body (see TThread.AwaitCPU).
-		tt.AwaitCPU()
-	}
-	k.api.LockDispatch()
-	if k.bus.Wants(event.KindSvcEnter) {
-		k.bus.Publish(event.Event{Kind: event.KindSvcEnter,
-			Time: k.sim.Now(), Thread: threadName(tt), Obj: name})
-	}
-	if tt != nil {
-		tt.Consume(k.cfg.Costs.Service, trace.CtxService, name)
+// svcPhase is where inside one service call its frame stands. The values
+// are captured in snapshots (TaskSnap.SP); a phase that cannot be seen at
+// a quiescent point goes after spBlock.
+type svcPhase uint8
+
+const (
+	spEnter   svcPhase = iota // StepAwaitCPU before the dispatch lock
+	spConsume                 // service-cost StepConsume, then the body
+	spBlock                   // parked on the body's armed wait
+)
+
+// svcCall is the resumable frame of one service call, and the only
+// implementation of the service protocol: dispatching is locked for the
+// call body (service-call atomicity) and the service ETM/EEM annotation is
+// charged to the caller. A program's service op steps it from
+// progMachine.Step; a closure service steps it from call, parking the
+// caller's thread between steps.
+type svcCall struct {
+	name string
+	sp   svcPhase
+	aw   *armedWait
+}
+
+// step drives the call: StepAwaitCPU, LockDispatch, svc-enter and the
+// service-cost StepConsume; then the body try; when try armed a wait,
+// UnlockDispatch, StepBlock, LockDispatch and endSleep; then svc-exit and
+// UnlockDispatch. t is the executing T-THREAD; when none is, the CPU
+// phases are skipped (a call between Start steps or from a plain sysc
+// process). The outcome is StepDone with the resolved code, StepWait (step
+// again once the armed wait fires) or StepReset (t was terminated; the
+// frame has rewound). A reset during the cost charge publishes svc-exit
+// with E_OK and unlocks; a reset while parked on the wait holds nothing
+// (the lock was released around the wait) and reports nothing.
+func (c *svcCall) step(k *Kernel, t *core.TThread, try func(*Kernel) (ER, *armedWait)) (core.Step, ER) {
+	switch c.sp {
+	case spEnter:
+		if t != nil {
+			// A preempted caller must be dispatched again before it may
+			// begin an atomic service body (see TThread.AwaitCPU).
+			if st := t.StepAwaitCPU(); st != core.StepDone {
+				return st, EOK
+			}
+		}
+		k.api.LockDispatch()
+		if k.bus.Wants(event.KindSvcEnter) {
+			k.bus.Publish(event.Event{Kind: event.KindSvcEnter,
+				Time: k.sim.Now(), Thread: threadName(t), Obj: c.name})
+		}
+		c.sp = spConsume
+		fallthrough
+	case spConsume:
+		if t != nil {
+			switch t.StepConsume(k.cfg.Costs.Service, trace.CtxService, c.name) {
+			case core.StepWait:
+				return core.StepWait, EOK
+			case core.StepReset:
+				c.exit(k, t, EOK)
+				return core.StepReset, EOK
+			}
+		}
+		er, aw := try(k)
+		if aw == nil {
+			return core.StepDone, c.exit(k, t, er)
+		}
+		c.aw = aw
+		k.api.UnlockDispatch()
+		c.sp = spBlock
+		fallthrough
+	default: // spBlock
+		st, err := t.StepBlock(c.aw.obj)
+		switch st {
+		case core.StepWait:
+			return st, EOK
+		case core.StepReset:
+			c.sp, c.aw = spEnter, nil
+			return st, EOK
+		}
+		k.api.LockDispatch()
+		er := k.endSleep(c.aw.task, err)
+		c.aw = nil
+		return core.StepDone, c.exit(k, t, er)
 	}
 }
 
-// exitSvc is the service-call epilogue: it publishes the exit event with the
-// resolved error code and releases the dispatch lock.
-func (k *Kernel) exitSvc(name string, er *ER) {
-	if task := k.caller(); task != nil && task.parked {
-		// A reset unwound the task out of a parked service (see finish):
-		// the dispatch lock was already released around the wait and the
-		// service never completes, so there is nothing to unlock or report.
-		task.parked = false
-		return
-	}
+// exit is the service epilogue: it publishes svc-exit with the resolved
+// code, releases the dispatch lock and rewinds the frame.
+func (c *svcCall) exit(k *Kernel, t *core.TThread, er ER) ER {
 	if k.bus.Wants(event.KindSvcExit) {
 		k.bus.Publish(event.Event{Kind: event.KindSvcExit,
-			Time: k.sim.Now(), Thread: threadName(k.api.ExecutingThread()),
-			Obj: name, Code: int(*er)})
+			Time: k.sim.Now(), Thread: threadName(t), Obj: c.name, Code: int(er)})
 	}
 	k.api.UnlockDispatch()
+	c.sp = spEnter
+	return er
+}
+
+// call issues one service call from a closure body, a handler closure or
+// outside any T-THREAD: it steps a frame on the caller's stack, parking the
+// caller's thread whenever the frame waits. A reset unwinds the body with
+// the frame already rewound.
+func (k *Kernel) call(name string, try func(*Kernel) (ER, *armedWait)) ER {
+	t := k.api.ExecutingThread()
+	c := svcCall{name: name}
+	for {
+		st, er := c.step(k, t, try)
+		if t == nil || !t.Park(st) {
+			return er
+		}
+	}
 }
 
 // threadName names a T-THREAD, tolerating nil (handler/boot contexts).
@@ -439,11 +509,10 @@ func (k *Kernel) blockCheck(tmout TMO) (*Task, ER) {
 }
 
 // armedWait is a committed-but-not-yet-blocked wait: the task is on its
-// object's wait queue with the timeout armed, and the caller must complete
-// the wait (block on obj, then endSleep): finish for a closure task,
-// StepBlock for a program machine.
-// Each Task embeds one (a task waits on at most one object), so arming a
-// wait never allocates.
+// object's wait queue with the timeout armed, and the service frame
+// completes the wait (StepBlock on obj, then endSleep). Each Task embeds
+// one (a task waits on at most one object), so arming a wait never
+// allocates.
 type armedWait struct {
 	task *Task
 	obj  string
@@ -456,11 +525,11 @@ type waitObject interface {
 	cancelWait(k *Kernel, t *Task)
 }
 
-// armSleep is the first half of sleepOn: it commits the calling task to a
-// wait on obj (nil for the object-less sleep and delay waits), labelled
-// label, and returns the armed wait for the caller's blocking path to
-// complete. The timeout entry carries the task's waitSeq, so a stale
-// timeout never releases a newer wait of the same task.
+// armSleep commits the calling task to a wait on obj (nil for the
+// object-less sleep and delay waits), labelled label, and returns the armed
+// wait for a service body to hand back to its frame. The timeout entry
+// carries the task's waitSeq, so a stale timeout never releases a newer
+// wait of the same task.
 func (k *Kernel) armSleep(task *Task, obj waitObject, label string, tmout TMO) *armedWait {
 	task.waitSeq++
 	task.waitOn = obj
@@ -490,39 +559,18 @@ func (t *Task) cancelWait() {
 	}
 }
 
-// endSleep is the second half of sleepOn, run after the block completes
-// under the re-acquired dispatch lock: it invalidates any outstanding
-// timeout and resolves the release code.
+// endSleep completes an armed wait once the block ends, under the
+// re-acquired dispatch lock: it invalidates any outstanding timeout and
+// resolves the release code. A delay's expiry is its normal completion
+// (tk_dly_tsk), so it resolves to E_OK.
 func (k *Kernel) endSleep(task *Task, err error) ER {
 	task.waitSeq++
 	task.waitOn = nil
-	return erOf(err)
-}
-
-// finish completes a split service body for a closure task. A body that
-// did not arm a wait just yields its code; one that did is blocked here
-// with the service's dispatch lock released around the wait (atomicity
-// covers the call body up to the block) and re-acquired afterwards. A
-// reset unwinding the task out of the wait leaves parked set, which tells
-// the service's deferred exitSvc there is no lock to release. The program
-// machine replaces this with StepBlock at the same point.
-func (k *Kernel) finish(er ER, aw *armedWait) ER {
-	if aw == nil {
-		return er
+	er := erOf(err)
+	if er == ETMOUT && task.aw.obj == "delay" {
+		return EOK
 	}
-	k.api.UnlockDispatch()
-	aw.task.parked = true
-	err := k.api.BlockCurrent(aw.obj)
-	aw.task.parked = false
-	k.api.LockDispatch()
-	return k.endSleep(aw.task, err)
-}
-
-// sleepOn blocks the calling task on a kernel object with an optional
-// timeout and returns the wait release code (armSleep + finish in one
-// step, for services that are not split onto the program IR).
-func (k *Kernel) sleepOn(task *Task, obj waitObject, label string, tmout TMO) ER {
-	return k.finish(EOK, k.armSleep(task, obj, label, tmout))
+	return er
 }
 
 // wake releases a waiting task with the given code, invalidating its

@@ -34,51 +34,50 @@ type MessageBufferInfo struct {
 
 // CreMbf creates a message buffer with buffer size bufsz and maximum
 // message size maxmsz (tk_cre_mbf).
-func (k *Kernel) CreMbf(name string, attr Attr, bufsz, maxmsz int) (_ ID, er ER) {
-	k.enterSvc("tk_cre_mbf")
-	defer k.exitSvc("tk_cre_mbf", &er)
-	if bufsz < 0 || maxmsz <= 0 {
-		return 0, EPAR
-	}
-	k.nextMbf++
-	id := k.nextMbf
-	k.mbfs[id] = &MessageBuffer{
-		id: id, name: name, label: objName("mbf", id, name),
-		attr: attr, bufsz: bufsz, maxmsz: maxmsz,
-		sendQ: newWaitQueue(attr), recvQ: newWaitQueue(TaTFIFO),
-		sMsg: map[*Task][]byte{}, rDst: map[*Task]*[]byte{},
-	}
-	return id, EOK
+func (k *Kernel) CreMbf(name string, attr Attr, bufsz, maxmsz int) (id ID, er ER) {
+	er = k.call("tk_cre_mbf", func(k *Kernel) (ER, *armedWait) {
+		if bufsz < 0 || maxmsz <= 0 {
+			return EPAR, nil
+		}
+		k.nextMbf++
+		id = k.nextMbf
+		k.mbfs[id] = &MessageBuffer{
+			id: id, name: name, label: objName("mbf", id, name),
+			attr: attr, bufsz: bufsz, maxmsz: maxmsz,
+			sendQ: newWaitQueue(attr), recvQ: newWaitQueue(TaTFIFO),
+			sMsg: map[*Task][]byte{}, rDst: map[*Task]*[]byte{},
+		}
+		return EOK, nil
+	})
+	return id, er
 }
 
 // DelMbf deletes a message buffer; all waiters get E_DLT (tk_del_mbf).
-func (k *Kernel) DelMbf(id ID) (er ER) {
-	k.enterSvc("tk_del_mbf")
-	defer k.exitSvc("tk_del_mbf", &er)
-	b, ok := k.mbfs[id]
-	if !ok {
-		return ENOEXS
-	}
-	for _, q := range []*waitQueue{&b.sendQ, &b.recvQ} {
-		q.drain(func(t *Task) {
-			delete(b.sMsg, t)
-			delete(b.rDst, t)
-			k.wake(t, EDLT)
-		})
-	}
-	delete(k.mbfs, id)
-	return EOK
+func (k *Kernel) DelMbf(id ID) ER {
+	return k.call("tk_del_mbf", func(k *Kernel) (ER, *armedWait) {
+		b, ok := k.mbfs[id]
+		if !ok {
+			return ENOEXS, nil
+		}
+		for _, q := range []*waitQueue{&b.sendQ, &b.recvQ} {
+			q.drain(func(t *Task) {
+				delete(b.sMsg, t)
+				delete(b.rDst, t)
+				k.wake(t, EDLT)
+			})
+		}
+		delete(k.mbfs, id)
+		return EOK, nil
+	})
 }
 
 // SndMbf sends a message of len(msg) bytes, waiting for space up to tmout
 // (tk_snd_mbf). Messages longer than maxmsz are E_PAR.
-func (k *Kernel) SndMbf(id ID, msg []byte, tmout TMO) (er ER) {
-	k.enterSvc("tk_snd_mbf")
-	defer k.exitSvc("tk_snd_mbf", &er)
-	return k.finish(k.sndMbfBody(id, msg, tmout))
+func (k *Kernel) SndMbf(id ID, msg []byte, tmout TMO) ER {
+	return k.call("tk_snd_mbf", func(k *Kernel) (ER, *armedWait) { return k.sndMbfBody(id, msg, tmout) })
 }
 
-// sndMbfBody is the split call body of SndMbf.
+// sndMbfBody is the body of SndMbf, shared with its program op.
 func (k *Kernel) sndMbfBody(id ID, msg []byte, tmout TMO) (ER, *armedWait) {
 	b, ok := k.mbfs[id]
 	if !ok {
@@ -117,15 +116,12 @@ func (k *Kernel) sndMbfBody(id ID, msg []byte, tmout TMO) (ER, *armedWait) {
 }
 
 // RcvMbf receives the oldest message, waiting up to tmout (tk_rcv_mbf).
-func (k *Kernel) RcvMbf(id ID, tmout TMO) (_ []byte, er ER) {
-	k.enterSvc("tk_rcv_mbf")
-	defer k.exitSvc("tk_rcv_mbf", &er)
-	var got []byte
-	er = k.finish(k.rcvMbfBody(id, tmout, &got))
-	return got, er
+func (k *Kernel) RcvMbf(id ID, tmout TMO) (msg []byte, er ER) {
+	er = k.call("tk_rcv_mbf", func(k *Kernel) (ER, *armedWait) { return k.rcvMbfBody(id, tmout, &msg) })
+	return msg, er
 }
 
-// rcvMbfBody is the split call body of RcvMbf: the message is
+// rcvMbfBody is the body of RcvMbf, shared with its program op: the message is
 // delivered through dst (nil on error paths).
 func (k *Kernel) rcvMbfBody(id ID, tmout TMO, dst *[]byte) (ER, *armedWait) {
 	b, ok := k.mbfs[id]

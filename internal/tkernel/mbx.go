@@ -31,41 +31,40 @@ type MailboxInfo struct {
 
 // CreMbx creates a mailbox (tk_cre_mbx). TaMPRI orders messages by
 // priority; the default is FIFO.
-func (k *Kernel) CreMbx(name string, attr Attr) (_ ID, er ER) {
-	k.enterSvc("tk_cre_mbx")
-	defer k.exitSvc("tk_cre_mbx", &er)
-	k.nextMbx++
-	id := k.nextMbx
-	k.mbxs[id] = &Mailbox{id: id, name: name, label: objName("mbx", id, name),
-		attr: attr, wq: newWaitQueue(attr), dest: map[*Task]**Message{}}
-	return id, EOK
+func (k *Kernel) CreMbx(name string, attr Attr) (id ID, er ER) {
+	er = k.call("tk_cre_mbx", func(k *Kernel) (ER, *armedWait) {
+		k.nextMbx++
+		id = k.nextMbx
+		k.mbxs[id] = &Mailbox{id: id, name: name, label: objName("mbx", id, name),
+			attr: attr, wq: newWaitQueue(attr), dest: map[*Task]**Message{}}
+		return EOK, nil
+	})
+	return id, er
 }
 
 // DelMbx deletes a mailbox; waiting receivers get E_DLT (tk_del_mbx).
-func (k *Kernel) DelMbx(id ID) (er ER) {
-	k.enterSvc("tk_del_mbx")
-	defer k.exitSvc("tk_del_mbx", &er)
-	m, ok := k.mbxs[id]
-	if !ok {
-		return ENOEXS
-	}
-	m.wq.drain(func(t *Task) {
-		delete(m.dest, t)
-		k.wake(t, EDLT)
+func (k *Kernel) DelMbx(id ID) ER {
+	return k.call("tk_del_mbx", func(k *Kernel) (ER, *armedWait) {
+		m, ok := k.mbxs[id]
+		if !ok {
+			return ENOEXS, nil
+		}
+		m.wq.drain(func(t *Task) {
+			delete(m.dest, t)
+			k.wake(t, EDLT)
+		})
+		delete(k.mbxs, id)
+		return EOK, nil
 	})
-	delete(k.mbxs, id)
-	return EOK
 }
 
 // SndMbx sends a message (tk_snd_mbx); never blocks. A waiting receiver is
 // handed the message directly.
-func (k *Kernel) SndMbx(id ID, msg *Message) (er ER) {
-	k.enterSvc("tk_snd_mbx")
-	defer k.exitSvc("tk_snd_mbx", &er)
-	return k.sndMbxBody(id, msg)
+func (k *Kernel) SndMbx(id ID, msg *Message) ER {
+	return k.call("tk_snd_mbx", func(k *Kernel) (ER, *armedWait) { return k.sndMbxBody(id, msg), nil })
 }
 
-// sndMbxBody is the split call body of SndMbx.
+// sndMbxBody is the body of SndMbx, shared with its program op.
 func (k *Kernel) sndMbxBody(id ID, msg *Message) ER {
 	m, ok := k.mbxs[id]
 	if !ok {
@@ -99,15 +98,12 @@ func (k *Kernel) sndMbxBody(id ID, msg *Message) ER {
 }
 
 // RcvMbx receives the head message, waiting up to tmout (tk_rcv_mbx).
-func (k *Kernel) RcvMbx(id ID, tmout TMO) (_ *Message, er ER) {
-	k.enterSvc("tk_rcv_mbx")
-	defer k.exitSvc("tk_rcv_mbx", &er)
-	var got *Message
-	er = k.finish(k.rcvMbxBody(id, tmout, &got))
-	return got, er
+func (k *Kernel) RcvMbx(id ID, tmout TMO) (msg *Message, er ER) {
+	er = k.call("tk_rcv_mbx", func(k *Kernel) (ER, *armedWait) { return k.rcvMbxBody(id, tmout, &msg) })
+	return msg, er
 }
 
-// rcvMbxBody is the split call body of RcvMbx: the message is
+// rcvMbxBody is the body of RcvMbx, shared with its program op: the message is
 // delivered through dst (nil on error paths).
 func (k *Kernel) rcvMbxBody(id ID, tmout TMO, dst **Message) (ER, *armedWait) {
 	m, ok := k.mbxs[id]

@@ -39,57 +39,55 @@ type FixedPoolInfo struct {
 }
 
 // CreMpf creates a fixed-size pool (tk_cre_mpf).
-func (k *Kernel) CreMpf(name string, attr Attr, blkcnt, blksz int) (_ ID, er ER) {
-	k.enterSvc("tk_cre_mpf")
-	defer k.exitSvc("tk_cre_mpf", &er)
-	if blkcnt <= 0 || blksz <= 0 {
-		return 0, EPAR
-	}
-	k.nextMpf++
-	id := k.nextMpf
-	p := &FixedPool{
-		id: id, name: name, label: objName("mpf", id, name),
-		attr: attr, blksz: blksz, blkcnt: blkcnt,
-		arena: make([]byte, blkcnt*blksz),
-		wq:    newWaitQueue(attr),
-		dst:   map[*Task]**MemBlock{},
-	}
-	p.blocks = make([]*MemBlock, blkcnt)
-	for i := blkcnt - 1; i >= 0; i-- {
-		p.free = append(p.free, i)
-		p.blocks[i] = &MemBlock{pool: id, idx: i,
-			Data: p.arena[i*blksz : (i+1)*blksz]}
-	}
-	k.mpfs[id] = p
-	return id, EOK
+func (k *Kernel) CreMpf(name string, attr Attr, blkcnt, blksz int) (id ID, er ER) {
+	er = k.call("tk_cre_mpf", func(k *Kernel) (ER, *armedWait) {
+		if blkcnt <= 0 || blksz <= 0 {
+			return EPAR, nil
+		}
+		k.nextMpf++
+		id = k.nextMpf
+		p := &FixedPool{
+			id: id, name: name, label: objName("mpf", id, name),
+			attr: attr, blksz: blksz, blkcnt: blkcnt,
+			arena: make([]byte, blkcnt*blksz),
+			wq:    newWaitQueue(attr),
+			dst:   map[*Task]**MemBlock{},
+		}
+		p.blocks = make([]*MemBlock, blkcnt)
+		for i := blkcnt - 1; i >= 0; i-- {
+			p.free = append(p.free, i)
+			p.blocks[i] = &MemBlock{pool: id, idx: i,
+				Data: p.arena[i*blksz : (i+1)*blksz]}
+		}
+		k.mpfs[id] = p
+		return EOK, nil
+	})
+	return id, er
 }
 
 // DelMpf deletes a fixed pool; waiters get E_DLT (tk_del_mpf).
-func (k *Kernel) DelMpf(id ID) (er ER) {
-	k.enterSvc("tk_del_mpf")
-	defer k.exitSvc("tk_del_mpf", &er)
-	p, ok := k.mpfs[id]
-	if !ok {
-		return ENOEXS
-	}
-	p.wq.drain(func(t *Task) {
-		delete(p.dst, t)
-		k.wake(t, EDLT)
+func (k *Kernel) DelMpf(id ID) ER {
+	return k.call("tk_del_mpf", func(k *Kernel) (ER, *armedWait) {
+		p, ok := k.mpfs[id]
+		if !ok {
+			return ENOEXS, nil
+		}
+		p.wq.drain(func(t *Task) {
+			delete(p.dst, t)
+			k.wake(t, EDLT)
+		})
+		delete(k.mpfs, id)
+		return EOK, nil
 	})
-	delete(k.mpfs, id)
-	return EOK
 }
 
 // GetMpf acquires one block, waiting up to tmout (tk_get_mpf).
-func (k *Kernel) GetMpf(id ID, tmout TMO) (_ *MemBlock, er ER) {
-	k.enterSvc("tk_get_mpf")
-	defer k.exitSvc("tk_get_mpf", &er)
-	var got *MemBlock
-	er = k.finish(k.getMpfBody(id, tmout, &got))
-	return got, er
+func (k *Kernel) GetMpf(id ID, tmout TMO) (blk *MemBlock, er ER) {
+	er = k.call("tk_get_mpf", func(k *Kernel) (ER, *armedWait) { return k.getMpfBody(id, tmout, &blk) })
+	return blk, er
 }
 
-// getMpfBody is the split call body of GetMpf: the block is
+// getMpfBody is the body of GetMpf, shared with its program op: the block is
 // delivered through dst (nil on error paths).
 func (k *Kernel) getMpfBody(id ID, tmout TMO, dst **MemBlock) (ER, *armedWait) {
 	p, ok := k.mpfs[id]
@@ -129,13 +127,11 @@ func (p *FixedPool) take() *MemBlock {
 
 // RelMpf returns a block to its pool (tk_rel_mpf); a waiting task is handed
 // the block directly.
-func (k *Kernel) RelMpf(id ID, b *MemBlock) (er ER) {
-	k.enterSvc("tk_rel_mpf")
-	defer k.exitSvc("tk_rel_mpf", &er)
-	return k.relMpfBody(id, b)
+func (k *Kernel) RelMpf(id ID, b *MemBlock) ER {
+	return k.call("tk_rel_mpf", func(k *Kernel) (ER, *armedWait) { return k.relMpfBody(id, b), nil })
 }
 
-// relMpfBody is the split call body of RelMpf.
+// relMpfBody is the body of RelMpf, shared with its program op.
 func (k *Kernel) relMpfBody(id ID, b *MemBlock) ER {
 	p, ok := k.mpfs[id]
 	if !ok {
@@ -212,39 +208,40 @@ type VariablePoolInfo struct {
 func align(n int) int { return (n + 7) &^ 7 }
 
 // CreMpl creates a variable-size pool of mplsz bytes (tk_cre_mpl).
-func (k *Kernel) CreMpl(name string, attr Attr, mplsz int) (_ ID, er ER) {
-	k.enterSvc("tk_cre_mpl")
-	defer k.exitSvc("tk_cre_mpl", &er)
-	if mplsz <= 0 {
-		return 0, EPAR
-	}
-	mplsz = align(mplsz)
-	k.nextMpl++
-	id := k.nextMpl
-	k.mpls[id] = &VariablePool{
-		id: id, name: name, label: objName("mpl", id, name), attr: attr,
-		arena: make([]byte, mplsz),
-		holes: []hole{{0, mplsz}},
-		wq:    newWaitQueue(attr),
-		reqs:  map[*Task]*mplReq{},
-	}
-	return id, EOK
+func (k *Kernel) CreMpl(name string, attr Attr, mplsz int) (id ID, er ER) {
+	er = k.call("tk_cre_mpl", func(k *Kernel) (ER, *armedWait) {
+		if mplsz <= 0 {
+			return EPAR, nil
+		}
+		mplsz = align(mplsz)
+		k.nextMpl++
+		id = k.nextMpl
+		k.mpls[id] = &VariablePool{
+			id: id, name: name, label: objName("mpl", id, name), attr: attr,
+			arena: make([]byte, mplsz),
+			holes: []hole{{0, mplsz}},
+			wq:    newWaitQueue(attr),
+			reqs:  map[*Task]*mplReq{},
+		}
+		return EOK, nil
+	})
+	return id, er
 }
 
 // DelMpl deletes a variable pool; waiters get E_DLT (tk_del_mpl).
-func (k *Kernel) DelMpl(id ID) (er ER) {
-	k.enterSvc("tk_del_mpl")
-	defer k.exitSvc("tk_del_mpl", &er)
-	p, ok := k.mpls[id]
-	if !ok {
-		return ENOEXS
-	}
-	p.wq.drain(func(t *Task) {
-		delete(p.reqs, t)
-		k.wake(t, EDLT)
+func (k *Kernel) DelMpl(id ID) ER {
+	return k.call("tk_del_mpl", func(k *Kernel) (ER, *armedWait) {
+		p, ok := k.mpls[id]
+		if !ok {
+			return ENOEXS, nil
+		}
+		p.wq.drain(func(t *Task) {
+			delete(p.reqs, t)
+			k.wake(t, EDLT)
+		})
+		delete(k.mpls, id)
+		return EOK, nil
 	})
-	delete(k.mpls, id)
-	return EOK
 }
 
 // alloc carves size bytes (plus an 8-byte header granule) first-fit.
@@ -296,15 +293,12 @@ func (p *VariablePool) release(b *MemBlock) {
 
 // GetMpl allocates size bytes, waiting up to tmout while space is
 // insufficient (tk_get_mpl).
-func (k *Kernel) GetMpl(id ID, size int, tmout TMO) (_ *MemBlock, er ER) {
-	k.enterSvc("tk_get_mpl")
-	defer k.exitSvc("tk_get_mpl", &er)
-	var got *MemBlock
-	er = k.finish(k.getMplBody(id, size, tmout, &got))
-	return got, er
+func (k *Kernel) GetMpl(id ID, size int, tmout TMO) (blk *MemBlock, er ER) {
+	er = k.call("tk_get_mpl", func(k *Kernel) (ER, *armedWait) { return k.getMplBody(id, size, tmout, &blk) })
+	return blk, er
 }
 
-// getMplBody is the split call body of GetMpl: the block is
+// getMplBody is the body of GetMpl, shared with its program op: the block is
 // delivered through dst (nil on error paths).
 func (k *Kernel) getMplBody(id ID, size int, tmout TMO, dst **MemBlock) (ER, *armedWait) {
 	p, ok := k.mpls[id]
@@ -339,13 +333,11 @@ func (p *VariablePool) cancelWait(_ *Kernel, t *Task) {
 }
 
 // RelMpl frees a block (tk_rel_mpl) and satisfies queued requests in order.
-func (k *Kernel) RelMpl(id ID, b *MemBlock) (er ER) {
-	k.enterSvc("tk_rel_mpl")
-	defer k.exitSvc("tk_rel_mpl", &er)
-	return k.relMplBody(id, b)
+func (k *Kernel) RelMpl(id ID, b *MemBlock) ER {
+	return k.call("tk_rel_mpl", func(k *Kernel) (ER, *armedWait) { return k.relMplBody(id, b), nil })
 }
 
-// relMplBody is the split call body of RelMpl.
+// relMplBody is the body of RelMpl, shared with its program op.
 func (k *Kernel) relMplBody(id ID, b *MemBlock) ER {
 	p, ok := k.mpls[id]
 	if !ok {

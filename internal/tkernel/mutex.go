@@ -28,56 +28,55 @@ type MutexInfo struct {
 
 // CreMtx creates a mutex (tk_cre_mtx). For TA_CEILING, ceilpri is the
 // ceiling priority; ignored otherwise.
-func (k *Kernel) CreMtx(name string, attr Attr, ceilpri int) (_ ID, er ER) {
-	k.enterSvc("tk_cre_mtx")
-	defer k.exitSvc("tk_cre_mtx", &er)
-	if attr&TaCeiling != 0 && (ceilpri < 1 || ceilpri > k.cfg.MaxPriority) {
-		return 0, EPAR
-	}
-	if attr&TaCeiling != 0 && attr&TaInherit != 0 {
-		return 0, ERSATR
-	}
-	k.nextMtx++
-	id := k.nextMtx
-	wqAttr := attr
-	if attr&(TaInherit|TaCeiling) != 0 {
-		wqAttr |= TaTPRI // inheritance/ceiling imply priority-ordered queue
-	}
-	m := &Mutex{id: id, name: name, label: objName("mtx", id, name),
-		attr: attr, ceiling: ceilpri, wq: newWaitQueue(wqAttr)}
-	m.wq.mtx = m
-	k.mtxs[id] = m
-	return id, EOK
+func (k *Kernel) CreMtx(name string, attr Attr, ceilpri int) (id ID, er ER) {
+	er = k.call("tk_cre_mtx", func(k *Kernel) (ER, *armedWait) {
+		if attr&TaCeiling != 0 && (ceilpri < 1 || ceilpri > k.cfg.MaxPriority) {
+			return EPAR, nil
+		}
+		if attr&TaCeiling != 0 && attr&TaInherit != 0 {
+			return ERSATR, nil
+		}
+		k.nextMtx++
+		id = k.nextMtx
+		wqAttr := attr
+		if attr&(TaInherit|TaCeiling) != 0 {
+			wqAttr |= TaTPRI // inheritance/ceiling imply priority-ordered queue
+		}
+		m := &Mutex{id: id, name: name, label: objName("mtx", id, name),
+			attr: attr, ceiling: ceilpri, wq: newWaitQueue(wqAttr)}
+		m.wq.mtx = m
+		k.mtxs[id] = m
+		return EOK, nil
+	})
+	return id, er
 }
 
 // DelMtx deletes a mutex; waiters are released with E_DLT (tk_del_mtx).
-func (k *Kernel) DelMtx(id ID) (er ER) {
-	k.enterSvc("tk_del_mtx")
-	defer k.exitSvc("tk_del_mtx", &er)
-	m, ok := k.mtxs[id]
-	if !ok {
-		return ENOEXS
-	}
-	if m.owner != nil {
-		k.dropOwnership(m.owner, m)
-	}
-	m.wq.drain(func(t *Task) {
-		k.wake(t, EDLT)
+func (k *Kernel) DelMtx(id ID) ER {
+	return k.call("tk_del_mtx", func(k *Kernel) (ER, *armedWait) {
+		m, ok := k.mtxs[id]
+		if !ok {
+			return ENOEXS, nil
+		}
+		if m.owner != nil {
+			k.dropOwnership(m.owner, m)
+		}
+		m.wq.drain(func(t *Task) {
+			k.wake(t, EDLT)
+		})
+		delete(k.mtxs, id)
+		return EOK, nil
 	})
-	delete(k.mtxs, id)
-	return EOK
 }
 
 // LocMtx locks the mutex, waiting up to tmout (tk_loc_mtx). Re-locking a
 // mutex the caller already owns is E_ILUSE. Under TA_CEILING, a locker
 // whose base priority outranks the ceiling is E_ILUSE.
-func (k *Kernel) LocMtx(id ID, tmout TMO) (er ER) {
-	k.enterSvc("tk_loc_mtx")
-	defer k.exitSvc("tk_loc_mtx", &er)
-	return k.finish(k.locMtxBody(id, tmout))
+func (k *Kernel) LocMtx(id ID, tmout TMO) ER {
+	return k.call("tk_loc_mtx", func(k *Kernel) (ER, *armedWait) { return k.locMtxBody(id, tmout) })
 }
 
-// locMtxBody is the split call body of LocMtx.
+// locMtxBody is the body of LocMtx, shared with its program op.
 func (k *Kernel) locMtxBody(id ID, tmout TMO) (ER, *armedWait) {
 	m, ok := k.mtxs[id]
 	if !ok {
@@ -123,13 +122,11 @@ func (m *Mutex) cancelWait(k *Kernel, t *Task) {
 
 // UnlMtx unlocks the mutex and passes ownership to the head waiter
 // (tk_unl_mtx). Only the owner may unlock (E_ILUSE).
-func (k *Kernel) UnlMtx(id ID) (er ER) {
-	k.enterSvc("tk_unl_mtx")
-	defer k.exitSvc("tk_unl_mtx", &er)
-	return k.unlMtxBody(id)
+func (k *Kernel) UnlMtx(id ID) ER {
+	return k.call("tk_unl_mtx", func(k *Kernel) (ER, *armedWait) { return k.unlMtxBody(id), nil })
 }
 
-// unlMtxBody is the split call body of UnlMtx.
+// unlMtxBody is the body of UnlMtx, shared with its program op.
 func (k *Kernel) unlMtxBody(id ID) ER {
 	m, ok := k.mtxs[id]
 	if !ok {

@@ -201,7 +201,7 @@ func TestServiceCallEnterExitPairing(t *testing.T) {
 	if len(chk.stack) != 0 {
 		t.Errorf("unbalanced svc-enter stack at end of run: %v", chk.stack)
 	}
-	// Every distinct kernel service (59 enterSvc names) must have been exercised.
+	// Every distinct kernel service (59 service names) must have been exercised.
 	seen := map[string]bool{}
 	for _, e := range chk.exits {
 		seen[e.name] = true

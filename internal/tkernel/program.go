@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/event"
 	"repro/internal/sysc"
 	"repro/internal/trace"
 )
@@ -12,10 +11,9 @@ import (
 // This file is the program IR: task and handler bodies expressed as a flat
 // list of operations instead of a Go closure, compiled to a resumable
 // machine (progMachine) that the scheduler loop drives inline on the
-// T-THREAD's coroutine. Every service call is re-expressed through the
-// core Step* primitives and the split xxxBody halves of the services, so a
-// program traverses the same kernel bookkeeping, in the same order, as the
-// public service a closure task would call.
+// T-THREAD's coroutine. A service op steps the same svcCall frame, over the
+// same body, as the public service a closure task calls, so a program
+// traverses the same kernel bookkeeping in the same order.
 
 // opKind discriminates program operations.
 type opKind uint8
@@ -30,9 +28,9 @@ const (
 	opExit               // end the body (the closure's return)
 )
 
-// progOp is one program operation. A service op runs its split service
-// body (try), which may hand back an armed wait for the machine's
-// StepBlock to complete.
+// progOp is one program operation. A service op runs its service body
+// (try) in the machine's svcCall frame; the body may hand back an armed
+// wait for the frame to complete.
 type progOp struct {
 	kind opKind
 	name string // service name / work note
@@ -42,7 +40,6 @@ type progOp struct {
 	ctx  trace.Context                    // opWork
 	io   func() core.Access               // opIo
 	try  func(k *Kernel) (ER, *armedWait) // opSvc
-	post func(ER) ER                      // opSvc, optional code remap
 	er   *ER                              // opSvc, optional result out
 
 	cond  func() bool // opBr
@@ -144,8 +141,8 @@ func (p *Program) Exit() *Program {
 }
 
 // svc appends a service op.
-func (p *Program) svc(name string, try func(k *Kernel) (ER, *armedWait), post func(ER) ER, er *ER) *Program {
-	return p.add(progOp{kind: opSvc, name: name, try: try, post: post, er: er})
+func (p *Program) svc(name string, try func(k *Kernel) (ER, *armedWait), er *ER) *Program {
+	return p.add(progOp{kind: opSvc, name: name, try: try, er: er})
 }
 
 // --- service ops -----------------------------------------------------------
@@ -159,49 +156,49 @@ func (p *Program) svc(name string, try func(k *Kernel) (ER, *armedWait), post fu
 func (p *Program) SlpTsk(tmout TMO, er *ER) *Program {
 	return p.svc("tk_slp_tsk",
 		func(k *Kernel) (ER, *armedWait) { return k.slpTskBody(tmout) },
-		nil, er)
+		er)
 }
 
 // DlyTsk appends tk_dly_tsk.
 func (p *Program) DlyTsk(d sysc.Time, er *ER) *Program {
 	return p.svc("tk_dly_tsk",
 		func(k *Kernel) (ER, *armedWait) { return k.dlyTskBody(d) },
-		dlyTskPost, er)
+		er)
 }
 
 // WupTsk appends tk_wup_tsk.
 func (p *Program) WupTsk(id *ID, er *ER) *Program {
 	return p.svc("tk_wup_tsk",
 		func(k *Kernel) (ER, *armedWait) { return k.wupTskBody(*id), nil },
-		nil, er)
+		er)
 }
 
 // RotRdq appends tk_rot_rdq.
 func (p *Program) RotRdq(priority int, er *ER) *Program {
 	return p.svc("tk_rot_rdq",
 		func(k *Kernel) (ER, *armedWait) { return k.rotRdqBody(priority), nil },
-		nil, er)
+		er)
 }
 
 // SigSem appends tk_sig_sem.
 func (p *Program) SigSem(id *ID, cnt int, er *ER) *Program {
 	return p.svc("tk_sig_sem",
 		func(k *Kernel) (ER, *armedWait) { return k.sigSemBody(*id, cnt), nil },
-		nil, er)
+		er)
 }
 
 // WaiSem appends tk_wai_sem.
 func (p *Program) WaiSem(id *ID, cnt int, tmout TMO, er *ER) *Program {
 	return p.svc("tk_wai_sem",
 		func(k *Kernel) (ER, *armedWait) { return k.waiSemBody(*id, cnt, tmout) },
-		nil, er)
+		er)
 }
 
 // SetFlg appends tk_set_flg.
 func (p *Program) SetFlg(id *ID, setptn uint32, er *ER) *Program {
 	return p.svc("tk_set_flg",
 		func(k *Kernel) (ER, *armedWait) { return k.setFlgBody(*id, setptn), nil },
-		nil, er)
+		er)
 }
 
 // WaiFlg appends tk_wai_flg; the release pattern is delivered through ptn.
@@ -210,14 +207,14 @@ func (p *Program) WaiFlg(id *ID, waiptn uint32, mode FlagMode, tmout TMO, ptn *u
 		func(k *Kernel) (ER, *armedWait) {
 			*ptn = 0
 			return k.waiFlgBody(*id, waiptn, mode, tmout, ptn)
-		}, nil, er)
+		}, er)
 }
 
 // SndMbx appends tk_snd_mbx; the message is read from msg when the op runs.
 func (p *Program) SndMbx(id *ID, msg **Message, er *ER) *Program {
 	return p.svc("tk_snd_mbx",
 		func(k *Kernel) (ER, *armedWait) { return k.sndMbxBody(*id, *msg), nil },
-		nil, er)
+		er)
 }
 
 // RcvMbx appends tk_rcv_mbx; the message is delivered through msg.
@@ -226,14 +223,14 @@ func (p *Program) RcvMbx(id *ID, tmout TMO, msg **Message, er *ER) *Program {
 		func(k *Kernel) (ER, *armedWait) {
 			*msg = nil
 			return k.rcvMbxBody(*id, tmout, msg)
-		}, nil, er)
+		}, er)
 }
 
 // SndMbf appends tk_snd_mbf; the message is read from msg when the op runs.
 func (p *Program) SndMbf(id *ID, msg *[]byte, tmout TMO, er *ER) *Program {
 	return p.svc("tk_snd_mbf",
 		func(k *Kernel) (ER, *armedWait) { return k.sndMbfBody(*id, *msg, tmout) },
-		nil, er)
+		er)
 }
 
 // RcvMbf appends tk_rcv_mbf; the message is delivered through msg.
@@ -242,7 +239,7 @@ func (p *Program) RcvMbf(id *ID, tmout TMO, msg *[]byte, er *ER) *Program {
 		func(k *Kernel) (ER, *armedWait) {
 			*msg = nil
 			return k.rcvMbfBody(*id, tmout, msg)
-		}, nil, er)
+		}, er)
 }
 
 // GetMpf appends tk_get_mpf; the block is delivered through blk.
@@ -251,14 +248,14 @@ func (p *Program) GetMpf(id *ID, tmout TMO, blk **MemBlock, er *ER) *Program {
 		func(k *Kernel) (ER, *armedWait) {
 			*blk = nil
 			return k.getMpfBody(*id, tmout, blk)
-		}, nil, er)
+		}, er)
 }
 
 // RelMpf appends tk_rel_mpf; the block is read from blk when the op runs.
 func (p *Program) RelMpf(id *ID, blk **MemBlock, er *ER) *Program {
 	return p.svc("tk_rel_mpf",
 		func(k *Kernel) (ER, *armedWait) { return k.relMpfBody(*id, *blk), nil },
-		nil, er)
+		er)
 }
 
 // GetMpl appends tk_get_mpl; the block is delivered through blk.
@@ -267,28 +264,28 @@ func (p *Program) GetMpl(id *ID, size int, tmout TMO, blk **MemBlock, er *ER) *P
 		func(k *Kernel) (ER, *armedWait) {
 			*blk = nil
 			return k.getMplBody(*id, size, tmout, blk)
-		}, nil, er)
+		}, er)
 }
 
 // RelMpl appends tk_rel_mpl; the block is read from blk when the op runs.
 func (p *Program) RelMpl(id *ID, blk **MemBlock, er *ER) *Program {
 	return p.svc("tk_rel_mpl",
 		func(k *Kernel) (ER, *armedWait) { return k.relMplBody(*id, *blk), nil },
-		nil, er)
+		er)
 }
 
 // LocMtx appends tk_loc_mtx.
 func (p *Program) LocMtx(id *ID, tmout TMO, er *ER) *Program {
 	return p.svc("tk_loc_mtx",
 		func(k *Kernel) (ER, *armedWait) { return k.locMtxBody(*id, tmout) },
-		nil, er)
+		er)
 }
 
 // UnlMtx appends tk_unl_mtx.
 func (p *Program) UnlMtx(id *ID, er *ER) *Program {
 	return p.svc("tk_unl_mtx",
 		func(k *Kernel) (ER, *armedWait) { return k.unlMtxBody(*id), nil },
-		nil, er)
+		er)
 }
 
 // StaAlm appends tk_sta_alm (the alarm re-arm pattern: id may point at the
@@ -296,34 +293,22 @@ func (p *Program) UnlMtx(id *ID, er *ER) *Program {
 func (p *Program) StaAlm(id *ID, d sysc.Time, er *ER) *Program {
 	return p.svc("tk_sta_alm",
 		func(k *Kernel) (ER, *armedWait) { return k.staAlmBody(*id, d), nil },
-		nil, er)
+		er)
 }
 
 // --- compiled machine ------------------------------------------------------
 
-// svcPhase tracks where inside one service op a machine is parked.
-type svcPhase uint8
-
-const (
-	spEnter   svcPhase = iota // AwaitCPU before the dispatch lock
-	spConsume                 // service-cost Consume, then the call body
-	spBlock                   // parked on an armed wait
-)
-
 // progMachine drives a Program as a resumable state machine
-// (core.CompiledBody). Each service op is re-expressed as the exact phase
-// sequence of the public service: StepAwaitCPU / LockDispatch / SvcEnter /
-// StepConsume (enterSvc), the split body, then SvcExit / UnlockDispatch
-// (exitSvc) — with StepBlock replacing finish's BlockCurrent when the body
-// armed a wait.
+// (core.CompiledBody). A service op steps the embedded svcCall frame, the
+// one service-call protocol a closure service (Kernel.call) steps too; the
+// frame rewinds itself when the thread is reset mid-call.
 type progMachine struct {
 	k    *Kernel
 	p    *Program
 	task *Task // owning task; nil for handler machines
 
 	pc      int
-	sp      svcPhase
-	aw      *armedWait
+	svcCall             // the frame of the service op at pc
 	acc     core.Access // the access of an in-flight Io op
 	latched bool        // acc holds the current Io op's access
 }
@@ -374,79 +359,19 @@ func (m *progMachine) Step(t *core.TThread) core.BodyStep {
 		case opExit:
 			return m.done(core.BodyDone)
 		case opSvc:
-			switch m.sp {
-			case spEnter:
-				switch t.StepAwaitCPU() {
-				case core.StepWait:
-					return core.BodyWait
-				case core.StepReset:
-					return m.done(core.BodyReset)
-				}
-				k.api.LockDispatch()
-				if k.bus.Wants(event.KindSvcEnter) {
-					k.bus.Publish(event.Event{Kind: event.KindSvcEnter,
-						Time: k.sim.Now(), Thread: t.Name(), Obj: op.name})
-				}
-				m.sp = spConsume
-			case spConsume:
-				switch t.StepConsume(k.cfg.Costs.Service, trace.CtxService, op.name) {
-				case core.StepWait:
-					return core.BodyWait
-				case core.StepReset:
-					// As a closure task's deferred exitSvc does during the
-					// reset unwind, with the zero-value named er.
-					m.svcExit(t, op.name, EOK)
-					k.api.UnlockDispatch()
-					return m.done(core.BodyReset)
-				}
-				er, aw := op.try(k)
-				if aw == nil {
-					m.svcDone(t, op, er)
-					continue
-				}
-				m.aw = aw
-				k.api.UnlockDispatch()
-				m.sp = spBlock
-			case spBlock:
-				st, err := t.StepBlock(m.aw.obj)
-				switch st {
-				case core.StepWait:
-					return core.BodyWait
-				case core.StepReset:
-					// The dispatch lock is not held while parked: rewind
-					// without unlocking or reporting an exit (see finish).
-					return m.done(core.BodyReset)
-				}
-				k.api.LockDispatch()
-				er := k.endSleep(m.aw.task, err)
-				m.aw = nil
-				m.svcDone(t, op, er)
+			m.name = op.name
+			st, er := m.step(k, t, op.try)
+			switch st {
+			case core.StepWait:
+				return core.BodyWait
+			case core.StepReset:
+				return m.done(core.BodyReset)
 			}
+			if op.er != nil {
+				*op.er = er
+			}
+			m.pc++
 		}
-	}
-}
-
-// svcDone finishes a service op under the dispatch lock: remap, publish the
-// exit event, deliver the code, unlock, advance.
-func (m *progMachine) svcDone(t *core.TThread, op *progOp, er ER) {
-	if op.post != nil {
-		er = op.post(er)
-	}
-	m.svcExit(t, op.name, er)
-	if op.er != nil {
-		*op.er = er
-	}
-	m.k.api.UnlockDispatch()
-	m.sp = spEnter
-	m.pc++
-}
-
-// svcExit publishes the service exit event (exitSvc's publish half).
-func (m *progMachine) svcExit(t *core.TThread, name string, er ER) {
-	k := m.k
-	if k.bus.Wants(event.KindSvcExit) {
-		k.bus.Publish(event.Event{Kind: event.KindSvcExit,
-			Time: k.sim.Now(), Thread: t.Name(), Obj: name, Code: int(er)})
 	}
 }
 
@@ -456,8 +381,6 @@ func (m *progMachine) svcExit(t *core.TThread, name string, er ER) {
 // unwind alike).
 func (m *progMachine) done(st core.BodyStep) core.BodyStep {
 	m.pc = 0
-	m.sp = spEnter
-	m.aw = nil
 	m.latched = false
 	if m.task != nil {
 		m.k.releaseOwnedMutexes(m.task)
@@ -469,66 +392,34 @@ func (m *progMachine) done(st core.BodyStep) core.BodyStep {
 
 // CreTskProg creates a task whose body is a program (tk_cre_tsk), compiled
 // to a machine driven inline by the scheduler loop.
-func (k *Kernel) CreTskProg(name string, priority int, prog *Program) (_ ID, er ER) {
-	k.enterSvc("tk_cre_tsk")
-	defer k.exitSvc("tk_cre_tsk", &er)
-	if priority < 1 || priority > k.cfg.MaxPriority {
-		return 0, EPAR
-	}
-	prog.finalize()
-	k.nextTask++
-	id := k.nextTask
-	task := &Task{id: id, k: k, name: name}
-	task.tt = k.api.CreateThreadCompiled(name, core.KindTask, priority,
-		&progMachine{k: k, p: prog, task: task})
-	task.tt.SetExinf(task)
-	k.tasks[id] = task
-	return id, EOK
+func (k *Kernel) CreTskProg(name string, priority int, prog *Program) (ID, ER) {
+	return k.creTsk(name, priority, func(task *Task) *core.TThread {
+		prog.finalize()
+		return k.api.CreateThreadCompiled(name, core.KindTask, priority, &progMachine{k: k, p: prog, task: task})
+	})
 }
 
-// newHandlerThread registers a handler-level T-THREAD running a program.
-func (k *Kernel) newHandlerThread(name string, kind core.Kind, prog *Program) *core.TThread {
-	prog.finalize()
-	return k.api.CreateThreadCompiled(name, kind, 0, &progMachine{k: k, p: prog})
+// progHandler returns the thread constructor of a handler whose body is a
+// program.
+func (k *Kernel) progHandler(name string, kind core.Kind, prog *Program) func() *core.TThread {
+	return func() *core.TThread {
+		prog.finalize()
+		return k.api.CreateThreadCompiled(name, kind, 0, &progMachine{k: k, p: prog})
+	}
 }
 
 // CreCycProg creates a cyclic handler whose body is a program (tk_cre_cyc).
-func (k *Kernel) CreCycProg(name string, interval, phase sysc.Time, prog *Program) (_ ID, er ER) {
-	k.enterSvc("tk_cre_cyc")
-	defer k.exitSvc("tk_cre_cyc", &er)
-	if interval <= 0 || phase < 0 {
-		return 0, EPAR
-	}
-	k.nextCyc++
-	id := k.nextCyc
-	c := &CyclicHandler{id: id, name: name, interval: interval, phase: phase, k: k}
-	c.tt = k.newHandlerThread(name, core.KindCyclicHandler, prog)
-	k.cycs[id] = c
-	return id, EOK
+func (k *Kernel) CreCycProg(name string, interval, phase sysc.Time, prog *Program) (ID, ER) {
+	return k.creCyc(name, interval, phase, k.progHandler(name, core.KindCyclicHandler, prog))
 }
 
 // CreAlmProg creates an alarm handler whose body is a program (tk_cre_alm).
-func (k *Kernel) CreAlmProg(name string, prog *Program) (_ ID, er ER) {
-	k.enterSvc("tk_cre_alm")
-	defer k.exitSvc("tk_cre_alm", &er)
-	k.nextAlm++
-	id := k.nextAlm
-	a := &AlarmHandler{id: id, name: name, k: k}
-	a.tt = k.newHandlerThread(name, core.KindAlarmHandler, prog)
-	k.alms[id] = a
-	return id, EOK
+func (k *Kernel) CreAlmProg(name string, prog *Program) (ID, ER) {
+	return k.creAlm(name, k.progHandler(name, core.KindAlarmHandler, prog))
 }
 
 // DefIntProg defines an interrupt handler whose body is a program
 // (tk_def_int).
-func (k *Kernel) DefIntProg(intno int, name string, prog *Program) (er ER) {
-	k.enterSvc("tk_def_int")
-	defer k.exitSvc("tk_def_int", &er)
-	if intno < 0 {
-		return EPAR
-	}
-	isr := &ISR{intno: intno, name: name}
-	isr.tt = k.newHandlerThread(name, core.KindISR, prog)
-	k.isrs[intno] = isr
-	return EOK
+func (k *Kernel) DefIntProg(intno int, name string, prog *Program) ER {
+	return k.defInt(intno, name, k.progHandler(name, core.KindISR, prog))
 }

@@ -59,156 +59,153 @@ type PortInfo struct {
 }
 
 // CrePor creates a rendezvous port (tk_cre_por).
-func (k *Kernel) CrePor(name string, attr Attr, maxCMsz, maxRMsz int) (_ ID, er ER) {
-	k.enterSvc("tk_cre_por")
-	defer k.exitSvc("tk_cre_por", &er)
-	if maxCMsz <= 0 || maxRMsz <= 0 {
-		return 0, EPAR
-	}
-	k.nextPor++
-	id := k.nextPor
-	k.pors[id] = &Port{
-		id: id, name: name, attr: attr, maxCMsz: maxCMsz, maxRMsz: maxRMsz,
-		porLabel: objName("por", id, name), rdvLabel: objName("rdv", id, name),
-		callQ: newWaitQueue(attr), acpQ: newWaitQueue(TaTFIFO),
-		calls: map[*Task]*porCall{}, acps: map[*Task]*porAcp{},
-	}
-	return id, EOK
+func (k *Kernel) CrePor(name string, attr Attr, maxCMsz, maxRMsz int) (id ID, er ER) {
+	er = k.call("tk_cre_por", func(k *Kernel) (ER, *armedWait) {
+		if maxCMsz <= 0 || maxRMsz <= 0 {
+			return EPAR, nil
+		}
+		k.nextPor++
+		id = k.nextPor
+		k.pors[id] = &Port{
+			id: id, name: name, attr: attr, maxCMsz: maxCMsz, maxRMsz: maxRMsz,
+			porLabel: objName("por", id, name), rdvLabel: objName("rdv", id, name),
+			callQ: newWaitQueue(attr), acpQ: newWaitQueue(TaTFIFO),
+			calls: map[*Task]*porCall{}, acps: map[*Task]*porAcp{},
+		}
+		return EOK, nil
+	})
+	return id, er
 }
 
 // DelPor deletes a port: queued callers and acceptors get E_DLT; clients in
 // an established rendezvous also get E_DLT (tk_del_por).
-func (k *Kernel) DelPor(id ID) (er ER) {
-	k.enterSvc("tk_del_por")
-	defer k.exitSvc("tk_del_por", &er)
-	p, ok := k.pors[id]
-	if !ok {
-		return ENOEXS
-	}
-	p.callQ.drain(func(t *Task) {
-		delete(p.calls, t)
-		k.wake(t, EDLT)
-	})
-	p.acpQ.drain(func(t *Task) {
-		delete(p.acps, t)
-		k.wake(t, EDLT)
-	})
-	for no, r := range k.rdvs {
-		if r.port == id {
-			delete(k.rdvs, no)
-			k.wake(r.rendezvous.client, EDLT)
+func (k *Kernel) DelPor(id ID) ER {
+	return k.call("tk_del_por", func(k *Kernel) (ER, *armedWait) {
+		p, ok := k.pors[id]
+		if !ok {
+			return ENOEXS, nil
 		}
-	}
-	delete(k.pors, id)
-	return EOK
+		p.callQ.drain(func(t *Task) {
+			delete(p.calls, t)
+			k.wake(t, EDLT)
+		})
+		p.acpQ.drain(func(t *Task) {
+			delete(p.acps, t)
+			k.wake(t, EDLT)
+		})
+		for no, r := range k.rdvs {
+			if r.port == id {
+				delete(k.rdvs, no)
+				k.wake(r.rendezvous.client, EDLT)
+			}
+		}
+		delete(k.pors, id)
+		return EOK, nil
+	})
 }
 
 // CalPor calls a port (tk_cal_por): block until a server accepts a call
 // whose calptn intersects its accept pattern AND replies. The reply
 // message is returned. tmout bounds rendezvous establishment only.
-func (k *Kernel) CalPor(id ID, calptn uint32, msg []byte, tmout TMO) (_ []byte, er ER) {
-	k.enterSvc("tk_cal_por")
-	defer k.exitSvc("tk_cal_por", &er)
-	p, ok := k.pors[id]
-	if !ok {
-		return nil, ENOEXS
-	}
-	if calptn == 0 || len(msg) > p.maxCMsz {
-		return nil, EPAR
-	}
-	task, er := k.blockCheck(tmout)
-	if er != EOK {
-		return nil, er
-	}
-	own := make([]byte, len(msg))
-	copy(own, msg)
-	var reply []byte
+func (k *Kernel) CalPor(id ID, calptn uint32, msg []byte, tmout TMO) (reply []byte, er ER) {
+	er = k.call("tk_cal_por", func(k *Kernel) (ER, *armedWait) {
+		p, ok := k.pors[id]
+		if !ok {
+			return ENOEXS, nil
+		}
+		if calptn == 0 || len(msg) > p.maxCMsz {
+			return EPAR, nil
+		}
+		task, er := k.blockCheck(tmout)
+		if er != EOK {
+			return er, nil
+		}
+		own := make([]byte, len(msg))
+		copy(own, msg)
 
-	// A matching acceptor already waiting: establish immediately.
-	if srv := p.matchAcceptor(calptn); srv != nil {
-		acp := p.acps[srv]
-		p.acpQ.remove(srv)
-		delete(p.acps, srv)
-		no := k.establish(p, task, &reply)
-		*acp.rdvno = no
-		*acp.msg = own
-		k.wake(srv, EOK)
-		// Rendezvous established: wait (unbounded) for the reply.
-		code := k.sleepOn(task, p, p.rdvLabel, TmoFevr)
-		return reply, code
-	}
+		// A matching acceptor already waiting: establish immediately.
+		if srv := p.matchAcceptor(calptn); srv != nil {
+			acp := p.acps[srv]
+			p.acpQ.remove(srv)
+			delete(p.acps, srv)
+			no := k.establish(p, task, &reply)
+			*acp.rdvno = no
+			*acp.msg = own
+			k.wake(srv, EOK)
+			// Rendezvous established: wait (unbounded) for the reply.
+			return EOK, k.armSleep(task, p, p.rdvLabel, TmoFevr)
+		}
 
-	if tmout == TmoPol {
-		return nil, ETMOUT
-	}
-	p.callQ.add(task)
-	p.calls[task] = &porCall{calptn: calptn, msg: own, reply: &reply}
-	code := k.sleepOn(task, p, p.porLabel, tmout)
-	return reply, code
+		if tmout == TmoPol {
+			return ETMOUT, nil
+		}
+		p.callQ.add(task)
+		p.calls[task] = &porCall{calptn: calptn, msg: own, reply: &reply}
+		return EOK, k.armSleep(task, p, p.porLabel, tmout)
+	})
+	return reply, er
 }
 
 // AcpPor accepts a call on a port (tk_acp_por): returns the rendezvous
 // number and the call message of the first queued caller whose pattern
 // matches acpptn, blocking up to tmout when none is queued.
-func (k *Kernel) AcpPor(id ID, acpptn uint32, tmout TMO) (_ RdvNo, _ []byte, er ER) {
-	k.enterSvc("tk_acp_por")
-	defer k.exitSvc("tk_acp_por", &er)
-	p, ok := k.pors[id]
-	if !ok {
-		return 0, nil, ENOEXS
-	}
-	if acpptn == 0 {
-		return 0, nil, EPAR
-	}
+func (k *Kernel) AcpPor(id ID, acpptn uint32, tmout TMO) (no RdvNo, msg []byte, er ER) {
+	er = k.call("tk_acp_por", func(k *Kernel) (ER, *armedWait) {
+		p, ok := k.pors[id]
+		if !ok {
+			return ENOEXS, nil
+		}
+		if acpptn == 0 {
+			return EPAR, nil
+		}
 
-	// A matching caller already queued: establish immediately.
-	if cl := p.matchCaller(acpptn); cl != nil {
-		call := p.calls[cl]
-		p.callQ.remove(cl)
-		delete(p.calls, cl)
-		// The caller's timeout no longer applies; it now waits for the
-		// reply indefinitely.
-		cl.waitSeq++
-		cl.tt.SetWaitObject(p.rdvLabel)
-		no := k.establish(p, cl, call.reply)
-		return no, call.msg, EOK
-	}
+		// A matching caller already queued: establish immediately.
+		if cl := p.matchCaller(acpptn); cl != nil {
+			call := p.calls[cl]
+			p.callQ.remove(cl)
+			delete(p.calls, cl)
+			// The caller's timeout no longer applies; it now waits for the
+			// reply indefinitely.
+			cl.waitSeq++
+			cl.tt.SetWaitObject(p.rdvLabel)
+			no, msg = k.establish(p, cl, call.reply), call.msg
+			return EOK, nil
+		}
 
-	if tmout == TmoPol {
-		return 0, nil, ETMOUT
-	}
-	task, er := k.blockCheck(tmout)
-	if er != EOK {
-		return 0, nil, er
-	}
-	var no RdvNo
-	var msg []byte
-	p.acpQ.add(task)
-	p.acps[task] = &porAcp{acpptn: acpptn, rdvno: &no, msg: &msg}
-	code := k.sleepOn(task, p, p.porLabel, tmout)
-	return no, msg, code
+		if tmout == TmoPol {
+			return ETMOUT, nil
+		}
+		task, er := k.blockCheck(tmout)
+		if er != EOK {
+			return er, nil
+		}
+		p.acpQ.add(task)
+		p.acps[task] = &porAcp{acpptn: acpptn, rdvno: &no, msg: &msg}
+		return EOK, k.armSleep(task, p, p.porLabel, tmout)
+	})
+	return no, msg, er
 }
 
 // RplRdv replies to an established rendezvous, releasing the client with
 // the reply message (tk_rpl_rdv).
-func (k *Kernel) RplRdv(no RdvNo, reply []byte) (er ER) {
-	k.enterSvc("tk_rpl_rdv")
-	defer k.exitSvc("tk_rpl_rdv", &er)
-	r, ok := k.rdvs[no]
-	if !ok {
-		return EOBJ
-	}
-	p := k.pors[r.port]
-	if p != nil && len(reply) > p.maxRMsz {
-		return EPAR
-	}
-	delete(k.rdvs, no)
-	own := make([]byte, len(reply))
-	copy(own, reply)
-	*r.reply = own
-	r.client.rdvno = 0
-	k.wake(r.client, EOK)
-	return EOK
+func (k *Kernel) RplRdv(no RdvNo, reply []byte) ER {
+	return k.call("tk_rpl_rdv", func(k *Kernel) (ER, *armedWait) {
+		r, ok := k.rdvs[no]
+		if !ok {
+			return EOBJ, nil
+		}
+		p := k.pors[r.port]
+		if p != nil && len(reply) > p.maxRMsz {
+			return EPAR, nil
+		}
+		delete(k.rdvs, no)
+		own := make([]byte, len(reply))
+		copy(own, reply)
+		*r.reply = own
+		r.client.rdvno = 0
+		k.wake(r.client, EOK)
+		return EOK, nil
+	})
 }
 
 // RefPor returns the port state (tk_ref_por).

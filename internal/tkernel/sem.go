@@ -26,49 +26,48 @@ type SemInfo struct {
 
 // CreSem creates a semaphore with an initial count and a maximum count
 // (tk_cre_sem).
-func (k *Kernel) CreSem(name string, attr Attr, initCount, maxCount int) (_ ID, er ER) {
-	k.enterSvc("tk_cre_sem")
-	defer k.exitSvc("tk_cre_sem", &er)
-	if maxCount <= 0 || initCount < 0 || initCount > maxCount {
-		return 0, EPAR
-	}
-	k.nextSem++
-	id := k.nextSem
-	k.sems[id] = &Semaphore{
-		id: id, name: name, label: objName("sem", id, name), attr: attr,
-		count: initCount, maxSem: maxCount,
-		wq:      newWaitQueue(attr),
-		pending: map[*Task]int{},
-	}
-	return id, EOK
+func (k *Kernel) CreSem(name string, attr Attr, initCount, maxCount int) (id ID, er ER) {
+	er = k.call("tk_cre_sem", func(k *Kernel) (ER, *armedWait) {
+		if maxCount <= 0 || initCount < 0 || initCount > maxCount {
+			return EPAR, nil
+		}
+		k.nextSem++
+		id = k.nextSem
+		k.sems[id] = &Semaphore{
+			id: id, name: name, label: objName("sem", id, name), attr: attr,
+			count: initCount, maxSem: maxCount,
+			wq:      newWaitQueue(attr),
+			pending: map[*Task]int{},
+		}
+		return EOK, nil
+	})
+	return id, er
 }
 
 // DelSem deletes a semaphore; waiting tasks are released with E_DLT
 // (tk_del_sem).
-func (k *Kernel) DelSem(id ID) (er ER) {
-	k.enterSvc("tk_del_sem")
-	defer k.exitSvc("tk_del_sem", &er)
-	s, ok := k.sems[id]
-	if !ok {
-		return ENOEXS
-	}
-	s.wq.drain(func(t *Task) {
-		delete(s.pending, t)
-		k.wake(t, EDLT)
+func (k *Kernel) DelSem(id ID) ER {
+	return k.call("tk_del_sem", func(k *Kernel) (ER, *armedWait) {
+		s, ok := k.sems[id]
+		if !ok {
+			return ENOEXS, nil
+		}
+		s.wq.drain(func(t *Task) {
+			delete(s.pending, t)
+			k.wake(t, EDLT)
+		})
+		delete(k.sems, id)
+		return EOK, nil
 	})
-	delete(k.sems, id)
-	return EOK
 }
 
 // SigSem returns cnt resources to the semaphore and grants queued requests
 // in queue order (tk_sig_sem).
-func (k *Kernel) SigSem(id ID, cnt int) (er ER) {
-	k.enterSvc("tk_sig_sem")
-	defer k.exitSvc("tk_sig_sem", &er)
-	return k.sigSemBody(id, cnt)
+func (k *Kernel) SigSem(id ID, cnt int) ER {
+	return k.call("tk_sig_sem", func(k *Kernel) (ER, *armedWait) { return k.sigSemBody(id, cnt), nil })
 }
 
-// sigSemBody is the split call body of SigSem.
+// sigSemBody is the body of SigSem, shared with its program op.
 func (k *Kernel) sigSemBody(id ID, cnt int) ER {
 	s, ok := k.sems[id]
 	if !ok {
@@ -106,13 +105,11 @@ func (k *Kernel) semGrant(s *Semaphore) {
 }
 
 // WaiSem acquires cnt resources, waiting up to tmout (tk_wai_sem).
-func (k *Kernel) WaiSem(id ID, cnt int, tmout TMO) (er ER) {
-	k.enterSvc("tk_wai_sem")
-	defer k.exitSvc("tk_wai_sem", &er)
-	return k.finish(k.waiSemBody(id, cnt, tmout))
+func (k *Kernel) WaiSem(id ID, cnt int, tmout TMO) ER {
+	return k.call("tk_wai_sem", func(k *Kernel) (ER, *armedWait) { return k.waiSemBody(id, cnt, tmout) })
 }
 
-// waiSemBody is the split call body of WaiSem.
+// waiSemBody is the body of WaiSem, shared with its program op.
 func (k *Kernel) waiSemBody(id ID, cnt int, tmout TMO) (ER, *armedWait) {
 	s, ok := k.sems[id]
 	if !ok {

@@ -25,15 +25,12 @@ type Task struct {
 	wqIn           *waitQueue
 
 	// aw is the embedded armed-wait record handed out by armSleep; a task
-	// arms at most one wait at a time, so embedding it keeps the split
-	// service bodies allocation-free.
+	// arms at most one wait at a time, so embedding it keeps the service
+	// bodies allocation-free.
 	aw armedWait
 	// flg is the task's event-flag wait condition while it waits on a
 	// flag, embedded for the same reason.
 	flg flgWait
-	// parked is set while a closure task is blocked inside a service
-	// (finish), so a reset unwinding it skips the service epilogue.
-	parked bool
 
 	owned []*Mutex // mutexes currently locked by this task
 }
@@ -65,57 +62,66 @@ type TaskInfo struct {
 // CreTsk creates a task (tk_cre_tsk): name, priority (1..MaxPriority) and
 // the task body. The body receives the owning task handle; it may issue any
 // kernel service. Tasks are created DORMANT.
-func (k *Kernel) CreTsk(name string, priority int, body func(*Task)) (_ ID, er ER) {
-	k.enterSvc("tk_cre_tsk")
-	defer k.exitSvc("tk_cre_tsk", &er)
-	if priority < 1 || priority > k.cfg.MaxPriority {
-		return 0, EPAR
-	}
-	k.nextTask++
-	id := k.nextTask
-	task := &Task{id: id, k: k, name: name}
-	task.tt = k.api.CreateThread(name, core.KindTask, priority, func(tt *core.TThread) {
-		// T-Kernel releases any mutexes a task still holds when it ends,
-		// whether it returns normally or is unwound by tk_ter/ext_tsk.
-		defer k.releaseOwnedMutexes(task)
-		body(task)
+func (k *Kernel) CreTsk(name string, priority int, body func(*Task)) (ID, ER) {
+	return k.creTsk(name, priority, func(task *Task) *core.TThread {
+		return k.api.CreateThread(name, core.KindTask, priority, func(*core.TThread) {
+			// T-Kernel releases any mutexes a task still holds when it ends,
+			// whether it returns normally or is unwound by tk_ter/ext_tsk.
+			defer k.releaseOwnedMutexes(task)
+			body(task)
+		})
 	})
-	task.tt.SetExinf(task)
-	k.tasks[id] = task
-	return id, EOK
+}
+
+// creTsk is tk_cre_tsk for CreTsk and CreTskProg: thread creates the new
+// task's T-THREAD.
+func (k *Kernel) creTsk(name string, priority int, thread func(*Task) *core.TThread) (id ID, er ER) {
+	er = k.call("tk_cre_tsk", func(k *Kernel) (ER, *armedWait) {
+		if priority < 1 || priority > k.cfg.MaxPriority {
+			return EPAR, nil
+		}
+		k.nextTask++
+		id = k.nextTask
+		task := &Task{id: id, k: k, name: name}
+		task.tt = thread(task)
+		task.tt.SetExinf(task)
+		k.tasks[id] = task
+		return EOK, nil
+	})
+	return id, er
 }
 
 // DelTsk deletes a dormant task (tk_del_tsk).
-func (k *Kernel) DelTsk(id ID) (er ER) {
-	k.enterSvc("tk_del_tsk")
-	defer k.exitSvc("tk_del_tsk", &er)
-	task, ok := k.tasks[id]
-	if !ok {
-		return ENOEXS
-	}
-	if task.tt.State() != core.StateDormant {
-		return EOBJ
-	}
-	if err := k.api.DeleteThread(task.tt); err != nil {
-		return EOBJ
-	}
-	delete(k.tasks, id)
-	return EOK
+func (k *Kernel) DelTsk(id ID) ER {
+	return k.call("tk_del_tsk", func(k *Kernel) (ER, *armedWait) {
+		task, ok := k.tasks[id]
+		if !ok {
+			return ENOEXS, nil
+		}
+		if task.tt.State() != core.StateDormant {
+			return EOBJ, nil
+		}
+		if err := k.api.DeleteThread(task.tt); err != nil {
+			return EOBJ, nil
+		}
+		delete(k.tasks, id)
+		return EOK, nil
+	})
 }
 
 // StaTsk starts a dormant task (tk_sta_tsk).
-func (k *Kernel) StaTsk(id ID) (er ER) {
-	k.enterSvc("tk_sta_tsk")
-	defer k.exitSvc("tk_sta_tsk", &er)
-	task, ok := k.tasks[id]
-	if !ok {
-		return ENOEXS
-	}
-	task.wupCount = 0
-	if err := k.api.Activate(task.tt); err != nil {
-		return EOBJ
-	}
-	return EOK
+func (k *Kernel) StaTsk(id ID) ER {
+	return k.call("tk_sta_tsk", func(k *Kernel) (ER, *armedWait) {
+		task, ok := k.tasks[id]
+		if !ok {
+			return ENOEXS, nil
+		}
+		task.wupCount = 0
+		if err := k.api.Activate(task.tt); err != nil {
+			return EOBJ, nil
+		}
+		return EOK, nil
+	})
 }
 
 // ExtTsk exits the calling task (tk_ext_tsk): in this model the task body
@@ -133,96 +139,95 @@ func (k *Kernel) ExtTsk() ER {
 
 // TerTsk forcibly terminates another task (tk_ter_tsk). Terminating the
 // calling task itself is E_OBJ (use ExtTsk).
-func (k *Kernel) TerTsk(id ID) (er ER) {
-	k.enterSvc("tk_ter_tsk")
-	defer k.exitSvc("tk_ter_tsk", &er)
-	task, ok := k.tasks[id]
-	if !ok {
-		return ENOEXS
-	}
-	if task == k.caller() {
-		return EOBJ
-	}
-	if task.tt.State() == core.StateDormant {
-		return EOBJ
-	}
-	task.cancelWait()
-	task.waitSeq++
-	k.releaseOwnedMutexes(task)
-	if err := k.api.Terminate(task.tt); err != nil {
-		return EOBJ
-	}
-	return EOK
+func (k *Kernel) TerTsk(id ID) ER {
+	return k.call("tk_ter_tsk", func(k *Kernel) (ER, *armedWait) {
+		task, ok := k.tasks[id]
+		if !ok {
+			return ENOEXS, nil
+		}
+		if task == k.caller() {
+			return EOBJ, nil
+		}
+		if task.tt.State() == core.StateDormant {
+			return EOBJ, nil
+		}
+		task.cancelWait()
+		task.waitSeq++
+		k.releaseOwnedMutexes(task)
+		if err := k.api.Terminate(task.tt); err != nil {
+			return EOBJ, nil
+		}
+		return EOK, nil
+	})
 }
 
 // ActTsk activates a task with µITRON v4 act_tsk semantics: a dormant task
 // starts; an active task gets the request queued (up to max activations)
 // and re-activates when it exits. This is the ITRON-compatibility hook used
 // by internal/itron; T-Kernel itself only has the strict StaTsk.
-func (k *Kernel) ActTsk(id ID, maxQueued int) (er ER) {
-	k.enterSvc("act_tsk")
-	defer k.exitSvc("act_tsk", &er)
-	task, ok := k.tasks[id]
-	if !ok {
-		return ENOEXS
-	}
-	if task.tt.State() == core.StateDormant {
-		if err := k.api.Activate(task.tt); err != nil {
-			return EOBJ
+func (k *Kernel) ActTsk(id ID, maxQueued int) ER {
+	return k.call("act_tsk", func(k *Kernel) (ER, *armedWait) {
+		task, ok := k.tasks[id]
+		if !ok {
+			return ENOEXS, nil
 		}
-		return EOK
-	}
-	if k.api.QueuedActivations(task.tt) >= maxQueued {
-		return EQOVR
-	}
-	k.api.QueueActivation(task.tt)
-	return EOK
+		if task.tt.State() == core.StateDormant {
+			if err := k.api.Activate(task.tt); err != nil {
+				return EOBJ, nil
+			}
+			return EOK, nil
+		}
+		if k.api.QueuedActivations(task.tt) >= maxQueued {
+			return EQOVR, nil
+		}
+		k.api.QueueActivation(task.tt)
+		return EOK, nil
+	})
 }
 
 // CanAct cancels queued activation requests and returns how many were
 // queued (µITRON can_act). id 0 = caller.
-func (k *Kernel) CanAct(id ID) (_ int, er ER) {
-	k.enterSvc("can_act")
-	defer k.exitSvc("can_act", &er)
-	task, er := k.taskOrSelf(id)
-	if er != EOK {
-		return 0, er
-	}
-	n := k.api.QueuedActivations(task.tt)
-	for i := 0; i < n; i++ {
-		k.api.UnqueueActivation(task.tt)
-	}
-	return n, EOK
+func (k *Kernel) CanAct(id ID) (n int, er ER) {
+	er = k.call("can_act", func(k *Kernel) (ER, *armedWait) {
+		task, er := k.taskOrSelf(id)
+		if er != EOK {
+			return er, nil
+		}
+		n = k.api.QueuedActivations(task.tt)
+		for i := 0; i < n; i++ {
+			k.api.UnqueueActivation(task.tt)
+		}
+		return EOK, nil
+	})
+	return n, er
 }
 
 // ChgPri changes a task's base priority (tk_chg_pri). id 0 = caller.
-func (k *Kernel) ChgPri(id ID, priority int) (er ER) {
-	k.enterSvc("tk_chg_pri")
-	defer k.exitSvc("tk_chg_pri", &er)
-	task, er := k.taskOrSelf(id)
-	if er != EOK {
-		return er
-	}
-	if priority < 1 || priority > k.cfg.MaxPriority {
-		return EPAR
-	}
-	if task.tt.State() == core.StateDormant {
-		return EOBJ
-	}
-	k.api.ChangePriority(task.tt, priority)
-	k.requeueWaiter(task)
-	return EOK
+func (k *Kernel) ChgPri(id ID, priority int) ER {
+	return k.call("tk_chg_pri", func(k *Kernel) (ER, *armedWait) {
+		task, er := k.taskOrSelf(id)
+		if er != EOK {
+			return er, nil
+		}
+		if priority < 1 || priority > k.cfg.MaxPriority {
+			return EPAR, nil
+		}
+		if task.tt.State() == core.StateDormant {
+			return EOBJ, nil
+		}
+		k.api.ChangePriority(task.tt, priority)
+		k.requeueWaiter(task)
+		return EOK, nil
+	})
 }
 
 // SlpTsk puts the calling task to sleep awaiting a wakeup (tk_slp_tsk).
 // A queued wakeup (tk_wup_tsk issued earlier) completes it immediately.
-func (k *Kernel) SlpTsk(tmout TMO) (er ER) {
-	k.enterSvc("tk_slp_tsk")
-	defer k.exitSvc("tk_slp_tsk", &er)
-	return k.finish(k.slpTskBody(tmout))
+func (k *Kernel) SlpTsk(tmout TMO) ER {
+	return k.call("tk_slp_tsk", func(k *Kernel) (ER, *armedWait) { return k.slpTskBody(tmout) })
 }
 
-// slpTskBody is the split call body of SlpTsk.
+// slpTskBody is the body of SlpTsk, shared with its program op.
 func (k *Kernel) slpTskBody(tmout TMO) (ER, *armedWait) {
 	task, er := k.blockCheck(tmout)
 	if er != EOK {
@@ -240,13 +245,11 @@ func (k *Kernel) slpTskBody(tmout TMO) (ER, *armedWait) {
 
 // WupTsk wakes a sleeping task (tk_wup_tsk); wakeups queue when the task is
 // not sleeping yet (up to WupCountMax).
-func (k *Kernel) WupTsk(id ID) (er ER) {
-	k.enterSvc("tk_wup_tsk")
-	defer k.exitSvc("tk_wup_tsk", &er)
-	return k.wupTskBody(id)
+func (k *Kernel) WupTsk(id ID) ER {
+	return k.call("tk_wup_tsk", func(k *Kernel) (ER, *armedWait) { return k.wupTskBody(id), nil })
 }
 
-// wupTskBody is the split call body of WupTsk.
+// wupTskBody is the body of WupTsk, shared with its program op.
 func (k *Kernel) wupTskBody(id ID) ER {
 	task, ok := k.tasks[id]
 	if !ok {
@@ -269,27 +272,26 @@ func (k *Kernel) wupTskBody(id ID) ER {
 
 // CanWup cancels queued wakeups and returns how many were queued
 // (tk_can_wup). id 0 = caller.
-func (k *Kernel) CanWup(id ID) (_ int, er ER) {
-	k.enterSvc("tk_can_wup")
-	defer k.exitSvc("tk_can_wup", &er)
-	task, er := k.taskOrSelf(id)
-	if er != EOK {
-		return 0, er
-	}
-	n := task.wupCount
-	task.wupCount = 0
-	return n, EOK
+func (k *Kernel) CanWup(id ID) (n int, er ER) {
+	er = k.call("tk_can_wup", func(k *Kernel) (ER, *armedWait) {
+		task, er := k.taskOrSelf(id)
+		if er != EOK {
+			return er, nil
+		}
+		n, task.wupCount = task.wupCount, 0
+		return EOK, nil
+	})
+	return n, er
 }
 
 // DlyTsk delays the calling task for at least d (tk_dly_tsk). Unlike
 // SlpTsk, wakeups do not shorten the delay; only RelWai does (E_RLWAI).
-func (k *Kernel) DlyTsk(d sysc.Time) (er ER) {
-	k.enterSvc("tk_dly_tsk")
-	defer k.exitSvc("tk_dly_tsk", &er)
-	return dlyTskPost(k.finish(k.dlyTskBody(d)))
+// The delay's expiry resolves to E_OK (see endSleep).
+func (k *Kernel) DlyTsk(d sysc.Time) ER {
+	return k.call("tk_dly_tsk", func(k *Kernel) (ER, *armedWait) { return k.dlyTskBody(d) })
 }
 
-// dlyTskBody is the split call body of DlyTsk.
+// dlyTskBody is the body of DlyTsk, shared with its program op.
 func (k *Kernel) dlyTskBody(d sysc.Time) (ER, *armedWait) {
 	task, er := k.blockCheck(TmoFevr)
 	if er != EOK {
@@ -301,78 +303,70 @@ func (k *Kernel) dlyTskBody(d sysc.Time) (ER, *armedWait) {
 	return EOK, k.armSleep(task, nil, "delay", d)
 }
 
-// dlyTskPost remaps the release code: normal expiry of a delay is success.
-func dlyTskPost(code ER) ER {
-	if code == ETMOUT {
-		return EOK
-	}
-	return code
-}
-
 // RelWai forcibly releases another task's wait state with E_RLWAI
 // (tk_rel_wai).
-func (k *Kernel) RelWai(id ID) (er ER) {
-	k.enterSvc("tk_rel_wai")
-	defer k.exitSvc("tk_rel_wai", &er)
-	task, ok := k.tasks[id]
-	if !ok {
-		return ENOEXS
-	}
-	st := task.tt.State()
-	if st != core.StateWaiting && st != core.StateWaitSuspended {
-		return EOBJ
-	}
-	task.cancelWait()
-	k.wake(task, ERLWAI)
-	return EOK
+func (k *Kernel) RelWai(id ID) ER {
+	return k.call("tk_rel_wai", func(k *Kernel) (ER, *armedWait) {
+		task, ok := k.tasks[id]
+		if !ok {
+			return ENOEXS, nil
+		}
+		st := task.tt.State()
+		if st != core.StateWaiting && st != core.StateWaitSuspended {
+			return EOBJ, nil
+		}
+		task.cancelWait()
+		k.wake(task, ERLWAI)
+		return EOK, nil
+	})
 }
 
 // SusTsk forcibly suspends a task (tk_sus_tsk); suspensions nest.
-func (k *Kernel) SusTsk(id ID) (er ER) {
-	k.enterSvc("tk_sus_tsk")
-	defer k.exitSvc("tk_sus_tsk", &er)
-	task, ok := k.tasks[id]
-	if !ok {
-		return ENOEXS
-	}
-	if task == k.caller() && k.disDsp {
-		return ECTX
-	}
-	if err := k.api.SuspendForce(task.tt); err != nil {
-		return EOBJ
-	}
-	return EOK
+func (k *Kernel) SusTsk(id ID) ER {
+	return k.call("tk_sus_tsk", func(k *Kernel) (ER, *armedWait) {
+		task, ok := k.tasks[id]
+		if !ok {
+			return ENOEXS, nil
+		}
+		if task == k.caller() && k.disDsp {
+			return ECTX, nil
+		}
+		if err := k.api.SuspendForce(task.tt); err != nil {
+			return EOBJ, nil
+		}
+		return EOK, nil
+	})
 }
 
 // RsmTsk resumes a forcibly suspended task by one level (tk_rsm_tsk).
-func (k *Kernel) RsmTsk(id ID) (er ER) {
-	k.enterSvc("tk_rsm_tsk")
-	defer k.exitSvc("tk_rsm_tsk", &er)
-	task, ok := k.tasks[id]
-	if !ok {
-		return ENOEXS
-	}
-	if err := k.api.ResumeForce(task.tt); err != nil {
-		return EOBJ
-	}
-	return EOK
+func (k *Kernel) RsmTsk(id ID) ER {
+	return k.call("tk_rsm_tsk", func(k *Kernel) (ER, *armedWait) {
+		task, ok := k.tasks[id]
+		if !ok {
+			return ENOEXS, nil
+		}
+		if err := k.api.ResumeForce(task.tt); err != nil {
+			return EOBJ, nil
+		}
+		return EOK, nil
+	})
 }
 
 // FrsmTsk resumes a task regardless of the suspension nesting depth
 // (tk_frsm_tsk).
-func (k *Kernel) FrsmTsk(id ID) (er ER) {
-	k.enterSvc("tk_frsm_tsk")
-	defer k.exitSvc("tk_frsm_tsk", &er)
-	task, ok := k.tasks[id]
-	if !ok {
-		return ENOEXS
-	}
-	for task.tt.SuspendCount() > 0 {
-		if err := k.api.ResumeForce(task.tt); err != nil {
-			return EOBJ
+func (k *Kernel) FrsmTsk(id ID) ER {
+	return k.call("tk_frsm_tsk", func(k *Kernel) (ER, *armedWait) {
+		task, ok := k.tasks[id]
+		if !ok {
+			return ENOEXS, nil
 		}
-	}
-	return EOK
+		for task.tt.SuspendCount() > 0 {
+			if err := k.api.ResumeForce(task.tt); err != nil {
+				return EOBJ, nil
+			}
+		}
+		return EOK, nil
+	})
 }
 
 // GetTid returns the calling task's ID (tk_get_tid); 0 in non-task context.
@@ -411,13 +405,11 @@ func (k *Kernel) taskInfo(task *Task) TaskInfo {
 
 // RotRdq rotates the ready queue of the given priority (tk_rot_rdq);
 // priority 0 rotates the class of the running task.
-func (k *Kernel) RotRdq(priority int) (er ER) {
-	k.enterSvc("tk_rot_rdq")
-	defer k.exitSvc("tk_rot_rdq", &er)
-	return k.rotRdqBody(priority)
+func (k *Kernel) RotRdq(priority int) ER {
+	return k.call("tk_rot_rdq", func(k *Kernel) (ER, *armedWait) { return k.rotRdqBody(priority), nil })
 }
 
-// rotRdqBody is the split call body of RotRdq.
+// rotRdqBody is the body of RotRdq, shared with its program op.
 func (k *Kernel) rotRdqBody(priority int) ER {
 	if priority == 0 {
 		if cur := k.api.Current(); cur != nil {

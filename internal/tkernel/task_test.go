@@ -439,42 +439,125 @@ func TestBlockFromInitWithDispatchDisabled(t *testing.T) {
 	run(t, sim, 50*sysc.Ms)
 }
 
-// TestTerTskParkedClosureTask terminates a closure task parked in a split
-// blocking service and restarts it. The reset unwinds the service with the
-// dispatch lock already released around the wait, so the unwind must
-// neither unlock a second time nor report a service exit.
-func TestTerTskParkedClosureTask(t *testing.T) {
-	var starts int
-	var got tkernel.ER = -1
-	k, sim := boot(t, func(k *tkernel.Kernel) {
-		sem, _ := k.CreSem("s", tkernel.TaTFIFO, 0, 10)
-		id, _ := k.CreTsk("victim", 10, func(task *tkernel.Task) {
-			starts++
-			got = k.WaiSem(sem, 1, tkernel.TmoFevr)
+// terOutcome is what TestTerTskMidService observes of one victim.
+type terOutcome struct {
+	enters, exits int        // the victim's svc-enter/svc-exit events
+	lastCode      tkernel.ER // the victim's last published svc-exit code
+	lowAfterKill  int        // slices the lower-priority task ran after the kill
+	locked        bool       // dispatching still disabled at the end
+}
+
+// TestTerTskMidService terminates a task from an alarm handler while the
+// task is inside a service call, as a closure task and as a program task.
+// Parked in tk_wai_sem, the service frame holds nothing (the dispatch lock
+// is released around the wait) and the unwind reports no svc-exit. While
+// being charged tk_sig_sem's service cost, the frame holds the dispatch
+// lock: the unwind publishes svc-exit with E_OK and unlocks. Either way a
+// lower-priority task runs afterwards, and both faces agree.
+func TestTerTskMidService(t *testing.T) {
+	cases := []struct {
+		svc     string
+		waiting bool // the victim is parked on the semaphore at the kill
+		closure func(k *tkernel.Kernel, sem tkernel.ID)
+		program func(p *tkernel.Program, sem *tkernel.ID) *tkernel.Program
+	}{
+		{svc: "tk_wai_sem", waiting: true,
+			closure: func(k *tkernel.Kernel, sem tkernel.ID) { k.WaiSem(sem, 1, tkernel.TmoFevr) },
+			program: func(p *tkernel.Program, sem *tkernel.ID) *tkernel.Program {
+				return p.WaiSem(sem, 1, tkernel.TmoFevr, nil)
+			}},
+		{svc: "tk_sig_sem",
+			closure: func(k *tkernel.Kernel, sem tkernel.ID) { k.SigSem(sem, 1) },
+			program: func(p *tkernel.Program, sem *tkernel.ID) *tkernel.Program {
+				return p.SigSem(sem, 1, nil)
+			}},
+	}
+	for _, c := range cases {
+		t.Run(c.svc, func(t *testing.T) {
+			var got [2]terOutcome
+			for i, face := range []string{"closure", "program"} {
+				got[i] = terMidService(t, face, c.svc, c.waiting, c.closure, c.program)
+			}
+			if got[0] != got[1] {
+				t.Fatalf("faces disagree: closure %+v, program %+v", got[0], got[1])
+			}
+			o := got[0]
+			if o.locked || o.lowAfterKill == 0 {
+				t.Errorf("dispatch locked=%v, lower-priority slices after the kill=%d; want unlocked and > 0",
+					o.locked, o.lowAfterKill)
+			}
+			switch {
+			case c.waiting && o.enters != o.exits+1:
+				t.Errorf("victim enters=%d exits=%d; the unwound wait must report no exit", o.enters, o.exits)
+			case !c.waiting && (o.enters != o.exits || o.lastCode != tkernel.EOK):
+				t.Errorf("victim enters=%d exits=%d last=%v; the unwound charge must exit with E_OK",
+					o.enters, o.exits, o.lastCode)
+			}
 		})
-		_ = k.StaTsk(id)
-		_ = k.DlyTsk(sysc.Ms) // victim runs and parks in WaiSem
-		if er := k.TerTsk(id); er != tkernel.EOK {
-			t.Errorf("TerTsk: %v", er)
+	}
+}
+
+// terMidService runs one face of TestTerTskMidService: a priority-10
+// victim loops on svc, a priority-20 task loops on 1 ms slices, and an
+// alarm handler, armed by INIT for 23 ms later, terminates the victim,
+// checking that the victim is then inside svc.
+func terMidService(t *testing.T, face, svc string, waiting bool,
+	closure func(*tkernel.Kernel, tkernel.ID), program func(*tkernel.Program, *tkernel.ID) *tkernel.Program) terOutcome {
+	t.Helper()
+	sim := sysc.NewSimulator()
+	t.Cleanup(sim.Shutdown)
+	k := tkernel.New(sim, tkernel.Config{Costs: tkernel.Costs{Service: core.Cost{Time: 5 * sysc.Ms}}})
+	var o terOutcome
+	var victim, sem tkernel.ID
+	lowRuns, lowAtKill := 0, -1
+	k.Boot(func(k *tkernel.Kernel) {
+		sem, _ = k.CreSem("s", tkernel.TaTFIFO, 0, 1<<30)
+		if face == "closure" {
+			victim, _ = k.CreTsk("victim", 10, func(*tkernel.Task) {
+				for {
+					closure(k, sem)
+				}
+			})
+		} else {
+			victim, _ = k.CreTskProg("victim", 10, program(k.NewProgram("victim").Label("top"), &sem).Jump("top"))
 		}
-		if er := k.StaTsk(id); er != tkernel.EOK {
-			t.Errorf("StaTsk: %v", er)
-		}
-		if er := k.SigSem(sem, 1); er != tkernel.EOK {
-			t.Errorf("SigSem: %v", er)
-		}
+		low, _ := k.CreTsk("low", 20, func(*tkernel.Task) {
+			for {
+				lowRuns++
+				k.Work(core.Cost{Time: sysc.Ms}, "low")
+			}
+		})
+		alm, _ := k.CreAlm("killer", func(ctx *tkernel.HandlerCtx) {
+			info, _ := ctx.K.RefTsk(victim)
+			if o.enters != o.exits+1 || (info.State == core.StateWaiting) != waiting {
+				t.Errorf("%s: at the kill the victim is %v with %d/%d svc enters/exits, want inside %s",
+					face, info.State, o.enters, o.exits, svc)
+			}
+			if er := ctx.K.TerTsk(victim); er != tkernel.EOK {
+				t.Errorf("%s: TerTsk: %v", face, er)
+			}
+			lowAtKill = lowRuns
+		})
+		_ = k.StaTsk(victim)
+		_ = k.StaTsk(low)
+		_ = k.StaAlm(alm, 23*sysc.Ms)
 	})
-	var exits int
 	k.Bus().Subscribe(func(e event.Event) {
-		if e.Thread == "victim" && e.Obj == "tk_wai_sem" {
-			exits++
+		if e.Thread != "victim" || e.Obj != svc {
+			return
 		}
-	}, event.KindSvcExit)
-	run(t, sim, 10*sysc.Ms)
-	if starts != 2 || got != tkernel.EOK {
-		t.Fatalf("victim starts=%d, second WaiSem=%v; want 2 starts and E_OK", starts, got)
+		if e.Kind == event.KindSvcEnter {
+			o.enters++
+		} else {
+			o.exits++
+			o.lastCode = tkernel.ER(e.Code)
+		}
+	}, event.KindSvcEnter, event.KindSvcExit)
+	run(t, sim, 100*sysc.Ms)
+	if lowAtKill < 0 {
+		t.Fatalf("%s: the alarm never fired", face)
 	}
-	if exits != 1 {
-		t.Fatalf("victim published %d tk_wai_sem exits, want 1 (the unwound wait reports none)", exits)
-	}
+	o.lowAfterKill = lowRuns - lowAtKill
+	o.locked = k.API().DispatchLocked()
+	return o
 }

@@ -36,7 +36,6 @@ type CyclicHandler struct {
 	active   bool
 	tt       *core.TThread
 	k        *Kernel
-	fn       HandlerFunc
 	overruns int
 	fires    int
 	gen      int // activation generation: stale timer entries are ignored
@@ -53,57 +52,70 @@ type CyclicInfo struct {
 
 // CreCyc creates a cyclic handler with the given cycle interval and initial
 // phase (tk_cre_cyc). TA_STA semantics are obtained by calling StaCyc.
-func (k *Kernel) CreCyc(name string, interval, phase sysc.Time, fn HandlerFunc) (_ ID, er ER) {
-	k.enterSvc("tk_cre_cyc")
-	defer k.exitSvc("tk_cre_cyc", &er)
-	if interval <= 0 || phase < 0 {
-		return 0, EPAR
+func (k *Kernel) CreCyc(name string, interval, phase sysc.Time, fn HandlerFunc) (ID, ER) {
+	return k.creCyc(name, interval, phase, k.closureHandler(name, core.KindCyclicHandler, fn))
+}
+
+// closureHandler returns the thread constructor of a handler whose body is
+// a Go closure.
+func (k *Kernel) closureHandler(name string, kind core.Kind, fn HandlerFunc) func() *core.TThread {
+	return func() *core.TThread {
+		return k.api.CreateThread(name, kind, 0, func(tt *core.TThread) {
+			fn(&HandlerCtx{K: k, tt: tt})
+		})
 	}
-	k.nextCyc++
-	id := k.nextCyc
-	c := &CyclicHandler{id: id, name: name, interval: interval, phase: phase,
-		k: k, fn: fn}
-	c.tt = k.api.CreateThread(name, core.KindCyclicHandler, 0, func(tt *core.TThread) {
-		fn(&HandlerCtx{K: k, tt: tt})
+}
+
+// creCyc is tk_cre_cyc for CreCyc and CreCycProg: thread creates the
+// handler's T-THREAD.
+func (k *Kernel) creCyc(name string, interval, phase sysc.Time, thread func() *core.TThread) (id ID, er ER) {
+	er = k.call("tk_cre_cyc", func(k *Kernel) (ER, *armedWait) {
+		if interval <= 0 || phase < 0 {
+			return EPAR, nil
+		}
+		k.nextCyc++
+		id = k.nextCyc
+		k.cycs[id] = &CyclicHandler{id: id, name: name, interval: interval, phase: phase,
+			k: k, tt: thread()}
+		return EOK, nil
 	})
-	k.cycs[id] = c
-	return id, EOK
+	return id, er
 }
 
 // DelCyc deletes a cyclic handler (tk_del_cyc).
-func (k *Kernel) DelCyc(id ID) (er ER) {
-	k.enterSvc("tk_del_cyc")
-	defer k.exitSvc("tk_del_cyc", &er)
-	c, ok := k.cycs[id]
-	if !ok {
-		return ENOEXS
-	}
-	c.active = false
-	c.gen++
-	delete(k.cycs, id)
-	return EOK
+func (k *Kernel) DelCyc(id ID) ER {
+	return k.call("tk_del_cyc", func(k *Kernel) (ER, *armedWait) {
+		c, ok := k.cycs[id]
+		if !ok {
+			return ENOEXS, nil
+		}
+		c.active = false
+		c.gen++
+		delete(k.cycs, id)
+		return EOK, nil
+	})
 }
 
 // StaCyc activates a cyclic handler: the first activation occurs after the
 // phase, subsequent ones every interval (tk_sta_cyc).
-func (k *Kernel) StaCyc(id ID) (er ER) {
-	k.enterSvc("tk_sta_cyc")
-	defer k.exitSvc("tk_sta_cyc", &er)
-	c, ok := k.cycs[id]
-	if !ok {
-		return ENOEXS
-	}
-	if c.active {
-		return EOK // restarting resets the phase
-	}
-	c.active = true
-	c.gen++
-	first := c.phase
-	if first == 0 {
-		first = c.interval
-	}
-	k.scheduleCyc(c, first)
-	return EOK
+func (k *Kernel) StaCyc(id ID) ER {
+	return k.call("tk_sta_cyc", func(k *Kernel) (ER, *armedWait) {
+		c, ok := k.cycs[id]
+		if !ok {
+			return ENOEXS, nil
+		}
+		if c.active {
+			return EOK, nil // restarting resets the phase
+		}
+		c.active = true
+		c.gen++
+		first := c.phase
+		if first == 0 {
+			first = c.interval
+		}
+		k.scheduleCyc(c, first)
+		return EOK, nil
+	})
 }
 
 // scheduleCyc arms the next firing d from now.
@@ -125,16 +137,16 @@ func (c *CyclicHandler) expire(gen int) {
 }
 
 // StpCyc deactivates a cyclic handler (tk_stp_cyc).
-func (k *Kernel) StpCyc(id ID) (er ER) {
-	k.enterSvc("tk_stp_cyc")
-	defer k.exitSvc("tk_stp_cyc", &er)
-	c, ok := k.cycs[id]
-	if !ok {
-		return ENOEXS
-	}
-	c.active = false
-	c.gen++
-	return EOK
+func (k *Kernel) StpCyc(id ID) ER {
+	return k.call("tk_stp_cyc", func(k *Kernel) (ER, *armedWait) {
+		c, ok := k.cycs[id]
+		if !ok {
+			return ENOEXS, nil
+		}
+		c.active = false
+		c.gen++
+		return EOK, nil
+	})
 }
 
 // RefCyc returns the cyclic-handler state (tk_ref_cyc).
@@ -155,7 +167,6 @@ type AlarmHandler struct {
 	active bool
 	tt     *core.TThread
 	k      *Kernel
-	fn     HandlerFunc
 	fires  int
 	gen    int
 }
@@ -168,42 +179,43 @@ type AlarmInfo struct {
 }
 
 // CreAlm creates an alarm handler (tk_cre_alm).
-func (k *Kernel) CreAlm(name string, fn HandlerFunc) (_ ID, er ER) {
-	k.enterSvc("tk_cre_alm")
-	defer k.exitSvc("tk_cre_alm", &er)
-	k.nextAlm++
-	id := k.nextAlm
-	a := &AlarmHandler{id: id, name: name, k: k, fn: fn}
-	a.tt = k.api.CreateThread(name, core.KindAlarmHandler, 0, func(tt *core.TThread) {
-		fn(&HandlerCtx{K: k, tt: tt})
+func (k *Kernel) CreAlm(name string, fn HandlerFunc) (ID, ER) {
+	return k.creAlm(name, k.closureHandler(name, core.KindAlarmHandler, fn))
+}
+
+// creAlm is tk_cre_alm for CreAlm and CreAlmProg: thread creates the
+// handler's T-THREAD.
+func (k *Kernel) creAlm(name string, thread func() *core.TThread) (id ID, er ER) {
+	er = k.call("tk_cre_alm", func(k *Kernel) (ER, *armedWait) {
+		k.nextAlm++
+		id = k.nextAlm
+		k.alms[id] = &AlarmHandler{id: id, name: name, k: k, tt: thread()}
+		return EOK, nil
 	})
-	k.alms[id] = a
-	return id, EOK
+	return id, er
 }
 
 // DelAlm deletes an alarm handler (tk_del_alm).
-func (k *Kernel) DelAlm(id ID) (er ER) {
-	k.enterSvc("tk_del_alm")
-	defer k.exitSvc("tk_del_alm", &er)
-	a, ok := k.alms[id]
-	if !ok {
-		return ENOEXS
-	}
-	a.active = false
-	a.gen++
-	delete(k.alms, id)
-	return EOK
+func (k *Kernel) DelAlm(id ID) ER {
+	return k.call("tk_del_alm", func(k *Kernel) (ER, *armedWait) {
+		a, ok := k.alms[id]
+		if !ok {
+			return ENOEXS, nil
+		}
+		a.active = false
+		a.gen++
+		delete(k.alms, id)
+		return EOK, nil
+	})
 }
 
 // StaAlm arms the alarm to fire once, d from now (tk_sta_alm). Re-arming
 // replaces the previous setting.
-func (k *Kernel) StaAlm(id ID, d sysc.Time) (er ER) {
-	k.enterSvc("tk_sta_alm")
-	defer k.exitSvc("tk_sta_alm", &er)
-	return k.staAlmBody(id, d)
+func (k *Kernel) StaAlm(id ID, d sysc.Time) ER {
+	return k.call("tk_sta_alm", func(k *Kernel) (ER, *armedWait) { return k.staAlmBody(id, d), nil })
 }
 
-// staAlmBody is the split call body of StaAlm.
+// staAlmBody is the body of StaAlm, shared with its program op.
 func (k *Kernel) staAlmBody(id ID, d sysc.Time) ER {
 	a, ok := k.alms[id]
 	if !ok {
@@ -230,16 +242,16 @@ func (a *AlarmHandler) expire(gen int) {
 }
 
 // StpAlm disarms the alarm (tk_stp_alm).
-func (k *Kernel) StpAlm(id ID) (er ER) {
-	k.enterSvc("tk_stp_alm")
-	defer k.exitSvc("tk_stp_alm", &er)
-	a, ok := k.alms[id]
-	if !ok {
-		return ENOEXS
-	}
-	a.active = false
-	a.gen++
-	return EOK
+func (k *Kernel) StpAlm(id ID) ER {
+	return k.call("tk_stp_alm", func(k *Kernel) (ER, *armedWait) {
+		a, ok := k.alms[id]
+		if !ok {
+			return ENOEXS, nil
+		}
+		a.active = false
+		a.gen++
+		return EOK, nil
+	})
 }
 
 // RefAlm returns the alarm-handler state (tk_ref_alm).
