@@ -18,8 +18,13 @@ test:
 	$(GO) test ./...
 
 # vet also vets the benchmark module (bench/ is its own module, which the
-# root ./... never compiles) and fails when any file is not gofmt-formatted.
+# root ./... never compiles), fails when any file is not gofmt-formatted, and
+# fails when the go lines of go.mod and bench/go.mod differ: bench/ builds
+# the root module through a replace, so a root-only bump breaks its build.
 vet:
+	@root=$$(sed -n 's/^go //p' go.mod); bench=$$(sed -n 's/^go //p' bench/go.mod); \
+	if [ "$$root" != "$$bench" ]; then \
+		echo "go.mod says go $$root but bench/go.mod says go $$bench: raise both go lines together"; exit 1; fi
 	$(GO) vet ./...
 	cd bench && $(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi

@@ -126,11 +126,18 @@ func (a *SimAPI) publish(k event.Kind, t *TThread, obj string) {
 // --- SIM_HashTB: thread registry ---
 
 // CreateThread registers a new T-THREAD in the dormant state
-// (SIM_CreateThread). The body runs once per activation cycle.
+// (SIM_CreateThread). The body runs once per activation cycle, driven by
+// the same cycle driver as a compiled body (coroStep) on a thread of its
+// own, whose goroutine parks inside the body at every wait.
 func (a *SimAPI) CreateThread(name string, kind Kind, priority int, body func(*TThread)) *TThread {
 	t := a.newThread(name, kind, priority)
-	t.body = body
-	t.th = a.sim.Spawn("tthread."+name, t.run)
+	t.compiled = closureBody(body)
+	t.th = a.sim.Spawn("tthread."+name, func(th *sysc.Thread) {
+		for {
+			t.coroStep(th.Coro())
+			th.Park()
+		}
+	})
 	t.co = t.th.Coro()
 	a.byCoro[t.co] = t
 	return t

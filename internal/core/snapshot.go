@@ -43,8 +43,8 @@ type TThreadState struct {
 	PendingRel    error
 	HasPendingRel bool
 
-	// Resumption state of the resumable primitives (CrInBody: compiled
-	// bodies only).
+	// Resumption state of the resumable primitives (CrInBody: the body is
+	// mid-cycle, which only a compiled body can resume from a capture).
 	CrInBody bool
 	Consume  ConsumeState
 	Block    uint8 // blockPhase
@@ -73,10 +73,10 @@ type APIState struct {
 	MaxIStack   int
 }
 
-// CompiledBody returns the compiled state machine driving the thread, or
-// nil for a closure body. The kernel
-// snapshot layer uses it to reach the machine's own resumption state
-// (program counter, service phase).
+// CompiledBody returns the state machine driving the thread: the compiled
+// body, or the closure as a CompiledBody. The kernel snapshot layer uses it
+// to reach a compiled machine's own resumption state (program counter,
+// service phase).
 func (t *TThread) CompiledBody() CompiledBody { return t.compiled }
 
 // readyWalker is the optional scheduler capability snapshotting needs:

@@ -7,8 +7,8 @@ import (
 )
 
 // This file holds the resumable T-THREAD primitives (StepAwaitCPU,
-// StepConsume, StepBlock) and the coroutine cycle driver of compiled
-// bodies.
+// StepConsume, StepBlock) and the T-THREAD cycle driver, which steps
+// compiled and closure bodies alike.
 //
 // A Step* primitive arms its wait on the T-THREAD's sysc.Coro and returns
 // StepWait; re-entering it resumes from its recorded phase. A consume slice
@@ -57,6 +57,26 @@ const (
 // must have rewound its own state so the next Step begins a fresh cycle.
 type CompiledBody interface {
 	Step(t *TThread) BodyStep
+}
+
+// closureBody is a Go closure as a CompiledBody. Step runs one whole cycle
+// of the closure on the thread's own goroutine, which parks inside the
+// body at every wait (TThread.Park), so it never returns BodyWait. The
+// resetSignal unwind becomes BodyReset; every other panic propagates,
+// including the sysc Shutdown unwind.
+type closureBody func(*TThread)
+
+func (b closureBody) Step(t *TThread) (s BodyStep) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(resetSignal); !ok {
+				panic(r)
+			}
+			s = BodyReset
+		}
+	}()
+	b(t)
+	return BodyDone
 }
 
 // consumePhase tracks where inside Consume a resumable thread is parked.
@@ -247,14 +267,15 @@ func (t *TThread) StepBlock(waitObj string) (Step, error) {
 	}
 }
 
-// coroStep is the coroutine cycle driver wrapping a compiled T-THREAD: the
-// compiled-body twin of TThread.run. One invocation drives the body
-// as far as it can go — through whole cycles when activations chain — and
-// returns with exactly one wait armed.
+// coroStep is the T-THREAD cycle driver: it moves the token around the
+// Figure 2 net once per activation. One invocation drives the body as far
+// as it can go — through whole cycles when activations chain — and returns
+// with exactly one wait armed.
 func (t *TThread) coroStep(c *sysc.Coro) {
 	for {
 		if !t.crInBody {
-			// Park until dispatched for a new cycle (safeWaitForCPU).
+			// Park until dispatched for a new cycle (Es), absorbing a
+			// terminate aimed at an already-dormant thread.
 			if t.ownsCPU() && !t.terminated {
 				t.crInBody = true
 				continue
@@ -267,11 +288,15 @@ func (t *TThread) coroStep(c *sysc.Coro) {
 		case BodyWait:
 			return
 		case BodyReset:
-			// Reset path: Terminate already performed the bookkeeping.
+			// Reset path: Terminate already performed the bookkeeping
+			// (including the terminate transition, so it lands in this
+			// cycle's firing sequence).
 			t.terminated = false
 			t.cycleEnd()
 			t.crInBody = false
 		case BodyDone:
+			// Exit bookkeeping fires the exit transition before the cycle's
+			// firing sequence is snapshotted.
 			t.api.bodyReturned(t)
 			t.cycleEnd()
 			t.crInBody = false
@@ -293,4 +318,4 @@ func (a *SimAPI) CreateThreadCompiled(name string, kind Kind, priority int, body
 
 // Compiled reports whether the thread's body is a compiled state machine
 // rather than a Go closure.
-func (t *TThread) Compiled() bool { return t.compiled != nil }
+func (t *TThread) Compiled() bool { return t.th == nil }

@@ -16,8 +16,8 @@ type Cost = petri.Cost
 // Energy aliases the energy quantity used throughout the simulator.
 type Energy = petri.Energy
 
-// resetSignal unwinds a T-THREAD body when the thread is terminated or
-// reset; it is recovered by the thread's run loop.
+// resetSignal unwinds a closure T-THREAD body when the thread is terminated
+// or reset; closureBody.Step recovers it.
 type resetSignal struct{}
 
 // Indexes of the transitions in a T-THREAD's Petri net (Figure 2). The net
@@ -74,7 +74,6 @@ type TThread struct {
 	name   string
 	byName string // "by <name>": the Obj of a preempt event this thread causes
 	kind   Kind
-	body   func(*TThread)
 
 	priority     int
 	basePriority int
@@ -84,11 +83,12 @@ type TThread struct {
 	preemptEv  *sysc.Event  // asks the thread to yield at its next preemption point
 
 	// The coroutine the thread runs on (its closure thread's, or the one
-	// driving its compiled body), the compiled body machine, and the saved
-	// frames of in-flight resumable primitives (see step.go).
+	// driving its compiled body), the body machine (a closureBody for a
+	// closure), and the saved frames of in-flight resumable primitives (see
+	// step.go).
 	co       *sysc.Coro
 	compiled CompiledBody
-	crInBody bool // the compiled body is mid-cycle
+	crInBody bool // the body is mid-cycle
 	cs       consumeState
 	bs       blockPhase
 
@@ -343,54 +343,6 @@ func (t *TThread) cycleEnd() {
 	t.lastCV = t.seq.AppendCharacteristicVector(t.lastCV)
 	t.acc.Cycles++
 	t.seq.Reset()
-}
-
-// run is the sysc process wrapping the cyclic T-THREAD object.
-func (t *TThread) run(th *sysc.Thread) {
-	t.th = th
-	for {
-		// Park until dispatched for a new cycle (Es).
-		t.safeWaitForCPU(th)
-		t.execBody()
-		if t.terminated {
-			// Reset path: Terminate already performed the bookkeeping
-			// (including the terminate transition, so it lands in this
-			// cycle's firing sequence).
-			t.terminated = false
-			t.cycleEnd()
-			continue
-		}
-		// Exit bookkeeping fires the exit transition before the cycle's
-		// firing sequence is snapshotted.
-		t.api.bodyReturned(t)
-		t.cycleEnd()
-	}
-}
-
-// safeWaitForCPU parks for dispatch at the top of the cycle, absorbing
-// reset signals (a terminate aimed at an already-dormant thread).
-func (t *TThread) safeWaitForCPU(th *sysc.Thread) {
-	for {
-		if t.ownsCPU() && !t.terminated {
-			return
-		}
-		t.terminated = false
-		th.WaitEvent(t.dispatchEv)
-	}
-}
-
-// execBody runs one cycle of the body, converting reset signals into a
-// normal return with t.terminated still set.
-func (t *TThread) execBody() {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(resetSignal); ok {
-				return
-			}
-			panic(r)
-		}
-	}()
-	t.body(t)
 }
 
 // String summarizes the thread for diagnostics.

@@ -42,14 +42,13 @@ const (
 )
 
 // Costs is the ETM/EEM annotation model for kernel code: the execution time
-// and energy charged to the calling T-THREAD for each class of kernel step.
+// and energy charged to the calling T-THREAD for each service call (and
+// once to INIT for kernel initialisation).
 // The paper estimated these a priori for RTK-Spec TRON; they are fully
 // user-overridable (and calibratable against an ISS, the paper's future
 // work).
 type Costs struct {
-	Service  core.Cost // one tk_* service call body
-	Dispatch core.Cost // one context switch
-	TimerIRQ core.Cost // timer-handler pass per tick
+	Service core.Cost // one tk_* service call body
 }
 
 // DefaultCosts returns the estimated annotations used by the case study:
@@ -57,9 +56,7 @@ type Costs struct {
 // i8051-class target of the paper.
 func DefaultCosts() Costs {
 	return Costs{
-		Service:  core.Cost{Time: 5 * sysc.Us, Energy: 250 * petri.NanoJ},
-		Dispatch: core.Cost{Time: 8 * sysc.Us, Energy: 400 * petri.NanoJ},
-		TimerIRQ: core.Cost{Time: 3 * sysc.Us, Energy: 150 * petri.NanoJ},
+		Service: core.Cost{Time: 5 * sysc.Us, Energy: 250 * petri.NanoJ},
 	}
 }
 
@@ -253,8 +250,9 @@ func (k *Kernel) Boot(userMain func(*Kernel)) {
 	k.tickDeferEv = k.sim.NewEvent("tkernel.tick_defer")
 	k.sim.SpawnMethod("tkernel.deferred_tick", k.runTimerQ, k.tickDeferEv)
 
-	// Boot module: kernel startup upon H/W reset (time zero).
-	k.sim.Spawn("tkernel.boot", func(th *sysc.Thread) {
+	// Boot module: kernel startup upon H/W reset (time zero). It never
+	// waits, so it runs as a one-step coroutine.
+	k.sim.SpawnCoro("tkernel.boot", func(*sysc.Coro) {
 		init := k.api.CreateThread("INIT", core.KindTask, 0, func(tt *core.TThread) {
 			tt.Consume(k.cfg.Costs.Service, trace.CtxStartup, "kernel-init")
 			userMain(k)
