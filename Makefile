@@ -99,7 +99,7 @@ chaos-traced:
 # warm chaos-ddmin trials must all be byte- (or digest-) identical to their
 # cold counterparts.
 snapshot-diff:
-	$(GO) test ./internal/run -run 'TestSyntheticCheckpointByteEquality|TestVideogameCheckpointByteEquality|TestSnapshotResumeByteEquality|TestWarmSweep' -v
+	$(GO) test ./internal/run -run 'TestSyntheticCheckpointByteEquality|TestVideogameCheckpointByteEquality|TestSnapshotResumeByteEquality|TestSnapshotBytesPinned|TestWarmSweep' -v
 	$(GO) test ./internal/chaos -run 'TestWarmTrialMatchesCold' -v
 	$(GO) test ./internal/server -run 'TestResumeFromOverHTTP' -v
 

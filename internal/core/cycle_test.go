@@ -14,18 +14,15 @@ import (
 )
 
 // cycleBody is the compiled form of the closure body "consume 2 ms, then
-// return" (or, with exit set, "consume 2 ms, then Exit").
-type cycleBody struct{ exit bool }
+// return", and of "consume 2 ms, then Exit": Exit ends the cycle as a
+// return does.
+type cycleBody struct{}
 
 func (b *cycleBody) Step(tt *core.TThread) core.BodyStep {
 	switch tt.StepConsume(cost(2*sysc.Ms, petri.MilliJ), trace.CtxTask, "work") {
 	case core.StepWait:
 		return core.BodyWait
 	case core.StepReset:
-		return core.BodyReset
-	}
-	if b.exit {
-		_ = tt.API().Terminate(tt)
 		return core.BodyReset
 	}
 	return core.BodyDone
@@ -76,7 +73,7 @@ func TestClosureAndCompiledCyclesAgree(t *testing.T) {
 				r.bus.Subscribe(func(e event.Event) { out.events = append(out.events, e) })
 				var a *core.TThread
 				if compiled {
-					a = r.api.CreateThreadCompiled("a", core.KindTask, 10, &cycleBody{exit: tc.exit})
+					a = r.api.CreateThreadCompiled("a", core.KindTask, 10, &cycleBody{})
 				} else {
 					a = r.api.CreateThread("a", core.KindTask, 10, func(tt *core.TThread) {
 						tt.Consume(cost(2*sysc.Ms, petri.MilliJ), trace.CtxTask, "work")

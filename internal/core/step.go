@@ -40,8 +40,8 @@ type BodyStep uint8
 
 // Body outcomes.
 const (
-	// BodyDone: the body finished its cycle (a closure body returned).
-	// The machine has rewound itself for the next activation.
+	// BodyDone: the body finished its cycle (a closure body returned or
+	// called Exit). The machine has rewound itself for the next activation.
 	BodyDone BodyStep = iota
 	// BodyWait: the body parked at a yield point; step again when the armed
 	// wait fires.
@@ -62,17 +62,22 @@ type CompiledBody interface {
 // closureBody is a Go closure as a CompiledBody. Step runs one whole cycle
 // of the closure on the thread's own goroutine, which parks inside the
 // body at every wait (TThread.Park), so it never returns BodyWait. The
-// resetSignal unwind becomes BodyReset; every other panic propagates,
-// including the sysc Shutdown unwind.
+// resetSignal unwind becomes BodyReset and the exitSignal unwind (Exit)
+// BodyDone, as a return does; every other panic propagates, including the
+// sysc Shutdown unwind.
 type closureBody func(*TThread)
 
 func (b closureBody) Step(t *TThread) (s BodyStep) {
 	defer func() {
 		if r := recover(); r != nil {
-			if _, ok := r.(resetSignal); !ok {
+			switch r.(type) {
+			case resetSignal:
+				s = BodyReset
+			case exitSignal:
+				s = BodyDone
+			default:
 				panic(r)
 			}
-			s = BodyReset
 		}
 	}()
 	b(t)

@@ -20,6 +20,10 @@ type Energy = petri.Energy
 // or reset; closureBody.Step recovers it.
 type resetSignal struct{}
 
+// exitSignal unwinds a closure T-THREAD body that calls Exit;
+// closureBody.Step recovers it as a return.
+type exitSignal struct{}
+
 // Indexes of the transitions in a T-THREAD's Petri net (Figure 2). The net
 // has four places — dormant, running, ready, waiting — and one token.
 const (
@@ -315,11 +319,12 @@ func (t *TThread) Consume(cost Cost, ctx trace.Context, note string) {
 }
 
 // Exit ends the current execution cycle from within the thread's own body
-// (tk_ext_tsk): termination bookkeeping is performed and the body unwinds
-// immediately. It never returns.
+// (tk_ext_tsk) exactly as a return from the body does: the body unwinds
+// immediately, running its deferred calls, and the cycle ends with the exit
+// bookkeeping, so a queued activation starts the next cycle. It never
+// returns.
 func (t *TThread) Exit() {
-	_ = t.api.Terminate(t)
-	panic(resetSignal{})
+	panic(exitSignal{})
 }
 
 // charge books a completed run slice into the thread statistics and

@@ -266,20 +266,12 @@ type Varz struct {
 
 // Totals sums the fleet-meaningful counters across shards.
 type Totals struct {
-	Shards        int    `json:"shards"`
-	QueueDepth    int    `json:"queue_depth"`
-	InFlight      int    `json:"in_flight"`
-	JobsSubmitted uint64 `json:"jobs_submitted"`
-	JobsRejected  uint64 `json:"jobs_rejected"`
-	JobsCompleted uint64 `json:"jobs_completed"`
-	JobsFromCache uint64 `json:"jobs_from_cache"`
-	JobsCoalesced uint64 `json:"jobs_coalesced"`
-	CacheHits     uint64 `json:"cache_hits"`
-	CacheMisses   uint64 `json:"cache_misses"`
-	// Streaming pipeline totals (v3).
-	StreamJobs            uint64 `json:"stream_jobs"`
-	ArtifactStreamsServed uint64 `json:"artifact_streams_served"`
-	EventStreamsServed    uint64 `json:"event_streams_served"`
+	Shards     int `json:"shards"`
+	QueueDepth int `json:"queue_depth"`
+	InFlight   int `json:"in_flight"`
+	server.Counters
+	CacheHits   uint64 `json:"cache_hits"`
+	CacheMisses uint64 `json:"cache_misses"`
 	// Failovers counts submissions served by a non-primary replica after
 	// their owning shard answered 5xx.
 	Failovers uint64 `json:"failovers"`
@@ -304,14 +296,7 @@ func (rt *Router) handleVarz(w http.ResponseWriter, r *http.Request) {
 		v.Totals.Shards++
 		v.Totals.QueueDepth += sv.QueueDepth
 		v.Totals.InFlight += sv.InFlight
-		v.Totals.JobsSubmitted += sv.JobsSubmitted
-		v.Totals.JobsRejected += sv.JobsRejected
-		v.Totals.JobsCompleted += sv.JobsCompleted
-		v.Totals.JobsFromCache += sv.JobsFromCache
-		v.Totals.JobsCoalesced += sv.JobsCoalesced
-		v.Totals.StreamJobs += sv.StreamJobs
-		v.Totals.ArtifactStreamsServed += sv.ArtifactStreamsServed
-		v.Totals.EventStreamsServed += sv.EventStreamsServed
+		v.Totals.Add(sv.Counters)
 		if sv.Cache != nil {
 			v.Totals.CacheHits += sv.Cache.Hits
 			v.Totals.CacheMisses += sv.Cache.Misses

@@ -3,6 +3,8 @@ package run
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"testing"
@@ -132,6 +134,30 @@ func TestSnapshotResumeByteEquality(t *testing.T) {
 		if got, want := resumed.Stats.Activations, straight.Stats.Activations; got != want {
 			t.Errorf("%s: resumed activations %d, straight %d", label, got, want)
 		}
+	}
+}
+
+// TestSnapshotBytesPinned pins the bytes of one captured snapshot across
+// commits. A saved snapshot is a resume_from input, so bytes that drift
+// without a format change make every saved snapshot fail with ErrCorrupt.
+func TestSnapshotBytesPinned(t *testing.T) {
+	const (
+		specJSON = `{"scenario":"synthetic","seed":3,"dur":"3s",` +
+			`"synthetic":{"gen":{"tasks":8,"util":0.7,"interrupts":2}},` +
+			`"checkpoint":{"at":"2.5s"},"artifacts":["snapshot.bin","metrics.json"]}`
+		wantSHA = "d204597d8727640203456cfb621cbf463c06708b3ebf6945db11b5c40467159e"
+		wantLen = 7009
+	)
+	spec, err := ParseSpec([]byte(specJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := mustExecute(t, "pin", spec).Artifacts[ArtifactSnapshot]
+	sum := sha256.Sum256(snap)
+	if got := hex.EncodeToString(sum[:]); got != wantSHA || len(snap) != wantLen {
+		t.Fatalf("snapshot.bin = %d bytes, sha256 %s; pinned %d bytes, %s.\n"+
+			"A deliberate format change bumps snapshot.Version and re-pins this test.",
+			len(snap), got, wantLen, wantSHA)
 	}
 }
 

@@ -130,7 +130,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	job, ok := s.jobs[r.PathValue("id")]
 	if ok {
-		s.eventStreams++
+		s.n.EventStreamsServed++
 	}
 	s.mu.Unlock()
 	if !ok {

@@ -139,17 +139,7 @@ type Server struct {
 	draining bool
 	spool    string // the ephemeral artifact store, once made
 
-	// varz counters.
-	submitted     uint64
-	rejected      uint64
-	completed     uint64
-	failed        uint64
-	cancelled     uint64
-	fromCache     uint64
-	coalesced     uint64
-	streamJobs    uint64
-	streamsServed uint64
-	eventStreams  uint64
+	n Counters // varz counters
 }
 
 // New builds and starts the service: the worker pool is live and the
@@ -272,7 +262,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining {
 		// Admission is closed outright during a drain — even for specs the
 		// cache could answer — so a fleet router sees one consistent signal.
-		s.rejected++
+		s.n.JobsRejected++
 		s.mu.Unlock()
 		WriteError(w, http.StatusServiceUnavailable, CodeDraining, "server shutting down", drainingRetryAfter)
 		return
@@ -326,8 +316,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		case !leader: // follower: wait out the leader's run, off-pool
 			s.mu.Lock()
 			job.Coalesced = true
-			s.submitted++
-			s.coalesced++
+			s.n.JobsSubmitted++
+			s.n.JobsCoalesced++
 			view := viewOf(job)
 			s.mu.Unlock()
 			s.event(job, Event{Type: EventState, State: StateQueued})
@@ -367,11 +357,11 @@ func (s *Server) enqueue(job *Job, fn func(int)) (JobView, error) {
 	s.mu.Lock()
 	if err != nil {
 		delete(s.jobs, job.ID)
-		s.rejected++
+		s.n.JobsRejected++
 	} else {
-		s.submitted++
+		s.n.JobsSubmitted++
 		if job.Stream {
-			s.streamJobs++
+			s.n.StreamJobs++
 		}
 	}
 	s.mu.Unlock()
@@ -435,9 +425,9 @@ func (s *Server) finishFromCache(job *Job, hit cache.Hit) {
 	job.Stats = hit.Stats
 	job.Artifacts = hit.Artifacts
 	job.streams = hit.Rings
-	s.submitted++
-	s.completed++
-	s.fromCache++
+	s.n.JobsSubmitted++
+	s.n.JobsCompleted++
+	s.n.JobsFromCache++
 	s.mu.Unlock()
 	s.event(job, Event{Type: EventState, State: StateQueued})
 	s.finishEvents(job)
@@ -495,18 +485,18 @@ func (s *Server) runJob(job *Job, jctx context.Context, flight *cache.Flight) {
 	switch {
 	case err == nil:
 		job.State = StateDone
-		s.completed++
+		s.n.JobsCompleted++
 	case jctx.Err() != nil && s.ctx.Err() == nil && !errors.Is(context.Cause(jctx), context.DeadlineExceeded):
 		// Client-initiated cancel (DELETE).
 		job.State = StateCancelled
 		job.ErrCode = CodeCancelled
 		job.Err = err.Error()
-		s.cancelled++
+		s.n.JobsCancelled++
 	default:
 		job.State = StateFailed
 		job.ErrCode = errorCodeOf(err.Error())
 		job.Err = err.Error()
-		s.failed++
+		s.n.JobsFailed++
 	}
 	s.mu.Unlock()
 	if flight != nil {
@@ -545,12 +535,12 @@ func (s *Server) waitCoalesced(job *Job, jctx context.Context, flight *cache.Fli
 			job.Artifacts = res.Artifacts
 			if err == nil {
 				job.State = StateDone
-				s.completed++
+				s.n.JobsCompleted++
 			} else {
 				job.State = StateFailed
 				job.ErrCode = errorCodeOf(err.Error())
 				job.Err = "coalesced run: " + err.Error()
-				s.failed++
+				s.n.JobsFailed++
 			}
 		}
 		s.mu.Unlock()
@@ -563,12 +553,12 @@ func (s *Server) waitCoalesced(job *Job, jctx context.Context, flight *cache.Fli
 				job.State = StateCancelled
 				job.ErrCode = CodeCancelled
 				job.Err = cause.Error()
-				s.cancelled++
+				s.n.JobsCancelled++
 			} else {
 				job.State = StateFailed
 				job.ErrCode = errorCodeOf(cause.Error())
 				job.Err = cause.Error()
-				s.failed++
+				s.n.JobsFailed++
 			}
 		}
 		s.mu.Unlock()
@@ -637,7 +627,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 			job.State = StateCancelled
 			job.ErrCode = CodeCancelled
 			job.Err = "cancelled before start"
-			s.cancelled++
+			s.n.JobsCancelled++
 			finished = true
 		case job.State == StateRunning:
 			job.cancel(context.Canceled)
@@ -734,6 +724,39 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
+// Counters are the job and stream counters a shard's /varz reports and
+// the router's totals sum.
+type Counters struct {
+	JobsSubmitted uint64 `json:"jobs_submitted"`
+	JobsRejected  uint64 `json:"jobs_rejected"`
+	JobsCompleted uint64 `json:"jobs_completed"`
+	JobsFailed    uint64 `json:"jobs_failed"`
+	JobsCancelled uint64 `json:"jobs_cancelled"`
+	JobsFromCache uint64 `json:"jobs_from_cache"`
+	JobsCoalesced uint64 `json:"jobs_coalesced"`
+	// StreamJobs counts streaming submissions.
+	StreamJobs uint64 `json:"stream_jobs"`
+	// ArtifactStreamsServed counts live chunked artifact downloads
+	// (?stream=1 feeds opened while the producing run was in flight).
+	ArtifactStreamsServed uint64 `json:"artifact_streams_served"`
+	// EventStreamsServed counts SSE feeds opened on /events.
+	EventStreamsServed uint64 `json:"event_streams_served"`
+}
+
+// Add adds o's counts to c.
+func (c *Counters) Add(o Counters) {
+	c.JobsSubmitted += o.JobsSubmitted
+	c.JobsRejected += o.JobsRejected
+	c.JobsCompleted += o.JobsCompleted
+	c.JobsFailed += o.JobsFailed
+	c.JobsCancelled += o.JobsCancelled
+	c.JobsFromCache += o.JobsFromCache
+	c.JobsCoalesced += o.JobsCoalesced
+	c.StreamJobs += o.StreamJobs
+	c.ArtifactStreamsServed += o.ArtifactStreamsServed
+	c.EventStreamsServed += o.EventStreamsServed
+}
+
 // Varz is the self-metrics document served at /varz.
 type Varz struct {
 	Name     string `json:"name,omitempty"`
@@ -745,22 +768,8 @@ type Varz struct {
 	InFlight   int  `json:"in_flight"`
 	Draining   bool `json:"draining,omitempty"`
 
-	JobsSubmitted uint64 `json:"jobs_submitted"`
-	JobsRejected  uint64 `json:"jobs_rejected"`
-	JobsCompleted uint64 `json:"jobs_completed"`
-	JobsFailed    uint64 `json:"jobs_failed"`
-	JobsCancelled uint64 `json:"jobs_cancelled"`
-	JobsFromCache uint64 `json:"jobs_from_cache"`
-	JobsCoalesced uint64 `json:"jobs_coalesced"`
-	JobsRetained  int    `json:"jobs_retained"`
-
-	// Streaming pipeline counters (v3).
-	StreamJobs uint64 `json:"stream_jobs,omitempty"`
-	// ArtifactStreamsServed counts live chunked artifact downloads
-	// (?stream=1 feeds opened while the producing run was in flight).
-	ArtifactStreamsServed uint64 `json:"artifact_streams_served,omitempty"`
-	// EventStreamsServed counts SSE feeds opened on /events.
-	EventStreamsServed uint64 `json:"event_streams_served,omitempty"`
+	Counters
+	JobsRetained int `json:"jobs_retained"`
 
 	Pool  sweep.PoolStats `json:"pool"`
 	Cache *cache.Stats    `json:"cache,omitempty"`
@@ -769,26 +778,15 @@ type Varz struct {
 func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	v := Varz{
-		Name:          s.cfg.Name,
-		Workers:       s.cfg.Workers,
-		QueueCap:      s.pool.Cap(),
-		QueueDepth:    s.pool.Queued(),
-		InFlight:      s.pool.InFlight(),
-		Draining:      s.draining,
-		JobsSubmitted: s.submitted,
-		JobsRejected:  s.rejected,
-		JobsCompleted: s.completed,
-		JobsFailed:    s.failed,
-		JobsCancelled: s.cancelled,
-		JobsFromCache: s.fromCache,
-		JobsCoalesced: s.coalesced,
-		JobsRetained:  len(s.jobs),
-
-		StreamJobs:            s.streamJobs,
-		ArtifactStreamsServed: s.streamsServed,
-		EventStreamsServed:    s.eventStreams,
-
-		Pool: s.pool.Stats(),
+		Name:         s.cfg.Name,
+		Workers:      s.cfg.Workers,
+		QueueCap:     s.pool.Cap(),
+		QueueDepth:   s.pool.Queued(),
+		InFlight:     s.pool.InFlight(),
+		Draining:     s.draining,
+		Counters:     s.n,
+		JobsRetained: len(s.jobs),
+		Pool:         s.pool.Stats(),
 	}
 	s.mu.Unlock()
 	if s.cache != nil {

@@ -88,7 +88,7 @@ func (s *Server) serveRing(w http.ResponseWriter, r *http.Request, name string, 
 	}
 
 	s.mu.Lock()
-	s.streamsServed++
+	s.n.ArtifactStreamsServed++
 	s.mu.Unlock()
 
 	w.Header().Set("Content-Type", contentType(name))

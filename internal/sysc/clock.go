@@ -85,7 +85,7 @@ func (tk *Ticker) NextFire() (Time, bool) {
 	if tk.gen.pendingKind != notifyTimed {
 		return 0, false
 	}
-	return tk.gen.pendingWhen, true
+	return tk.gen.sim.timed.when(tk.gen), true
 }
 
 // SkipTo fast-forwards the ticker across firings that are known to be no-ops:

@@ -1,6 +1,9 @@
 package sysc
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // The microbenchmarks isolate the per-handoff cost of the two ways to write
 // a suspendable process. Both run as coroutines: a Thread's step hands
@@ -111,13 +114,49 @@ func BenchmarkYieldResume(b *testing.B) {
 	})
 }
 
+// BenchmarkTimedQueue measures the timer-queue round trip of the
+// WaitTimeout pattern: each op arms a coroutine's timeout and a data event,
+// the data event fires first, and TimedOut cancels the timeout. A ticker
+// keeps re-arming its generator and 16 long timers that never fire sit in
+// the heap throughout.
+func BenchmarkTimedQueue(b *testing.B) {
+	b.ReportAllocs()
+	sim := NewSimulator()
+	defer sim.Shutdown()
+	NewTicker(sim, "tick", 10)
+	for i := 0; i < 16; i++ {
+		sim.NewEvent(fmt.Sprintf("idle%d", i)).NotifyAfter(MaxTime/2 + Time(i))
+	}
+	data := sim.NewEvent("data")
+	n := 0
+	sim.SpawnCoro("waiter", func(c *Coro) {
+		if c.Fired() != nil {
+			if c.TimedOut() {
+				b.Error("timeout beat the data event")
+				sim.Stop()
+				return
+			}
+			if n++; n >= b.N {
+				sim.Stop()
+				return
+			}
+		}
+		data.NotifyAfter(3)
+		c.WaitTimeout(1000, data)
+	})
+	b.ResetTimer()
+	if err := sim.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // TestContinuationSteadyStateZeroAlloc asserts the coroutine
 // steady-state data path — timer self-yields, event ping-pong handoffs, and
 // the WaitTimeout scratch-buffer path — performs zero heap allocations per
-// Start window once warm. The timed queue recycles entries through its free
-// list, trigger keeps waiter backing arrays, and WaitTimeout builds its wait
-// set in the per-coroutine scratch buffer, so nothing on this path should
-// ever reach the allocator after warmup.
+// Start window once warm. The timed queue holds its entries by value in a
+// slice that keeps its capacity, trigger keeps waiter backing arrays, and
+// WaitTimeout builds its wait set in the per-coroutine scratch buffer, so
+// nothing on this path should ever reach the allocator after warmup.
 func TestContinuationSteadyStateZeroAlloc(t *testing.T) {
 	sim := NewSimulator()
 	defer sim.Shutdown()
@@ -148,7 +187,7 @@ func TestContinuationSteadyStateZeroAlloc(t *testing.T) {
 	})
 
 	// Warm up: stabilize runnable-queue, waiter-list, scratch and timed-heap
-	// free-list capacities.
+	// capacities.
 	var end Time = 1000
 	if err := sim.Start(end); err != nil {
 		t.Fatal(err)

@@ -21,10 +21,10 @@ type Event struct {
 	// static are processes statically sensitive to this event.
 	static []*Method
 
-	// pending notification state.
-	pendingKind  notifyKind
-	pendingWhen  Time       // valid when pendingKind == notifyTimed
-	pendingEntry *timedItem // heap entry, for cancellation
+	// pending notification state. A timed notification's time lives in
+	// its heap entry.
+	pendingKind notifyKind
+	heapIdx     int32 // timed-heap position, valid when pendingKind == notifyTimed
 }
 
 type notifyKind uint8
@@ -80,14 +80,15 @@ func (e *Event) NotifyAfter(d Time) {
 	case notifyDelta:
 		return
 	case notifyTimed:
-		if e.pendingWhen <= when {
+		if e.sim.timed.when(e) <= when {
 			return
 		}
 		e.Cancel()
 	}
 	e.pendingKind = notifyTimed
-	e.pendingWhen = when
-	e.pendingEntry = e.sim.timed.push(when, e)
+	q := &e.sim.timed
+	q.seq++
+	q.push(e, when, q.seq)
 }
 
 // Cancel removes any pending delta or timed notification.
@@ -96,10 +97,7 @@ func (e *Event) Cancel() {
 	case notifyDelta:
 		// Lazy removal: the delta queue checks pendingKind on fire.
 	case notifyTimed:
-		if e.pendingEntry != nil {
-			e.sim.timed.cancel(e.pendingEntry)
-			e.pendingEntry = nil
-		}
+		e.sim.timed.remove(e)
 	}
 	e.pendingKind = notifyNone
 }

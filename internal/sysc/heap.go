@@ -1,126 +1,75 @@
 package sysc
 
-// timedItem is a scheduled timed notification. Cancellation is lazy by
-// default: the item stays in the heap but is skipped when popped. When
-// cancelled items outnumber live ones the queue compacts eagerly, so a
-// model that schedules and cancels many timeouts (the WaitTimeout pattern)
-// never accumulates an arbitrarily large dead tail.
-type timedItem struct {
-	when      Time
-	seq       uint64 // tie-break so equal-time items fire in schedule order
-	ev        *Event
-	cancelled bool
+// timedEntry is a pending timed notification. An event holds at most one
+// pending notification, so each entry belongs to exactly one event, which
+// records the entry's position in Event.heapIdx.
+type timedEntry struct {
+	when Time
+	seq  uint64 // tie-break so equal-time entries fire in schedule order
+	ev   *Event
 }
 
-// timedQueue is a binary min-heap of timed notifications ordered by
-// (when, seq). Popped and cancelled items are recycled through a free list
-// so steady-state scheduling does not allocate.
+// timedQueue is an indexed binary min-heap of timed notifications ordered
+// by (when, seq). Entries are held by value and cancellation removes an
+// entry at once, so the heap holds exactly the pending notifications and
+// steady-state scheduling does not allocate.
 type timedQueue struct {
-	items []*timedItem
-	seq   uint64
-
-	free    []*timedItem // recycled items available for push
-	ncancel int          // cancelled items still sitting in the heap
+	items []timedEntry
+	seq   uint64 // last sequence number drawn
 }
 
-// compactMin is the heap size below which compaction is never worth it.
-const compactMin = 64
-
-func (q *timedQueue) push(when Time, ev *Event) *timedItem {
-	q.seq++
-	var it *timedItem
-	if n := len(q.free); n > 0 {
-		it = q.free[n-1]
-		q.free[n-1] = nil
-		q.free = q.free[:n-1]
-		it.when, it.seq, it.ev, it.cancelled = when, q.seq, ev, false
-	} else {
-		it = &timedItem{when: when, seq: q.seq, ev: ev}
-	}
-	q.items = append(q.items, it)
+// push inserts e's notification at when. seq is a fresh q.seq draw
+// (NotifyAfter) or a captured one (LoadState).
+func (q *timedQueue) push(e *Event, when Time, seq uint64) {
+	e.heapIdx = int32(len(q.items))
+	q.items = append(q.items, timedEntry{when: when, seq: seq, ev: e})
 	q.up(len(q.items) - 1)
-	return it
 }
 
-// pushExact inserts an item with an explicit sequence number instead of
-// drawing a fresh one — the state-restore path (state.go) re-creates
-// captured entries with their original seqs so same-instant firing order
-// is preserved bit-for-bit. The caller restores q.seq separately.
-func (q *timedQueue) pushExact(when Time, seq uint64, ev *Event) *timedItem {
-	var it *timedItem
-	if n := len(q.free); n > 0 {
-		it = q.free[n-1]
-		q.free[n-1] = nil
-		q.free = q.free[:n-1]
-		it.when, it.seq, it.ev, it.cancelled = when, seq, ev, false
-	} else {
-		it = &timedItem{when: when, seq: seq, ev: ev}
+// remove deletes e's entry in O(log n).
+func (q *timedQueue) remove(e *Event) {
+	i, n := int(e.heapIdx), len(q.items)-1
+	if i != n {
+		q.swap(i, n)
 	}
-	q.items = append(q.items, it)
-	q.up(len(q.items) - 1)
-	return it
-}
-
-// reset empties the heap (recycling every item) and force-sets the seq
-// counter — the state-restore path rebuilds the heap from a capture.
-func (q *timedQueue) reset(seq uint64) {
-	for i, it := range q.items {
-		it.cancelled = false
-		q.release(it)
-		q.items[i] = nil
-	}
-	q.items = q.items[:0]
-	q.ncancel = 0
-	q.seq = seq
-}
-
-// cancel marks a scheduled item dead. The heap slot is reclaimed lazily on
-// pop, or eagerly via compact once dead items exceed the live fraction.
-func (q *timedQueue) cancel(it *timedItem) {
-	if it == nil || it.cancelled {
-		return
-	}
-	it.cancelled = true
-	it.ev = nil
-	q.ncancel++
-	if len(q.items) >= compactMin && q.ncancel*2 > len(q.items) {
-		q.compact()
+	q.items[n] = timedEntry{}
+	q.items = q.items[:n]
+	if i != n && !q.down(i) {
+		q.up(i)
 	}
 }
 
-// release returns a popped item to the free list for reuse.
-func (q *timedQueue) release(it *timedItem) {
-	it.ev = nil
-	q.free = append(q.free, it)
+// pop removes the earliest entry and returns its event.
+func (q *timedQueue) pop() *Event {
+	ev := q.items[0].ev
+	q.remove(ev)
+	return ev
 }
 
-// compact drops every cancelled item and restores the heap invariant in
-// O(n). Live-item (when, seq) ordering is unaffected.
-func (q *timedQueue) compact() {
-	live := q.items[:0]
-	for _, it := range q.items {
-		if it.cancelled {
-			q.release(it)
-		} else {
-			live = append(live, it)
-		}
+// when returns the time of e's pending entry.
+func (q *timedQueue) when(e *Event) Time { return q.items[e.heapIdx].when }
+
+// nextTime returns the time of the earliest entry; ok is false when the
+// queue is empty.
+func (q *timedQueue) nextTime() (t Time, ok bool) {
+	if len(q.items) == 0 {
+		return 0, false
 	}
-	for i := len(live); i < len(q.items); i++ {
-		q.items[i] = nil
-	}
-	q.items = live
-	q.ncancel = 0
-	for i := len(q.items)/2 - 1; i >= 0; i-- {
-		q.down(i)
-	}
+	return q.items[0].when, true
 }
 
 func (q *timedQueue) less(i, j int) bool {
-	a, b := q.items[i], q.items[j]
+	a, b := &q.items[i], &q.items[j]
 	if a.when != b.when {
 		return a.when < b.when
 	}
 	return a.seq < b.seq
+}
+
+func (q *timedQueue) swap(i, j int) {
+	q.items[i], q.items[j] = q.items[j], q.items[i]
+	q.items[i].ev.heapIdx = int32(i)
+	q.items[j].ev.heapIdx = int32(j)
 }
 
 func (q *timedQueue) up(i int) {
@@ -129,13 +78,14 @@ func (q *timedQueue) up(i int) {
 		if !q.less(i, parent) {
 			break
 		}
-		q.items[i], q.items[parent] = q.items[parent], q.items[i]
+		q.swap(i, parent)
 		i = parent
 	}
 }
 
-func (q *timedQueue) down(i int) {
-	n := len(q.items)
+// down sifts entry i toward the leaves and reports whether it moved.
+func (q *timedQueue) down(i int) bool {
+	n, i0 := len(q.items), i
 	for {
 		l, r := 2*i+1, 2*i+2
 		smallest := i
@@ -146,43 +96,9 @@ func (q *timedQueue) down(i int) {
 			smallest = r
 		}
 		if smallest == i {
-			return
+			return i > i0
 		}
-		q.items[i], q.items[smallest] = q.items[smallest], q.items[i]
+		q.swap(i, smallest)
 		i = smallest
 	}
-}
-
-func (q *timedQueue) pop() *timedItem {
-	n := len(q.items)
-	it := q.items[0]
-	q.items[0] = q.items[n-1]
-	q.items[n-1] = nil
-	q.items = q.items[:n-1]
-	if len(q.items) > 0 {
-		q.down(0)
-	}
-	if it.cancelled {
-		q.ncancel--
-	}
-	return it
-}
-
-// nextTime returns the time of the earliest live notification, skipping,
-// discarding and recycling cancelled ones. ok is false when the queue is
-// effectively empty.
-func (q *timedQueue) nextTime() (t Time, ok bool) {
-	for len(q.items) > 0 {
-		if q.items[0].cancelled {
-			q.release(q.pop())
-			continue
-		}
-		return q.items[0].when, true
-	}
-	return 0, false
-}
-
-func (q *timedQueue) empty() bool {
-	_, ok := q.nextTime()
-	return !ok
 }

@@ -7,120 +7,101 @@ import (
 	"time"
 )
 
-// Cancelled items are skipped (and recycled) rather than fired: the queue
-// reports the next live time, not the cancelled head.
-func TestTimedQueueLazyCancellationSkipped(t *testing.T) {
-	var q timedQueue
+// pendingTimed counts the events with a pending timed notification.
+func pendingTimed(sim *Simulator) int {
+	n := 0
+	for _, e := range sim.events {
+		if e.pendingKind == notifyTimed {
+			n++
+		}
+	}
+	return n
+}
+
+// heapConsistent reports whether the timed heap satisfies the (when, seq)
+// heap order and every entry's event records the entry's index.
+func heapConsistent(q *timedQueue) bool {
+	for i, it := range q.items {
+		if it.ev.heapIdx != int32(i) || it.ev.pendingKind != notifyTimed {
+			return false
+		}
+		if i > 0 && q.less(i, (i-1)/2) {
+			return false
+		}
+	}
+	return true
+}
+
+// Cancel removes the entry at once: the heap holds exactly the events with
+// a pending timed notification, and the next time is the earliest of them.
+func TestTimedQueueCancelRemovesEntry(t *testing.T) {
 	sim := NewSimulator()
-	e1, e2 := sim.NewEvent("e1"), sim.NewEvent("e2")
-	it1 := q.push(5, e1)
-	q.push(10, e2)
-	q.cancel(it1)
-	next, ok := q.nextTime()
-	if !ok || next != 10 {
-		t.Fatalf("nextTime = %v,%v; want 10,true (cancelled head skipped)", next, ok)
+	defer sim.Shutdown()
+	e1, e2, e3 := sim.NewEvent("e1"), sim.NewEvent("e2"), sim.NewEvent("e3")
+	e1.NotifyAfter(5)
+	e2.NotifyAfter(10)
+	e3.NotifyAfter(7)
+	e1.Cancel()
+	q := &sim.timed
+	if n, want := len(q.items), pendingTimed(sim); n != want || n != 2 {
+		t.Fatalf("heap holds %d entries, want %d (one per pending event)", n, want)
 	}
-	it := q.pop()
-	if it.ev != e2 || it.when != 10 {
-		t.Fatalf("pop = {%v %v}; want live e2@10", it.when, it.ev)
+	if !heapConsistent(q) {
+		t.Fatal("heap order or entry indices broken by cancel")
 	}
-	if !q.empty() {
-		t.Fatal("queue should be empty after the only live item popped")
+	if next, ok := q.nextTime(); !ok || next != 7 {
+		t.Fatalf("nextTime = %v,%v; want 7,true", next, ok)
+	}
+	e3.Cancel()
+	if ev := q.pop(); ev != e2 {
+		t.Fatalf("pop = %q; want e2", ev.Name())
+	}
+	if _, ok := q.nextTime(); ok {
+		t.Fatal("queue should be empty after the only pending entry popped")
 	}
 }
 
 // Equal-time items fire in schedule order: the (when, seq) tie-break.
 func TestTimedQueueTieBreakScheduleOrder(t *testing.T) {
-	var q timedQueue
 	sim := NewSimulator()
+	q := &sim.timed
 	const n = 20
 	evs := make([]*Event, n)
 	for i := range evs {
 		evs[i] = sim.NewEvent(fmt.Sprintf("e%d", i))
-		q.push(42, evs[i])
+		evs[i].NotifyAfter(42)
 	}
 	for i := 0; i < n; i++ {
 		if _, ok := q.nextTime(); !ok {
 			t.Fatalf("queue empty after %d pops, want %d items", i, n)
 		}
-		it := q.pop()
-		if it.ev != evs[i] {
+		if ev := q.pop(); ev != evs[i] {
 			t.Fatalf("pop %d returned %q, want %q (schedule order)",
-				i, it.ev.Name(), evs[i].Name())
+				i, ev.Name(), evs[i].Name())
 		}
 	}
 }
 
-// Released items are recycled: a push after a pop+release reuses the same
-// timedItem instead of allocating.
-func TestTimedQueuePoolReuse(t *testing.T) {
-	var q timedQueue
+// A warm notify/cancel/fire round trip does not allocate: entries are
+// values in a slice whose capacity the heap keeps.
+func TestTimedQueueSteadyStateAllocs(t *testing.T) {
 	sim := NewSimulator()
-	ev := sim.NewEvent("e")
-	first := q.push(1, ev)
-	got := q.pop()
-	if got != first {
-		t.Fatal("pop returned a different item than pushed")
-	}
-	q.release(got)
-	second := q.push(2, ev)
-	if second != first {
-		t.Fatal("push after release did not recycle the pooled item")
-	}
-	if second.when != 2 || second.ev != ev || second.cancelled {
-		t.Fatalf("recycled item not reset: %+v", second)
-	}
-}
-
-// Cancelled items are also recycled when nextTime discards them.
-func TestTimedQueueCancelRecyclesViaNextTime(t *testing.T) {
-	var q timedQueue
-	sim := NewSimulator()
-	ev := sim.NewEvent("e")
-	it := q.push(1, ev)
-	q.cancel(it)
-	if _, ok := q.nextTime(); ok {
-		t.Fatal("queue with only a cancelled item should report empty")
-	}
-	again := q.push(3, ev)
-	if again != it {
-		t.Fatal("cancelled item was not recycled through the free list")
-	}
-}
-
-// Once cancelled items exceed the live fraction the heap compacts eagerly,
-// so a cancel-heavy workload (the WaitTimeout pattern) keeps the heap small.
-func TestTimedQueueEagerCompaction(t *testing.T) {
-	var q timedQueue
-	sim := NewSimulator()
-	ev := sim.NewEvent("e")
-	n := compactMin * 2
-	items := make([]*timedItem, n)
-	for i := 0; i < n; i++ {
-		items[i] = q.push(Time(i), ev)
-	}
-	// Cancel just over half: the queue must shed the dead entries.
-	for i := 0; i < n/2+1; i++ {
-		q.cancel(items[i])
-	}
-	if len(q.items) > n/2 {
-		t.Fatalf("heap holds %d entries after heavy cancellation, want <= %d (compacted)",
-			len(q.items), n/2)
-	}
-	if q.ncancel != 0 {
-		t.Fatalf("ncancel = %d after compaction, want 0", q.ncancel)
-	}
-	// Survivors must still pop in (when, seq) order.
-	last := Time(-1)
-	for !q.empty() {
-		it := q.pop()
-		if it.when < last {
-			t.Fatalf("order violated after compaction: %v after %v", it.when, last)
+	defer sim.Shutdown()
+	evs := []*Event{sim.NewEvent("a"), sim.NewEvent("b"), sim.NewEvent("c")}
+	var end Time
+	round := func() {
+		evs[0].NotifyAfter(3)
+		evs[1].NotifyAfter(1)
+		evs[2].NotifyAfter(2)
+		evs[0].Cancel()
+		end += 3
+		if err := sim.Start(end); err != nil {
+			t.Fatal(err)
 		}
-		last = it.when
 	}
-	if last != Time(n-1) {
-		t.Fatalf("last live item popped at %v, want %v", last, Time(n-1))
+	round()
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("notify/cancel/fire round trip allocated %.1f times, want 0", allocs)
 	}
 }
 
@@ -245,8 +226,8 @@ func TestCurrentThreadNilInsideMethod(t *testing.T) {
 	}
 }
 
-// A long cancel/re-arm workload (the WaitTimeout pattern under load) must
-// not grow the timed heap without bound.
+// A long cancel/re-arm workload (the WaitTimeout pattern under load) leaves
+// the timed heap holding exactly the pending notifications.
 func TestTimedQueueBoundedUnderCancelChurn(t *testing.T) {
 	sim := NewSimulator()
 	defer sim.Shutdown()
@@ -265,7 +246,28 @@ func TestTimedQueueBoundedUnderCancelChurn(t *testing.T) {
 	if err := sim.Start(20 * Ms); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(sim.timed.items); n > compactMin*2 {
-		t.Fatalf("timed heap grew to %d entries under cancel churn, want bounded", n)
+	if n, want := len(sim.timed.items), pendingTimed(sim); n != want {
+		t.Fatalf("timed heap holds %d entries under cancel churn, want %d (one per pending event)", n, want)
+	}
+}
+
+// A captured heap lists each event at most once, since an event owns one
+// heap entry. LoadState refuses a state that lists an event twice rather
+// than corrupt the event's entry index.
+func TestLoadStateRejectsDuplicateHeapEntry(t *testing.T) {
+	sim := NewSimulator()
+	defer sim.Shutdown()
+	ev := sim.NewEvent("e")
+	ev.NotifyAfter(Ms)
+	st, err := sim.SaveState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.LoadState(st); err != nil {
+		t.Fatalf("round trip: %v", err)
+	}
+	st.Heap = append(st.Heap, st.Heap[0])
+	if err := sim.LoadState(st); err == nil {
+		t.Fatal("LoadState accepted an event listed twice in the heap")
 	}
 }

@@ -118,29 +118,23 @@ func (s *Simulator) SetWarpHook(fn func(now, horizon Time)) { s.warp = fn }
 
 // NextTimedExcluding returns the earliest pending timed-notification time
 // belonging to any event other than ex (the tickless fast-forward asks
-// "when does anything besides my own tick generator need to run?").
+// "when does anything besides my own tick generator need to run?"). An
+// event owns at most one heap entry, so when ex holds the root the answer
+// is the earlier of the root's children.
 func (s *Simulator) NextTimedExcluding(ex *Event) (Time, bool) {
-	t, ok := s.timed.nextTime()
-	if !ok {
+	q := &s.timed
+	switch n := len(q.items); {
+	case n == 0:
 		return 0, false
+	case q.items[0].ev != ex:
+		return q.items[0].when, true
+	case n == 1:
+		return 0, false
+	case n == 2 || q.less(1, 2):
+		return q.items[1].when, true
+	default:
+		return q.items[2].when, true
 	}
-	if s.timed.items[0].ev != ex {
-		return t, true
-	}
-	// The excluded event holds the heap root; scan for the earliest other
-	// live entry (an event has at most one live entry, so skipping the root
-	// suffices for ex).
-	found := false
-	var min Time
-	for _, it := range s.timed.items[1:] {
-		if it.cancelled {
-			continue
-		}
-		if !found || it.when < min {
-			found, min = true, it.when
-		}
-	}
-	return min, found
 }
 
 // Stop requests that the simulation stop at the end of the current delta
@@ -321,21 +315,9 @@ func (s *Simulator) Start(until Time) error {
 		if s.observer != nil {
 			s.observer.TimeAdvance(prev, s.now)
 		}
-		for {
-			t, ok := s.timed.nextTime()
-			if !ok || t != s.now {
-				break
-			}
-			it := s.timed.pop()
-			ev := it.ev
-			live := !it.cancelled && ev != nil &&
-				ev.pendingKind == notifyTimed && ev.pendingEntry == it
-			s.timed.release(it)
-			if !live {
-				continue
-			}
+		for len(s.timed.items) > 0 && s.timed.items[0].when == s.now {
+			ev := s.timed.pop()
 			ev.pendingKind = notifyNone
-			ev.pendingEntry = nil
 			s.trigger(ev)
 		}
 	}

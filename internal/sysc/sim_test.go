@@ -561,18 +561,48 @@ func TestPropertyTimedWakeups(t *testing.T) {
 	}
 }
 
-// Property: heap pops timed notifications in nondecreasing time order with
+// applyTimedOp notifies or cancels one of evs, chosen by op, at time zero,
+// and mirrors the SystemC override rules in want: an earlier timed
+// notification replaces a later one, and Cancel clears it.
+func applyTimedOp(evs []*Event, want map[*Event]Time, op uint16) {
+	e := evs[int(op)%len(evs)]
+	if op&0x8 != 0 {
+		e.Cancel()
+		delete(want, e)
+		return
+	}
+	d := Time(op>>4) % 64
+	e.NotifyAfter(d)
+	if w, ok := want[e]; !ok || d < w {
+		want[e] = d
+	}
+}
+
+// Property: under random notify and cancel sequences the heap holds exactly
+// the pending notifications, and pops them in nondecreasing time order with
 // FIFO order among equal times.
 func TestPropertyHeapOrdering(t *testing.T) {
-	f := func(raw []uint8) bool {
-		var q timedQueue
-		for _, r := range raw {
-			q.push(Time(r), nil)
+	f := func(ops []uint16) bool {
+		sim := NewSimulator()
+		evs := make([]*Event, 8)
+		for i := range evs {
+			evs[i] = sim.NewEvent(fmt.Sprintf("e%d", i))
+		}
+		want := map[*Event]Time{}
+		for _, op := range ops {
+			applyTimedOp(evs, want, op)
+			if !heapConsistent(&sim.timed) || len(sim.timed.items) != len(want) {
+				return false
+			}
 		}
 		var last Time = -1
 		var lastSeq uint64
-		for !q.empty() {
-			it := q.pop()
+		for len(sim.timed.items) > 0 {
+			it := sim.timed.items[0]
+			if ev := sim.timed.pop(); ev != it.ev || want[ev] != it.when {
+				return false
+			}
+			delete(want, it.ev)
 			if it.when < last {
 				return false
 			}
@@ -580,6 +610,40 @@ func TestPropertyHeapOrdering(t *testing.T) {
 				return false
 			}
 			last, lastSeq = it.when, it.seq
+		}
+		return len(want) == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: NextTimedExcluding agrees with a brute-force minimum over every
+// pending notification but the excluded event's, after each step of a
+// random notify and cancel sequence.
+func TestPropertyNextTimedExcluding(t *testing.T) {
+	f := func(ops []uint16) bool {
+		sim := NewSimulator()
+		evs := make([]*Event, 8)
+		for i := range evs {
+			evs[i] = sim.NewEvent(fmt.Sprintf("e%d", i))
+		}
+		want := map[*Event]Time{}
+		for _, op := range ops {
+			applyTimedOp(evs, want, op)
+			for _, ex := range append(evs, nil) {
+				var min Time
+				found := false
+				for e, w := range want {
+					if e != ex && (!found || w < min) {
+						min, found = w, true
+					}
+				}
+				got, ok := sim.NextTimedExcluding(ex)
+				if ok != found || got != min {
+					return false
+				}
+			}
 		}
 		return true
 	}

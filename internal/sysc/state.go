@@ -9,7 +9,7 @@ import "fmt"
 // The contract: capture is legal only *between* Start calls, when the
 // model is stable — nothing runnable, no pending update or delta. At that
 // instant the whole dynamic state of the simulator is plain data: the
-// clock, the delta counter, the timed heap's live (when, seq, event)
+// clock, the delta counter, the timed heap's (when, seq, event)
 // triples, each event's wait list, and each coroutine's armed wait set.
 //
 // A Thread is a coroutine whose resumption state also includes a parked
@@ -41,7 +41,7 @@ func (e *ErrThreadMoved) Error() string {
 	return fmt.Sprintf("sysc: thread %q moved since the capture; goroutine stacks cannot be rewound", e.Name)
 }
 
-// TimedItemState is one live entry of the timed notification heap. Seq is
+// TimedItemState is one entry of the timed notification heap. Seq is
 // the original push sequence number: restoring with the exact sequence
 // preserves same-instant firing order bit-for-bit.
 type TimedItemState struct {
@@ -72,7 +72,7 @@ type SimState struct {
 	Now        Time
 	DeltaCount uint64
 	HeapSeq    uint64           // timed queue's next-seq counter
-	Heap       []TimedItemState // live entries sorted by (When, Seq)
+	Heap       []TimedItemState // entries sorted by (When, Seq)
 	Events     []EventState     // registry order
 	Coros      []CoroState      // registry order
 }
@@ -99,11 +99,7 @@ func (s *Simulator) SaveState() (*SimState, error) {
 		Coros:      make([]CoroState, len(s.coros)),
 	}
 	for _, it := range s.timed.items {
-		ev := it.ev
-		if it.cancelled || ev == nil || ev.pendingKind != notifyTimed || ev.pendingEntry != it {
-			continue
-		}
-		st.Heap = append(st.Heap, TimedItemState{When: it.when, Seq: it.seq, Ev: ev.idx})
+		st.Heap = append(st.Heap, TimedItemState{When: it.when, Seq: it.seq, Ev: it.ev.idx})
 	}
 	sortHeapState(st.Heap)
 	for i, e := range s.events {
@@ -172,19 +168,22 @@ func (s *Simulator) LoadState(st *SimState) error {
 	// Clear every event's dynamic state, then rebuild from the capture.
 	for _, e := range s.events {
 		e.pendingKind = notifyNone
-		e.pendingEntry = nil
 		clearWaiters(e)
 	}
-	s.timed.reset(st.HeapSeq)
+	clear(s.timed.items)
+	s.timed.items = s.timed.items[:0]
+	s.timed.seq = st.HeapSeq
 	for i := range st.Heap {
 		h := &st.Heap[i]
 		if int(h.Ev) >= len(s.events) {
 			return fmt.Errorf("sysc: heap entry references unknown event %d", h.Ev)
 		}
 		ev := s.events[h.Ev]
+		if ev.pendingKind == notifyTimed {
+			return fmt.Errorf("sysc: event %q has two heap entries", ev.name)
+		}
 		ev.pendingKind = notifyTimed
-		ev.pendingWhen = h.When
-		ev.pendingEntry = s.timed.pushExact(h.When, h.Seq, ev)
+		s.timed.push(ev, h.When, h.Seq)
 	}
 	for i := range st.Events {
 		e := s.events[i]
@@ -243,7 +242,7 @@ func clearWaiters(e *Event) {
 	e.cwaiters = e.cwaiters[:0]
 }
 
-// sortHeapState orders heap entries by (When, Seq) — insertion sort; live
+// sortHeapState orders heap entries by (When, Seq) — insertion sort; the
 // heaps at quiescent points are small and nearly ordered.
 func sortHeapState(h []TimedItemState) {
 	for i := 1; i < len(h); i++ {

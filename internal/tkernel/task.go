@@ -66,7 +66,7 @@ func (k *Kernel) CreTsk(name string, priority int, body func(*Task)) (ID, ER) {
 	return k.creTsk(name, priority, func(task *Task) *core.TThread {
 		return k.api.CreateThread(name, core.KindTask, priority, func(*core.TThread) {
 			// T-Kernel releases any mutexes a task still holds when it ends,
-			// whether it returns normally or is unwound by tk_ter/ext_tsk.
+			// whether it returns, exits (tk_ext_tsk) or is unwound by tk_ter_tsk.
 			defer k.releaseOwnedMutexes(task)
 			body(task)
 		})
@@ -124,15 +124,15 @@ func (k *Kernel) StaTsk(id ID) ER {
 	})
 }
 
-// ExtTsk exits the calling task (tk_ext_tsk): in this model the task body
-// simply returns; ExtTsk exists for completeness and unwinds the body via
-// the termination path after releasing any held mutexes.
+// ExtTsk exits the calling task (tk_ext_tsk): the body unwinds and the
+// cycle ends exactly as if it had returned. The deferred release in CreTsk
+// frees any held mutexes during the unwind, and a queued activation
+// restarts the task.
 func (k *Kernel) ExtTsk() ER {
 	task := k.caller()
 	if task == nil || k.api.InHandler() {
 		return ECTX
 	}
-	k.releaseOwnedMutexes(task)
 	task.tt.Exit() // unwinds the body; never returns
 	return EOK
 }

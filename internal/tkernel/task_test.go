@@ -561,3 +561,54 @@ func terMidService(t *testing.T, face, svc string, waiting bool,
 	o.locked = k.API().DispatchLocked()
 	return o
 }
+
+// TestExtTskEndsCycleLikeReturn activates a closure task and a program task
+// twice each with act_tsk. Each ends its cycle in ExtTsk (the program in
+// its Exit op) while holding a mutex. Exiting must end the cycle as a
+// return does: both tasks run twice, publish exit twice and terminate never,
+// and the mutex is free afterwards.
+func TestExtTskEndsCycleLikeReturn(t *testing.T) {
+	runs := map[string]int{}
+	var mtx tkernel.ID
+	k, sim := boot(t, func(k *tkernel.Kernel) {
+		mtx, _ = k.CreMtx("m", tkernel.TaTFIFO, 0)
+		closure, _ := k.CreTsk("closure", 10, func(task *tkernel.Task) {
+			_ = k.LocMtx(mtx, tkernel.TmoFevr)
+			k.Work(core.Cost{Time: sysc.Ms}, "")
+			runs["closure"]++
+			_ = k.ExtTsk()
+			t.Error("code after ExtTsk executed")
+		})
+		var er tkernel.ER
+		prog := k.NewProgram("program").
+			LocMtx(&mtx, tkernel.TmoFevr, &er).
+			Work(core.Cost{Time: sysc.Ms}, "").
+			Atom(func() { runs["program"]++ }).
+			Exit().
+			Atom(func() { t.Error("op after Exit executed") })
+		program, _ := k.CreTskProg("program", 10, prog)
+		for _, id := range []tkernel.ID{closure, program} {
+			for range 2 {
+				if er := k.ActTsk(id, 2); er != tkernel.EOK {
+					t.Errorf("ActTsk(%d): %v", id, er)
+				}
+			}
+		}
+	})
+	kinds := map[string]map[event.Kind]int{"closure": {}, "program": {}}
+	k.Bus().Subscribe(func(e event.Event) {
+		if m, ok := kinds[e.Thread]; ok {
+			m[e.Kind]++
+		}
+	}, event.KindExit, event.KindTerminate)
+	run(t, sim, sysc.Sec)
+	for _, name := range []string{"closure", "program"} {
+		if runs[name] != 2 || kinds[name][event.KindExit] != 2 || kinds[name][event.KindTerminate] != 0 {
+			t.Errorf("%s: runs=%d exit=%d terminate=%d, want 2, 2, 0", name,
+				runs[name], kinds[name][event.KindExit], kinds[name][event.KindTerminate])
+		}
+	}
+	if info, _ := k.RefMtx(mtx); info.HasOwner {
+		t.Errorf("mutex still owned by %q after both tasks exited", info.OwnerName)
+	}
+}
