@@ -14,8 +14,12 @@ all: check
 build:
 	$(GO) build ./...
 
+# test also runs the benchmark module's tests (its schema checks, a
+# 1 %-scale smoke run and the replica drift check), which the root ./...
+# never compiles.
 test:
 	$(GO) test ./...
+	cd bench && $(GO) test ./...
 
 # vet also vets the benchmark module (bench/ is its own module, which the
 # root ./... never compiles), fails when any file is not gofmt-formatted, and

@@ -13,7 +13,6 @@ type InterruptController struct {
 	latched map[int]bool
 	ea      bool // global enable
 
-	raised  uint64
 	dropped uint64
 }
 
@@ -76,16 +75,12 @@ func (c *InterruptController) deliverLatched(line int) {
 }
 
 func (c *InterruptController) fire(line int) {
-	c.raised++
 	if c.sink != nil {
 		c.sink(line)
 	} else {
 		c.dropped++
 	}
 }
-
-// Raised returns the number of delivered interrupt requests.
-func (c *InterruptController) Raised() uint64 { return c.raised }
 
 // Dropped returns requests delivered with no sink attached.
 func (c *InterruptController) Dropped() uint64 { return c.dropped }

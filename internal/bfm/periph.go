@@ -93,10 +93,9 @@ func (l *LCD) SetObserver(fn func()) { l.observer = fn }
 // (GUI events); a press raises the keypad interrupt line through the
 // interrupt controller, and the software reads the key code from the port.
 type Keypad struct {
-	intc    *InterruptController
-	line    int
-	last    byte
-	pressed uint64
+	intc *InterruptController
+	line int
+	last byte
 }
 
 // KeypadIntLine is the interrupt line the keypad asserts (8051 INT0).
@@ -113,7 +112,6 @@ func (k *Keypad) Name() string { return "keypad" }
 // Press injects a key (0..15) from the user/GUI side and asserts INT0.
 func (k *Keypad) Press(key byte) {
 	k.last = key & 0x0F
-	k.pressed++
 	if k.intc != nil {
 		k.intc.Raise(k.line)
 	}
@@ -124,9 +122,6 @@ func (k *Keypad) PortWrite(byte) {}
 
 // PortRead implements Peripheral: the last pressed key code.
 func (k *Keypad) PortRead() byte { return k.last }
-
-// Pressed returns the number of injected key presses.
-func (k *Keypad) Pressed() uint64 { return k.pressed }
 
 // SSD is a 4-digit seven-segment display. Writes encode digit position in
 // the high nibble and value in the low nibble.

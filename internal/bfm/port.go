@@ -33,7 +33,6 @@ type Port struct {
 	sel     int
 
 	writes uint64
-	reads  uint64
 
 	// Trace names (pN.sel/.wr/.rd), the VCD signal (pN) and the access
 	// effects, all bound once at construction.
@@ -94,7 +93,6 @@ func (p *Port) Read(dst *byte) core.Access {
 }
 
 func (p *Port) applyRead(a core.Access) {
-	p.reads++
 	if p.sel < len(p.devices) {
 		*a.Dst = p.devices[p.sel].PortRead()
 	} else {
@@ -108,6 +106,3 @@ func (p *Port) Latch() byte { return p.latch }
 
 // Writes returns the number of write accesses.
 func (p *Port) Writes() uint64 { return p.writes }
-
-// Reads returns the number of read accesses.
-func (p *Port) Reads() uint64 { return p.reads }

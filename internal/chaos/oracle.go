@@ -146,7 +146,9 @@ func (o *Oracles) checkOverlap(now sysc.Time) {
 }
 
 // checkAccounting: CPU busy time and per-thread CET are monotone, busy never
-// exceeds elapsed time, and every T-THREAD Petri net holds exactly one token.
+// exceeds elapsed time, and every DORMANT T-THREAD holds its Petri-net token
+// at dormant (body exit, handler exit and termination all move the token
+// before they set the state).
 func (o *Oracles) checkAccounting(now sysc.Time) {
 	api := o.k.API()
 	if b := api.BusyTime(); b < o.lastBusy {
@@ -158,8 +160,9 @@ func (o *Oracles) checkAccounting(now sysc.Time) {
 		}
 	}
 	for _, tt := range api.Threads() {
-		if n := tt.Net().TotalTokens(); n != 1 {
-			o.fail(now, "petri-token", "thread %s holds %d tokens", tt.Name(), n)
+		if tt.State() == core.StateDormant && tt.TokenPlace() != "dormant" {
+			o.fail(now, "petri-token", "dormant thread %s holds its token at %s",
+				tt.Name(), tt.TokenPlace())
 		}
 		if c := tt.CET(); c < o.lastCET[tt] {
 			o.fail(now, "cet-monotonic", "thread %s CET went backwards: %v -> %v",

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -682,8 +683,8 @@ func TestPetriNetTokenInvariant(t *testing.T) {
 	})
 	r.mustRun(t, sysc.Sec)
 	for _, tt := range r.api.Threads() {
-		if got := tt.Net().TotalTokens(); got != 1 {
-			t.Fatalf("thread %s: token count %d", tt.Name(), got)
+		if got := tt.TokenPlace(); got != "dormant" {
+			t.Fatalf("thread %s: token at %s after the run, want dormant", tt.Name(), got)
 		}
 	}
 	// a's last cycle fired: Es, Ec(4ms), Ew, wakeup, Ex, Ec(4ms), exit and
@@ -695,6 +696,42 @@ func TestPetriNetTokenInvariant(t *testing.T) {
 	}
 	if sum < 7 {
 		t.Fatalf("characteristic vector %v too short", cv)
+	}
+}
+
+// TestLoadStateRejectsBadMarking: a captured marking is one-hot over the
+// four Figure 2 places, and a restore refuses one with no token, two
+// tokens or the wrong length.
+func TestLoadStateRejectsBadMarking(t *testing.T) {
+	r := newRig()
+	defer r.sim.Shutdown()
+	a := r.api.CreateThread("a", core.KindTask, 10, func(tt *core.TThread) {
+		tt.Consume(cost(4*sysc.Ms, 0), trace.CtxTask, "")
+	})
+	_ = r.api.Activate(a)
+	r.mustRun(t, 2*sysc.Ms) // mid-Consume: a's token is at running
+	for _, m := range [][]int{{0, 0, 0, 0}, {1, 1, 0, 0}, {0, 2, 0, 0}, {0, 1, 0}} {
+		st, err := r.api.SaveState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Threads[0].Marking = m
+		if err := r.api.LoadState(st); err == nil {
+			t.Errorf("LoadState accepted marking %v", m)
+		}
+	}
+	st, err := r.api.SaveState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Threads[0].Marking; !slices.Equal(got, []int{0, 1, 0, 0}) {
+		t.Fatalf("captured marking %v, want [0 1 0 0]", got)
+	}
+	if err := r.api.LoadState(st); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.TokenPlace(); got != "running" {
+		t.Fatalf("token at %s after restore, want running", got)
 	}
 }
 

@@ -144,8 +144,8 @@ func (a *SimAPI) CreateThread(name string, kind Kind, priority int, body func(*T
 }
 
 // newThread registers the engine-independent half of a new dormant
-// T-THREAD: identity, Petri net, dispatch/preempt events and the names its
-// events carry, all formed once here.
+// T-THREAD: identity, firing sequence, dispatch/preempt events and the
+// names its events carry, all formed once here.
 func (a *SimAPI) newThread(name string, kind Kind, priority int) *TThread {
 	a.nextID++
 	t := &TThread{
@@ -157,9 +157,9 @@ func (a *SimAPI) newThread(name string, kind Kind, priority int) *TThread {
 		priority:     priority,
 		basePriority: priority,
 		state:        StateDormant,
-		net:          newTThreadNet(name),
+		place:        plDormant,
+		seq:          petri.NewFiringSequence(len(tthreadArcs)),
 	}
-	t.seq = petri.NewFiringSequence(t.net)
 	t.dispatchEv = a.sim.NewEvent(name + ".dispatch")
 	t.preemptEv = a.sim.NewEvent(name + ".preempt")
 	a.table[t.id] = t
@@ -378,7 +378,7 @@ func (a *SimAPI) Terminate(t *TThread) error {
 	}
 	wasCurrent := a.current == t
 	a.publish(event.KindTerminate, t, "")
-	if t.tokenPlace() != plDormant {
+	if t.place != plDormant {
 		// The body is mid-cycle somewhere: request an unwind.
 		t.terminated = true
 	}
@@ -402,7 +402,7 @@ func (a *SimAPI) Terminate(t *TThread) error {
 
 // terminateFire moves the Petri-net token to dormant from wherever it is.
 func (t *TThread) terminateFire() {
-	switch t.tokenPlace() {
+	switch t.place {
 	case plRunning:
 		t.fire(trXt, Cost{})
 	case plReady:

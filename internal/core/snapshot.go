@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/petri"
 	"repro/internal/sysc"
@@ -126,7 +127,7 @@ func (a *SimAPI) SaveState() (*APIState, error) {
 				Start:     t.cs.start,
 			},
 			Block:   uint8(t.bs),
-			Marking: t.net.Marking(),
+			Marking: oneHot(t.place),
 			Seq:     t.seq.SaveState(),
 			Acc:     t.acc,
 			LastCV:  append([]int(nil), t.lastCV...),
@@ -190,8 +191,8 @@ func (a *SimAPI) LoadState(st *APIState) error {
 			start:     ts.Consume.Start,
 		}
 		t.bs = blockPhase(ts.Block)
-		if err := t.net.SetMarking(ts.Marking); err != nil {
-			return fmt.Errorf("core: thread %q: %w", t.name, err)
+		if err := t.setMarking(ts.Marking); err != nil {
+			return err
 		}
 		if err := t.seq.LoadState(ts.Seq); err != nil {
 			return fmt.Errorf("core: thread %q: %w", t.name, err)
@@ -229,5 +230,25 @@ func (a *SimAPI) LoadState(st *APIState) error {
 	a.preemptions = st.Preemptions
 	a.interrupts = st.Interrupts
 	a.maxIStack = st.MaxIStack
+	return nil
+}
+
+// oneHot renders a token at place as the marking of the Figure 2 places
+// that snapshots carry.
+func oneHot(place int) []int {
+	m := make([]int, len(tthreadPlaces))
+	m[place] = 1
+	return m
+}
+
+// setMarking restores the token from a captured marking, which must be
+// one-hot over the Figure 2 places.
+func (t *TThread) setMarking(m []int) error {
+	place := slices.Index(m, 1)
+	if place < 0 || place >= len(tthreadPlaces) || !slices.Equal(m, oneHot(place)) {
+		return fmt.Errorf("core: thread %q: marking %v is not one token on the %d T-THREAD places",
+			t.name, m, len(tthreadPlaces))
+	}
+	t.place = place
 	return nil
 }

@@ -47,10 +47,11 @@ const (
 )
 
 // tthreadPlaces and tthreadArcs describe the cyclic state-machine net of
-// Figure 2, indexed by the pl*/tr* constants above.
+// Figure 2, indexed by the pl*/tr* constants above. The net carries one
+// token, so a thread's marking is the index of the place that holds it.
 var (
-	tthreadPlaces = []string{"dormant", "running", "ready", "waiting"}
-	tthreadArcs   = []petri.Arc{
+	tthreadPlaces = [...]string{"dormant", "running", "ready", "waiting"}
+	tthreadArcs   = [...]petri.Arc{
 		{Name: "Es", In: plDormant, Out: plRunning},
 		{Name: "Ec", In: plRunning, Out: plRunning},
 		{Name: "paused", In: plRunning, Out: plReady},
@@ -62,11 +63,6 @@ var (
 		{Name: "term-wait", In: plWaiting, Out: plDormant},
 	}
 )
-
-// newTThreadNet builds the cyclic state-machine net of Figure 2.
-func newTThreadNet(name string) *petri.Net {
-	return petri.NewStateMachine(name, tthreadPlaces, plDormant, tthreadArcs)
-}
 
 // TThread is the paper's controllable process model: a cyclic object whose
 // single token moves through atomic transitions as kernel events occur, and
@@ -111,7 +107,7 @@ type TThread struct {
 
 	ready ReadyNode // intrusive ready-queue link (owned by the scheduler)
 
-	net    *petri.Net
+	place  int // the Figure 2 place holding the token (pl*)
 	seq    *petri.FiringSequence
 	acc    petri.Accumulator
 	lastCV []int // characteristic vector of the last completed cycle
@@ -185,32 +181,23 @@ func (t *TThread) Now() sysc.Time { return t.api.sim.Now() }
 // API returns the owning SIM_API library.
 func (t *TThread) API() *SimAPI { return t.api }
 
-// Net exposes the underlying Petri net (read-only use: markings, structure).
-func (t *TThread) Net() *petri.Net { return t.net }
-
-// tokenPlace returns the index of the place currently holding the token.
-func (t *TThread) tokenPlace() int {
-	for i, p := range t.net.Places {
-		if p.Tokens > 0 {
-			return i
-		}
-	}
-	return -1
-}
+// TokenPlace names the Figure 2 place holding the thread's token.
+func (t *TThread) TokenPlace() string { return tthreadPlaces[t.place] }
 
 // fire fires transition idx and records it in the current firing sequence.
 // A fire that is not enabled is a broken execution-semantics invariant.
 func (t *TThread) fire(idx int, cost Cost) {
-	tr := t.net.Transitions[idx]
-	if err := t.net.Fire(tr); err != nil {
-		panic(fmt.Sprintf("core: T-THREAD %q: %v (state %v, token at %d)",
-			t.name, err, t.state, t.tokenPlace()))
+	arc := &tthreadArcs[idx]
+	if t.place != arc.In {
+		panic(fmt.Sprintf("core: T-THREAD %q: transition %q not enabled (state %v, token at %s)",
+			t.name, arc.Name, t.state, tthreadPlaces[t.place]))
 	}
-	t.seq.Record(tr, cost)
+	t.place = arc.Out
+	t.seq.Record(idx, cost)
 	if a := t.api; a.bus.Wants(event.KindToken) {
 		a.bus.Publish(event.Event{
 			Kind: event.KindToken, Time: a.sim.Now(),
-			Thread: t.name, Code: idx, Obj: tr.Name,
+			Thread: t.name, Code: idx, Obj: arc.Name,
 		})
 	}
 }
@@ -220,7 +207,7 @@ func (t *TThread) fire(idx int, cost Cost) {
 // suspension; tolerant because a freshly dispatched thread may be paused
 // again before executing a single step).
 func (t *TThread) pauseFire() {
-	if t.tokenPlace() == plRunning {
+	if t.place == plRunning {
 		t.fire(trPx, Cost{})
 	}
 }
@@ -228,7 +215,7 @@ func (t *TThread) pauseFire() {
 // resumeFire moves the token back to running: Es from dormant (startup) or
 // Ex/Ei from ready (redispatch).
 func (t *TThread) resumeFire() {
-	switch t.tokenPlace() {
+	switch t.place {
 	case plDormant:
 		t.fire(trEs, Cost{})
 	case plReady:

@@ -341,16 +341,11 @@ func delayedDispatchLatency(handlerWork sysc.Time) sysc.Time {
 	return wokeAt - raisedAt
 }
 
-// AblationGranularity sweeps the system tick and reports simulation cost
-// (events processed per simulated second rise as the tick shrinks) and the
-// timeout accuracy it buys.
-func AblationGranularity(w io.Writer, ticks []sysc.Time) {
-	AblationGranularityParallel(w, ticks, 1)
-}
-
-// AblationGranularityParallel is AblationGranularity across a worker pool:
-// each tick configuration is an independent simulation, so the sweep
-// parallelizes point-wise. The timeout-error column is deterministic for
+// AblationGranularityParallel sweeps the system tick across a worker pool
+// and reports simulation cost (events processed per simulated second rise
+// as the tick shrinks) and the timeout accuracy it buys. Each tick
+// configuration is an independent simulation, so the sweep parallelizes
+// point-wise. The timeout-error column is deterministic for
 // any worker count; wall-clock figures reflect shared-core timing.
 func AblationGranularityParallel(w io.Writer, ticks []sysc.Time, workers int) {
 	type res struct {

@@ -50,14 +50,6 @@ func (h *Histogram) observe(d sysc.Time) {
 	h.Buckets[i]++
 }
 
-// MeanUs returns the mean sample in microseconds (0 when empty).
-func (h *Histogram) MeanUs() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return h.SumUs / float64(h.Count)
-}
-
 // TaskMetrics aggregates one task's scheduling behaviour over a run.
 type TaskMetrics struct {
 	Thread          string    `json:"thread"`

@@ -1,9 +1,12 @@
-// Package petri implements the synchronized Petri-net semantics that the
-// paper uses as the execution model of a T-THREAD (Figure 2): a net of
-// places and atomic transitions, a token marking the thread state, firing
-// sequences with characteristic vectors, and execution-time/energy models
-// (ETM/EEM) attached to transitions so that consumed execution time (CET)
-// and consumed execution energy (CEE) accumulate as the token propagates.
+// Package petri holds the concepts of the synchronized Petri net that the
+// paper uses as the execution model of a T-THREAD (Figure 2). That net is a
+// state machine carrying a single token: every transition (an Arc) moves
+// the token from its input place to its output place, so a marking is just
+// the index of the marked place and an arc table is the whole net. The
+// package keeps the rest as data: firing sequences with characteristic
+// vectors, and the execution-time/energy models (ETM/EEM) charged per
+// firing, so that consumed execution time (CET) and consumed execution
+// energy (CEE) accumulate as the token propagates.
 package petri
 
 import (
@@ -17,19 +20,15 @@ type Energy float64
 
 // Energy constructors/conversions.
 const (
-	Joule         Energy = 1
-	MilliJ        Energy = 1e-3
-	MicroJ        Energy = 1e-6
-	NanoJ         Energy = 1e-9
-	WattHour      Energy = 3600 * Joule
-	MilliWattHour Energy = 3.6 * Joule
+	Joule    Energy = 1
+	MilliJ   Energy = 1e-3
+	MicroJ   Energy = 1e-6
+	NanoJ    Energy = 1e-9
+	WattHour Energy = 3600 * Joule
 )
 
 // Joules returns e as a float in joules.
 func (e Energy) Joules() float64 { return float64(e) }
-
-// WattHours returns e converted to watt-hours.
-func (e Energy) WattHours() float64 { return float64(e) / float64(WattHour) }
 
 // String renders the energy with an adaptive unit.
 func (e Energy) String() string {
@@ -60,181 +59,9 @@ func (c Cost) Add(d Cost) Cost {
 	return Cost{Time: c.Time + d.Time, Energy: c.Energy + d.Energy}
 }
 
-// Scale returns the cost scaled by a fraction in [0,1] (used when a firing
-// is preempted partway: time and energy are charged pro rata).
-func (c Cost) Scale(f float64) Cost {
-	return Cost{
-		Time:   sysc.Time(float64(c.Time) * f),
-		Energy: Energy(float64(c.Energy) * f),
-	}
-}
-
-// Place is a PN place. Its token count is the marking component.
-type Place struct {
-	ID     int
-	Name   string
-	Tokens int
-}
-
-// Transition is an atomic PN transition with input and output places and an
-// attached cost model.
-type Transition struct {
-	ID      int
-	Name    string
-	Inputs  []*Place
-	Outputs []*Place
-	Cost    Cost
-}
-
-// Net is a Petri net. The nets used for T-THREADs are state machines (each
-// transition has exactly one input and one output place) carrying a single
-// token, but the package supports general nets.
-type Net struct {
-	Name        string
-	Places      []*Place
-	Transitions []*Transition
-}
-
-// New creates an empty net.
-func New(name string) *Net { return &Net{Name: name} }
-
-// AddPlace appends a place with the given initial marking.
-func (n *Net) AddPlace(name string, tokens int) *Place {
-	p := &Place{ID: len(n.Places), Name: name, Tokens: tokens}
-	n.Places = append(n.Places, p)
-	return p
-}
-
-// AddTransition appends a transition connecting inputs to outputs.
-func (n *Net) AddTransition(name string, cost Cost, inputs, outputs []*Place) *Transition {
-	t := &Transition{ID: len(n.Transitions), Name: name, Cost: cost,
-		Inputs: inputs, Outputs: outputs}
-	n.Transitions = append(n.Transitions, t)
-	return t
-}
-
-// Enabled reports whether t can fire under the current marking: every input
-// place holds at least one token.
-func (n *Net) Enabled(t *Transition) bool {
-	for _, p := range t.Inputs {
-		if p.Tokens < 1 {
-			return false
-		}
-	}
-	return true
-}
-
-// Fire consumes one token from each input place and produces one token in
-// each output place. It fails if the transition is not enabled.
-func (n *Net) Fire(t *Transition) error {
-	if !n.Enabled(t) {
-		return fmt.Errorf("petri: transition %q not enabled in net %q", t.Name, n.Name)
-	}
-	for _, p := range t.Inputs {
-		p.Tokens--
-	}
-	for _, p := range t.Outputs {
-		p.Tokens++
-	}
-	return nil
-}
-
-// Marking returns the current token count of every place, indexed by place ID.
-func (n *Net) Marking() []int {
-	m := make([]int, len(n.Places))
-	for i, p := range n.Places {
-		m[i] = p.Tokens
-	}
-	return m
-}
-
-// TotalTokens returns the sum of all tokens (conserved for state machines).
-func (n *Net) TotalTokens() int {
-	sum := 0
-	for _, p := range n.Places {
-		sum += p.Tokens
-	}
-	return sum
-}
-
-// EnabledTransitions returns the transitions currently enabled, in ID order.
-func (n *Net) EnabledTransitions() []*Transition {
-	var out []*Transition
-	for _, t := range n.Transitions {
-		if n.Enabled(t) {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// IsStateMachine reports whether every transition has exactly one input and
-// one output place — the shape of a T-THREAD cycle, where the single token
-// marks the thread state.
-func (n *Net) IsStateMachine() bool {
-	for _, t := range n.Transitions {
-		if len(t.Inputs) != 1 || len(t.Outputs) != 1 {
-			return false
-		}
-	}
-	return true
-}
-
-// Arc describes one state-machine transition for NewStateMachine: a named
-// transition moving the token from place index In to place index Out.
+// Arc is one transition of a single-token state-machine net: a named
+// transition that moves the token from place index In to place index Out.
 type Arc struct {
 	Name    string
 	In, Out int
-}
-
-// NewStateMachine bulk-builds a single-token state-machine net: one place per
-// name with the token on places[initial], and one zero-cost transition per
-// arc. Unlike AddPlace/AddTransition it allocates a fixed handful of backing
-// arrays, which matters because a T-THREAD net is built per thread and net
-// construction otherwise dominates model build time.
-func NewStateMachine(name string, places []string, initial int, arcs []Arc) *Net {
-	ps := make([]Place, len(places))
-	pp := make([]*Place, len(places))
-	for i, pn := range places {
-		ps[i] = Place{ID: i, Name: pn}
-		pp[i] = &ps[i]
-	}
-	if initial >= 0 && initial < len(ps) {
-		ps[initial].Tokens = 1
-	}
-	ts := make([]Transition, len(arcs))
-	tp := make([]*Transition, len(arcs))
-	ends := make([]*Place, 2*len(arcs))
-	for i, a := range arcs {
-		ends[2*i], ends[2*i+1] = pp[a.In], pp[a.Out]
-		ts[i] = Transition{ID: i, Name: a.Name,
-			Inputs:  ends[2*i : 2*i+1 : 2*i+1],
-			Outputs: ends[2*i+1 : 2*i+2 : 2*i+2],
-		}
-		tp[i] = &ts[i]
-	}
-	return &Net{Name: name, Places: pp, Transitions: tp}
-}
-
-// NewCycle builds the cyclic state-machine net of a T-THREAD (Figure 2): one
-// place per stage name, transitions stage(i) -> stage(i+1 mod N), and a
-// single token on the first place. Costs default to zero and are assigned
-// per firing by the executor.
-func NewCycle(name string, stages ...string) *Net {
-	n := New(name)
-	for _, s := range stages {
-		n.AddPlace(s, 0)
-	}
-	if len(n.Places) > 0 {
-		n.Places[0].Tokens = 1
-	}
-	for i := range n.Places {
-		next := (i + 1) % len(n.Places)
-		n.AddTransition(
-			fmt.Sprintf("T%d:%s->%s", i, n.Places[i].Name, n.Places[next].Name),
-			Cost{},
-			[]*Place{n.Places[i]}, []*Place{n.Places[next]},
-		)
-	}
-	return n
 }

@@ -8,24 +8,20 @@ import "repro/internal/sysc"
 // time and energy. Only the counts are kept — the ordered firing list is not
 // stored, so a cycle of any length records in O(1) space.
 type FiringSequence struct {
-	net    *Net
 	n      int
 	counts []int
 	total  Cost
 }
 
-// NewFiringSequence creates an empty sequence over the given net.
-func NewFiringSequence(n *Net) *FiringSequence {
-	return &FiringSequence{net: n, counts: make([]int, len(n.Transitions))}
+// NewFiringSequence creates an empty sequence over a net of n transitions.
+func NewFiringSequence(n int) *FiringSequence {
+	return &FiringSequence{counts: make([]int, n)}
 }
 
-// Record notes that t fired with the given (possibly preemption-scaled)
-// cost. The cost may differ from t.Cost when the executor charges pro rata.
-func (s *FiringSequence) Record(t *Transition, cost Cost) {
+// Record notes that transition i fired at the given cost.
+func (s *FiringSequence) Record(i int, cost Cost) {
 	s.n++
-	if t.ID < len(s.counts) {
-		s.counts[t.ID]++
-	}
+	s.counts[i]++
 	s.total = s.total.Add(cost)
 }
 
@@ -55,8 +51,7 @@ func (s *FiringSequence) EEM() Energy { return s.total.Energy }
 // Total returns the combined cost of the sequence.
 func (s *FiringSequence) Total() Cost { return s.total }
 
-// Reset clears the sequence for the next execution cycle while keeping the
-// net binding.
+// Reset clears the sequence for the next execution cycle.
 func (s *FiringSequence) Reset() {
 	s.n = 0
 	for i := range s.counts {
@@ -74,13 +69,6 @@ type Accumulator struct {
 	Cycles int
 	CET    sysc.Time
 	CEE    Energy
-}
-
-// AddCycle folds one completed firing sequence into the accumulator.
-func (a *Accumulator) AddCycle(s *FiringSequence) {
-	a.Cycles++
-	a.CET += s.ETM()
-	a.CEE += s.EEM()
 }
 
 // AddCost folds a bare cost (used for costs charged outside a recorded

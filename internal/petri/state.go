@@ -2,12 +2,11 @@ package petri
 
 import "fmt"
 
-// Snapshot-layer accessors. A T-THREAD's Petri net and firing sequence are
-// part of the kernel's dynamic state: the token marking encodes the thread
-// state the paper's Figure 2 models, and the in-flight firing sequence
-// carries the partial characteristic vector of the current execution
-// cycle. Both are plain counters, so capture is a value copy and restore
-// writes the counters back into the same net/sequence objects.
+// Snapshot-layer accessors. A T-THREAD's in-flight firing sequence is part
+// of the kernel's dynamic state: it carries the partial characteristic
+// vector of the current execution cycle. It is plain counters, so capture
+// is a value copy and restore writes the counters back into the same
+// sequence.
 
 // SequenceState is the captured dynamic state of a FiringSequence.
 type SequenceState struct {
@@ -29,23 +28,11 @@ func (s *FiringSequence) SaveState() SequenceState {
 // net with the same transition count).
 func (s *FiringSequence) LoadState(st SequenceState) error {
 	if len(st.Counts) != len(s.counts) {
-		return fmt.Errorf("petri: sequence state has %d transition counts, net %q has %d",
-			len(st.Counts), s.net.Name, len(s.counts))
+		return fmt.Errorf("petri: sequence state has %d transition counts, want %d",
+			len(st.Counts), len(s.counts))
 	}
 	s.n = st.N
 	copy(s.counts, st.Counts)
 	s.total = st.Total
-	return nil
-}
-
-// SetMarking writes a marking captured via Marking back into the net.
-func (n *Net) SetMarking(m []int) error {
-	if len(m) != len(n.Places) {
-		return fmt.Errorf("petri: marking has %d places, net %q has %d",
-			len(m), n.Name, len(n.Places))
-	}
-	for i, p := range n.Places {
-		p.Tokens = m[i]
-	}
 	return nil
 }

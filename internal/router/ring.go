@@ -93,20 +93,6 @@ func (r *Ring) Successors(key string, n int) []string {
 	return out
 }
 
-// Members returns the distinct shard names on the ring, sorted.
-func (r *Ring) Members() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, p := range r.points {
-		if !seen[p.shard] {
-			seen[p.shard] = true
-			out = append(out, p.shard)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // hash64 is fnv64a with a splitmix64 finalizer. Raw FNV clusters on the
 // short, similar strings vnode labels are made of ("s1#12"), which skews
 // ring ownership badly; the avalanche step spreads them.

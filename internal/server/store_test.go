@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -287,6 +288,74 @@ func TestBlobDownloadDisconnect(t *testing.T) {
 	if fds >= 0 {
 		settles(t, "open descriptors", fds, func() int { return openFDs(t) })
 	}
+}
+
+// TestEventsDisconnectMidFeed drops a client that follows a running job's
+// event feed after its first event. The feed's handler must notice the
+// disconnect and return while the job still runs (no later event would
+// wake it), and goroutines settle back to baseline once the job ends.
+func TestEventsDisconnectMidFeed(t *testing.T) {
+	done := make(chan struct{})
+	s := New(Config{
+		Workers:       1,
+		DisableCache:  true,
+		ExecuteStream: streamingExec(nil, nil, done),
+	})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	release := sync.OnceFunc(func() { close(done) })
+	defer release() // a failed check must not leave the job running
+	// quiet drops idle client connections and waits for the goroutine
+	// count to stop moving, so a baseline does not count connections that
+	// are still winding down.
+	quiet := func() int {
+		http.DefaultClient.CloseIdleConnections()
+		n := runtime.NumGoroutine()
+		for i := 0; i < 100; i++ {
+			time.Sleep(20 * time.Millisecond)
+			m := runtime.NumGoroutine()
+			if m == n {
+				break
+			}
+			n = m
+		}
+		return n
+	}
+
+	baseline := quiet()
+	id := submit(t, ts, traceOnlyStream)
+	deadline := time.Now().Add(5 * time.Second)
+	for getJob(t, ts, id).State != StateRunning {
+		if time.Now().After(deadline) {
+			t.Fatal("job never started running")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	running := quiet()
+
+	tr := &http.Transport{}
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/api/v1/jobs/"+id+"/events", nil)
+	resp, err := (&http.Client{Transport: tr}).Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frames := readSSE(t, resp.Body, 1); len(frames) != 1 {
+		t.Fatalf("read %d events before disconnecting, want 1", len(frames))
+	}
+	resp.Body.Close() // mid-feed: the connection drops
+	tr.CloseIdleConnections()
+	settles(t, "goroutines after the disconnect, job still running", running, runtime.NumGoroutine)
+	if v := getJob(t, ts, id); v.State != StateRunning {
+		t.Fatalf("job %s before release; the feed must have been live", v.State)
+	}
+
+	release()
+	if v := waitTerminal(t, ts, id); v.State != StateDone {
+		t.Fatalf("job: %s %v", v.State, v.Error)
+	}
+	http.DefaultClient.CloseIdleConnections()
+	settles(t, "goroutines", baseline, runtime.NumGoroutine)
 }
 
 // TestRestartServesKeptBlob streams a job into a persistent store, evicts

@@ -10,7 +10,6 @@ import (
 	"io"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/sysc"
 	"repro/internal/tkernel"
 )
@@ -218,19 +217,9 @@ func (d *DS) TraceEvents(w io.Writer) {
 		"T-THREAD", "KIND", "STATE", "TOKEN", "CYCLES", "CET", "CEE")
 	for _, tt := range d.k.API().Threads() {
 		fmt.Fprintf(w, "%-16s %-8s %-18s %-10s %8d %12s %12s\n",
-			tt.Name(), tt.Kind(), tt.State(), tokenPlace(tt),
+			tt.Name(), tt.Kind(), tt.State(), tt.TokenPlace(),
 			tt.Cycles(), tt.CET(), fmt.Sprint(tt.CEE()))
 	}
-}
-
-// tokenPlace names the Petri-net place currently marked.
-func tokenPlace(tt *core.TThread) string {
-	for _, p := range tt.Net().Places {
-		if p.Tokens > 0 {
-			return p.Name
-		}
-	}
-	return "?"
 }
 
 // Snapshot returns the full listing as a string at the given label time.
