@@ -3,11 +3,12 @@
 #   make check   - tier-1 gate: vet + build + tests + race detector
 #   make bench   - co-simulation speed benchmark -> BENCH_sysc.json
 #   make bench-all  - every benchmark, no JSON capture
+#   make bench-smoke - every benchmark, one iteration each
 
 GO ?= go
 BENCHTIME ?= 2s
 
-.PHONY: all build test vet race check serve serve-fleet serve-e2e serve-load serve-load-guard serve-stream chaos chaos-traced snapshot-diff fuzz-smoke bench bench-guard bench-all perf-smoke scenarios synthetic-campaign clean
+.PHONY: all build test vet race check serve serve-fleet serve-e2e serve-load serve-load-guard serve-stream chaos chaos-traced snapshot-diff fuzz-smoke bench bench-guard bench-all bench-smoke perf-smoke scenarios synthetic-campaign clean
 
 all: check
 
@@ -144,6 +145,11 @@ bench-guard:
 
 bench-all:
 	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) ./...
+
+# Every Go benchmark for a single iteration: catches a benchmark that
+# panics or fails (b.Fatal) without timing anything.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # CI perf smoke: the headline gui=off/frame=off configuration (plus its idle
 # twins) and the fixed synthetic workload against the committed baseline,

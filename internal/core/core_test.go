@@ -735,6 +735,44 @@ func TestLoadStateRejectsBadMarking(t *testing.T) {
 	}
 }
 
+// TestLoadStateRefusalChangesNothing: a restore refused for the last
+// thread's marking leaves the threads ahead of it untouched, still READY on
+// the ready queue, and they run to completion afterwards.
+func TestLoadStateRefusalChangesNothing(t *testing.T) {
+	r := newRig()
+	defer r.sim.Shutdown()
+	body := func(tt *core.TThread) { tt.Consume(cost(4*sysc.Ms, 0), trace.CtxTask, "") }
+	hi := r.api.CreateThread("hi", core.KindTask, 1, body)
+	a := r.api.CreateThread("a", core.KindTask, 10, body)
+	b := r.api.CreateThread("b", core.KindTask, 10, body)
+	for _, th := range []*core.TThread{hi, a, b} {
+		if err := r.api.Activate(th); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.mustRun(t, 2*sysc.Ms) // hi runs; a and b wait READY
+	st, err := r.api.SaveState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Threads[1].Priority = 30 // a change LoadState must not apply
+	st.Threads[2].Marking = nil // b's marking is refused
+	if err := r.api.LoadState(st); err == nil {
+		t.Fatal("LoadState accepted an empty marking")
+	}
+	if a.State() != core.StateReady || b.State() != core.StateReady || r.api.ReadyCount() != 2 {
+		t.Fatalf("after refusal: a %v, b %v, %d ready, want both READY and queued",
+			a.State(), b.State(), r.api.ReadyCount())
+	}
+	if a.Priority() != 10 {
+		t.Fatalf("refused restore changed a's priority to %d", a.Priority())
+	}
+	r.mustRun(t, 20*sysc.Ms)
+	if a.Cycles() != 1 || b.Cycles() != 1 {
+		t.Fatalf("cycles after refusal: a %d, b %d, want 1 each", a.Cycles(), b.Cycles())
+	}
+}
+
 func TestEnergyReportAndGantt(t *testing.T) {
 	r := newRig()
 	defer r.sim.Shutdown()

@@ -39,10 +39,12 @@ type SimAPI struct {
 	sched Scheduler
 	bus   *event.Bus
 
-	table  map[int]*TThread // SIM_HashTB
+	// SIM_HashTB: table is indexed by thread id (slot 0 unused, a deleted
+	// thread's slot nil), byCoro by the Coro.Index of the coroutine each
+	// T-THREAD runs on.
+	table  []*TThread
 	order  []*TThread
-	byCoro map[*sysc.Coro]*TThread // the coroutine each T-THREAD runs on
-	nextID int
+	byCoro []*TThread
 
 	current *TThread   // the RUNNING task (nil when the CPU idles)
 	istack  []*TThread // SIM_Stack: nested interrupt/time-event handlers
@@ -91,11 +93,10 @@ func NewSimAPI(sim *sysc.Simulator, sched Scheduler, bus *event.Bus, opts ...Opt
 		bus = event.NewBus()
 	}
 	a := &SimAPI{
-		sim:    sim,
-		sched:  sched,
-		bus:    bus,
-		table:  map[int]*TThread{},
-		byCoro: map[*sysc.Coro]*TThread{},
+		sim:   sim,
+		sched: sched,
+		bus:   bus,
+		table: make([]*TThread, 1),
 	}
 	for _, o := range opts {
 		o(a)
@@ -116,11 +117,7 @@ func (a *SimAPI) publish(k event.Kind, t *TThread, obj string) {
 	if !a.bus.Wants(k) {
 		return
 	}
-	name := ""
-	if t != nil {
-		name = t.name
-	}
-	a.bus.Publish(event.Event{Kind: k, Time: a.sim.Now(), Thread: name, Obj: obj})
+	a.bus.Publish(event.Event{Kind: k, Time: a.sim.Now(), Thread: t.Subject(), Obj: obj})
 }
 
 // --- SIM_HashTB: thread registry ---
@@ -139,19 +136,18 @@ func (a *SimAPI) CreateThread(name string, kind Kind, priority int, body func(*T
 		}
 	})
 	t.co = t.th.Coro()
-	a.byCoro[t.co] = t
+	a.bindCoro(t)
 	return t
 }
 
 // newThread registers the engine-independent half of a new dormant
 // T-THREAD: identity, firing sequence, dispatch/preempt events and the
-// names its events carry, all formed once here.
+// subject and names its events carry, all formed once here. Ids are dense
+// from 1 and never reused.
 func (a *SimAPI) newThread(name string, kind Kind, priority int) *TThread {
-	a.nextID++
 	t := &TThread{
 		api:          a,
-		id:           a.nextID,
-		name:         name,
+		subj:         event.Subject{Index: len(a.table), Name: name},
 		byName:       "by " + name,
 		kind:         kind,
 		priority:     priority,
@@ -162,19 +158,28 @@ func (a *SimAPI) newThread(name string, kind Kind, priority int) *TThread {
 	}
 	t.dispatchEv = a.sim.NewEvent(name + ".dispatch")
 	t.preemptEv = a.sim.NewEvent(name + ".preempt")
-	a.table[t.id] = t
+	a.table = append(a.table, t)
 	a.order = append(a.order, t)
 	return t
+}
+
+// bindCoro records the coroutine t runs on, so ExecutingThread finds t.
+func (a *SimAPI) bindCoro(t *TThread) {
+	i := t.co.Index()
+	for len(a.byCoro) <= i {
+		a.byCoro = append(a.byCoro, nil)
+	}
+	a.byCoro[i] = t
 }
 
 // DeleteThread removes a dormant thread from the registry (tk_del_tsk).
 func (a *SimAPI) DeleteThread(t *TThread) error {
 	if t.state != StateDormant {
-		return fmt.Errorf("core: delete %q: thread not dormant (%v)", t.name, t.state)
+		return fmt.Errorf("core: delete %q: thread not dormant (%v)", t.Name(), t.state)
 	}
 	t.state = StateNonExistent
-	delete(a.table, t.id)
-	delete(a.byCoro, t.co)
+	a.table[t.ID()] = nil
+	a.byCoro[t.co.Index()] = nil
 	for i, x := range a.order {
 		if x == t {
 			a.order = append(a.order[:i], a.order[i+1:]...)
@@ -185,12 +190,17 @@ func (a *SimAPI) DeleteThread(t *TThread) error {
 }
 
 // Lookup returns the registered thread with the given ID, or nil.
-func (a *SimAPI) Lookup(id int) *TThread { return a.table[id] }
+func (a *SimAPI) Lookup(id int) *TThread {
+	if uint(id) < uint(len(a.table)) {
+		return a.table[id]
+	}
+	return nil
+}
 
 // LookupByName returns the first registered thread with the given name.
 func (a *SimAPI) LookupByName(name string) *TThread {
 	for _, t := range a.order {
-		if t.name == name {
+		if t.Name() == name {
 			return t
 		}
 	}
@@ -221,7 +231,10 @@ func (a *SimAPI) CPUOwner() *TThread {
 // module, interrupt dispatch, boot). Kernel layers use it to attribute
 // service-call costs to the calling task safely.
 func (a *SimAPI) ExecutingThread() *TThread {
-	return a.byCoro[a.sim.CurrentCoro()]
+	if c := a.sim.CurrentCoro(); c != nil && c.Index() < len(a.byCoro) {
+		return a.byCoro[c.Index()]
+	}
+	return nil
 }
 
 // InHandler reports whether a handler-level context is active.
@@ -317,7 +330,7 @@ func (a *SimAPI) switchTo(t *TThread) {
 // becomes READY and a dispatch is requested.
 func (a *SimAPI) Activate(t *TThread) error {
 	if t.state != StateDormant {
-		return fmt.Errorf("core: activate %q: not dormant (%v)", t.name, t.state)
+		return fmt.Errorf("core: activate %q: not dormant (%v)", t.Name(), t.state)
 	}
 	t.state = StateReady
 	t.relCode = nil
@@ -374,7 +387,7 @@ func (a *SimAPI) QueuedActivations(t *TThread) int { return t.actCount }
 func (a *SimAPI) Terminate(t *TThread) error {
 	switch t.state {
 	case StateDormant, StateNonExistent:
-		return fmt.Errorf("core: terminate %q: not active (%v)", t.name, t.state)
+		return fmt.Errorf("core: terminate %q: not active (%v)", t.Name(), t.state)
 	}
 	wasCurrent := a.current == t
 	a.publish(event.KindTerminate, t, "")
@@ -503,7 +516,7 @@ func (a *SimAPI) SuspendForce(t *TThread) error {
 	case StateSuspended, StateWaitSuspended:
 		t.suspCount++
 	default:
-		return fmt.Errorf("core: suspend %q: not active (%v)", t.name, t.state)
+		return fmt.Errorf("core: suspend %q: not active (%v)", t.Name(), t.state)
 	}
 	return nil
 }
@@ -528,7 +541,7 @@ func (a *SimAPI) ResumeForce(t *TThread) error {
 			t.state = StateWaiting
 		}
 	default:
-		return fmt.Errorf("core: resume %q: not suspended (%v)", t.name, t.state)
+		return fmt.Errorf("core: resume %q: not suspended (%v)", t.Name(), t.state)
 	}
 	return nil
 }
@@ -588,15 +601,15 @@ func (a *SimAPI) YieldCurrent() {
 // Activating a handler that is still running reports an overrun error.
 func (a *SimAPI) EnterInterrupt(h *TThread) error {
 	if !h.kind.HandlerLevel() {
-		return fmt.Errorf("core: %q is not a handler-level thread", h.name)
+		return fmt.Errorf("core: %q is not a handler-level thread", h.Name())
 	}
 	if h.state != StateDormant {
-		return fmt.Errorf("core: handler %q overrun: still %v", h.name, h.state)
+		return fmt.Errorf("core: handler %q overrun: still %v", h.Name(), h.state)
 	}
 	a.interrupts++
 	if a.bus.Wants(event.KindIntEnter) {
 		a.bus.Publish(event.Event{Kind: event.KindIntEnter, Time: a.sim.Now(),
-			Thread: h.name, Seq: uint64(len(a.istack) + 1)})
+			Thread: &h.subj, Seq: uint64(len(a.istack) + 1)})
 	}
 	if owner := a.CPUOwner(); owner != nil {
 		owner.pauseFire()
@@ -620,7 +633,7 @@ func (a *SimAPI) exitHandler(h *TThread) {
 	h.fire(trXt, Cost{})
 	h.state = StateDormant
 	if n := len(a.istack); n == 0 || a.istack[n-1] != h {
-		panic(fmt.Sprintf("core: handler %q exits out of order", h.name))
+		panic(fmt.Sprintf("core: handler %q exits out of order", h.Name()))
 	}
 	a.istack = a.istack[:len(a.istack)-1]
 	if n := len(a.istack); n > 0 {

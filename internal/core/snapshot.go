@@ -105,7 +105,7 @@ func (a *SimAPI) SaveState() (*APIState, error) {
 	}
 	for i, t := range a.order {
 		st.Threads[i] = TThreadState{
-			ID:            t.id,
+			ID:            t.ID(),
 			Priority:      t.priority,
 			BasePriority:  t.basePriority,
 			State:         t.state,
@@ -133,31 +133,25 @@ func (a *SimAPI) SaveState() (*APIState, error) {
 			LastCV:  append([]int(nil), t.lastCV...),
 		}
 	}
-	w.Walk(func(t *TThread) { st.Ready = append(st.Ready, t.id) })
+	w.Walk(func(t *TThread) { st.Ready = append(st.Ready, t.ID()) })
 	if a.current != nil {
-		st.Current = a.current.id
+		st.Current = a.current.ID()
 	}
 	for _, h := range a.istack {
-		st.IStack = append(st.IStack, h.id)
+		st.IStack = append(st.IStack, h.ID())
 	}
 	return st, nil
 }
 
 // LoadState restores a state captured from this same construction: same
-// thread registry, same scheduler. The ready queue is drained and rebuilt
-// in captured dequeue order after every thread's priority is restored, so
-// the scheduler's internal structure (bitmap, class lists) comes back
-// identical.
+// thread registry, same scheduler. The whole state is checked before
+// anything changes, so a refused restore leaves the library as it was. The
+// ready queue is drained and rebuilt in captured dequeue order after every
+// thread's priority is restored, so the scheduler's internal structure
+// (bitmap, class lists) comes back identical.
 func (a *SimAPI) LoadState(st *APIState) error {
-	if len(a.order) != len(st.Threads) {
-		return fmt.Errorf("core: state mismatch: captured %d threads, registry has %d",
-			len(st.Threads), len(a.order))
-	}
-	for i, t := range a.order {
-		if t.id != st.Threads[i].ID {
-			return fmt.Errorf("core: state mismatch: registry slot %d holds thread %d, capture has %d",
-				i, t.id, st.Threads[i].ID)
-		}
+	if err := a.checkState(st); err != nil {
+		return err
 	}
 	// Drain whatever the scheduler currently holds; the intrusive links know
 	// their own list, so stale priorities cannot corrupt the dequeue.
@@ -191,37 +185,21 @@ func (a *SimAPI) LoadState(st *APIState) error {
 			start:     ts.Consume.Start,
 		}
 		t.bs = blockPhase(ts.Block)
-		if err := t.setMarking(ts.Marking); err != nil {
-			return err
-		}
-		if err := t.seq.LoadState(ts.Seq); err != nil {
-			return fmt.Errorf("core: thread %q: %w", t.name, err)
-		}
+		t.place, _ = markingPlace(ts.Marking)
+		_ = t.seq.LoadState(ts.Seq) // checked above
 		t.acc = ts.Acc
 		t.lastCV = append(t.lastCV[:0], ts.LastCV...)
 	}
 	for _, id := range st.Ready {
-		t := a.table[id]
-		if t == nil {
-			return fmt.Errorf("core: ready queue references unknown thread %d", id)
-		}
-		a.sched.Enqueue(t)
+		a.sched.Enqueue(a.table[id])
 	}
 	a.current = nil
 	if st.Current >= 0 {
-		t := a.table[st.Current]
-		if t == nil {
-			return fmt.Errorf("core: current references unknown thread %d", st.Current)
-		}
-		a.current = t
+		a.current = a.table[st.Current]
 	}
 	a.istack = a.istack[:0]
 	for _, id := range st.IStack {
-		t := a.table[id]
-		if t == nil {
-			return fmt.Errorf("core: interrupt stack references unknown thread %d", id)
-		}
-		a.istack = append(a.istack, t)
+		a.istack = append(a.istack, a.table[id])
 	}
 	a.dispatchLocked = st.DispatchLocked
 	a.pendingDispatch = st.PendingDispatch
@@ -233,6 +211,45 @@ func (a *SimAPI) LoadState(st *APIState) error {
 	return nil
 }
 
+// checkState refuses a state LoadState cannot restore onto this registry:
+// a different thread roster, a marking that is not one token on the Figure
+// 2 places, a firing sequence of the wrong width, or a ready queue, current
+// task or interrupt stack naming a thread that is not registered.
+func (a *SimAPI) checkState(st *APIState) error {
+	if len(a.order) != len(st.Threads) {
+		return fmt.Errorf("core: state mismatch: captured %d threads, registry has %d",
+			len(st.Threads), len(a.order))
+	}
+	for i, t := range a.order {
+		ts := &st.Threads[i]
+		if t.ID() != ts.ID {
+			return fmt.Errorf("core: state mismatch: registry slot %d holds thread %d, capture has %d",
+				i, t.ID(), ts.ID)
+		}
+		if _, ok := markingPlace(ts.Marking); !ok {
+			return fmt.Errorf("core: thread %q: marking %v is not one token on the %d T-THREAD places",
+				t.Name(), ts.Marking, len(tthreadPlaces))
+		}
+		if err := t.seq.CheckState(ts.Seq); err != nil {
+			return fmt.Errorf("core: thread %q: %w", t.Name(), err)
+		}
+	}
+	for _, id := range st.Ready {
+		if a.Lookup(id) == nil {
+			return fmt.Errorf("core: ready queue references unknown thread %d", id)
+		}
+	}
+	if st.Current >= 0 && a.Lookup(st.Current) == nil {
+		return fmt.Errorf("core: current references unknown thread %d", st.Current)
+	}
+	for _, id := range st.IStack {
+		if a.Lookup(id) == nil {
+			return fmt.Errorf("core: interrupt stack references unknown thread %d", id)
+		}
+	}
+	return nil
+}
+
 // oneHot renders a token at place as the marking of the Figure 2 places
 // that snapshots carry.
 func oneHot(place int) []int {
@@ -241,14 +258,12 @@ func oneHot(place int) []int {
 	return m
 }
 
-// setMarking restores the token from a captured marking, which must be
-// one-hot over the Figure 2 places.
-func (t *TThread) setMarking(m []int) error {
+// markingPlace returns the place holding the token of a captured marking,
+// which must be one-hot over the Figure 2 places.
+func markingPlace(m []int) (int, bool) {
 	place := slices.Index(m, 1)
 	if place < 0 || place >= len(tthreadPlaces) || !slices.Equal(m, oneHot(place)) {
-		return fmt.Errorf("core: thread %q: marking %v is not one token on the %d T-THREAD places",
-			t.name, m, len(tthreadPlaces))
+		return 0, false
 	}
-	t.place = place
-	return nil
+	return place, true
 }

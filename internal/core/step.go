@@ -317,7 +317,7 @@ func (a *SimAPI) CreateThreadCompiled(name string, kind Kind, priority int, body
 	t := a.newThread(name, kind, priority)
 	t.compiled = body
 	t.co = a.sim.SpawnCoro("tthread."+name, t.coroStep)
-	a.byCoro[t.co] = t
+	a.bindCoro(t)
 	return t
 }
 

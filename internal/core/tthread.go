@@ -70,9 +70,8 @@ var (
 // gathering execution time and energy statistics.
 type TThread struct {
 	api    *SimAPI
-	id     int
-	name   string
-	byName string // "by <name>": the Obj of a preempt event this thread causes
+	subj   event.Subject // SIM_HashTB identity: registry id and name
+	byName string        // "by <name>": the Obj of a preempt event this thread causes
 	kind   Kind
 
 	priority     int
@@ -116,10 +115,19 @@ type TThread struct {
 // --- registry-facing accessors (SIM_HashTB record fields) ---
 
 // ID returns the registry identifier assigned at creation.
-func (t *TThread) ID() int { return t.id }
+func (t *TThread) ID() int { return t.subj.Index }
 
 // Name returns the thread's name.
-func (t *TThread) Name() string { return t.name }
+func (t *TThread) Name() string { return t.subj.Name }
+
+// Subject returns the identity the thread's bus events carry, nil for a nil
+// thread (an event about the kernel itself).
+func (t *TThread) Subject() *event.Subject {
+	if t == nil {
+		return nil
+	}
+	return &t.subj
+}
 
 // Kind returns the embedded-software object kind the thread wraps.
 func (t *TThread) Kind() Kind { return t.kind }
@@ -190,14 +198,14 @@ func (t *TThread) fire(idx int, cost Cost) {
 	arc := &tthreadArcs[idx]
 	if t.place != arc.In {
 		panic(fmt.Sprintf("core: T-THREAD %q: transition %q not enabled (state %v, token at %s)",
-			t.name, arc.Name, t.state, tthreadPlaces[t.place]))
+			t.Name(), arc.Name, t.state, tthreadPlaces[t.place]))
 	}
 	t.place = arc.Out
 	t.seq.Record(idx, cost)
 	if a := t.api; a.bus.Wants(event.KindToken) {
 		a.bus.Publish(event.Event{
 			Kind: event.KindToken, Time: a.sim.Now(),
-			Thread: t.name, Code: idx, Obj: arc.Name,
+			Thread: &t.subj, Code: int32(idx), Obj: arc.Name,
 		})
 	}
 }
@@ -245,7 +253,7 @@ func (t *TThread) ownsCPU() bool {
 // a service op.
 func (t *TThread) Park(s Step) bool {
 	if t.th == nil {
-		panic(fmt.Sprintf("core: thread %q: blocking call from a compiled body (express time as a Work op, a device access as an Io op, a service call as a service op)", t.name))
+		panic(fmt.Sprintf("core: thread %q: blocking call from a compiled body (express time as a Work op, a device access as an Io op, a service call as a service op)", t.Name()))
 	}
 	switch s {
 	case StepWait:
@@ -324,7 +332,7 @@ func (t *TThread) charge(start, end sysc.Time, e Energy, ctx trace.Context, note
 	if a.bus.Wants(event.KindRunSlice) {
 		a.bus.Publish(event.Event{
 			Kind: event.KindRunSlice, Time: end, Start: start,
-			Thread: t.name, Ctx: uint8(ctx), Energy: petri.Energy(e), Obj: note,
+			Thread: &t.subj, Ctx: uint8(ctx), Energy: petri.Energy(e), Obj: note,
 		})
 	}
 }
@@ -340,5 +348,5 @@ func (t *TThread) cycleEnd() {
 // String summarizes the thread for diagnostics.
 func (t *TThread) String() string {
 	return fmt.Sprintf("T-THREAD %d %q kind=%v prio=%d state=%v CET=%v CEE=%v",
-		t.id, t.name, t.kind, t.priority, t.state, t.CET(), t.CEE())
+		t.ID(), t.Name(), t.kind, t.priority, t.state, t.CET(), t.CEE())
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/event"
 	"repro/internal/petri"
 )
 
@@ -11,7 +12,7 @@ import (
 // hold the token is a broken execution-semantics invariant, and the panic
 // names the thread, the arc and the token's place.
 func TestFireDisabledPanics(t *testing.T) {
-	th := &TThread{name: "t", place: plDormant, seq: petri.NewFiringSequence(len(tthreadArcs))}
+	th := &TThread{subj: event.Subject{Name: "t"}, place: plDormant, seq: petri.NewFiringSequence(len(tthreadArcs))}
 	defer func() {
 		msg, _ := recover().(string)
 		for _, want := range []string{`"t"`, `"Ex"`, "token at dormant"} {

@@ -71,14 +71,27 @@ func (k Kind) String() string {
 // NumKinds returns the number of defined event kinds.
 func NumKinds() int { return int(nKinds) }
 
+// Subject names the thread an event is about: the SIM_HashTB identity a
+// T-THREAD gets when it is created. Index is dense from 1 within one SIM_API
+// and never reused, so subscribers can keep per-thread state in slices
+// indexed by it; Name is what their reports and traces show. The publisher
+// forms one Subject per thread and every event about that thread carries a
+// pointer to it, so a subscriber that cached an Index checks the pointer
+// before trusting the slot.
+type Subject struct {
+	Index int
+	Name  string
+}
+
 // Event is one observation, passed to handlers by value. It is a flat struct
 // so publishing allocates nothing; fields not meaningful for a kind are zero.
+// It is at most 64 bytes, so the compiler copies it inline on every hop.
 //
 // Field conventions per kind:
 //
 //	Time    when the event happened (always set)
 //	Start   RunSlice start / TimeAdvance previous now / TimerFire armed time
-//	Thread  the subject thread/task/handler name, "" for kernel-global events
+//	Thread  the subject thread/task/handler, nil for kernel-global events
 //	Ctx     RunSlice execution context (trace.Context numeric value)
 //	Code    SvcExit resolved ER / Token transition index
 //	Obj     service name, wait object, release reason, slice note, "by X"
@@ -87,13 +100,22 @@ func NumKinds() int { return int(nKinds) }
 type Event struct {
 	Kind   Kind
 	Ctx    uint8
-	Code   int
+	Code   int32
 	Time   sysc.Time
 	Start  sysc.Time
 	Seq    uint64
 	Energy petri.Energy
-	Thread string
+	Thread *Subject
 	Obj    string
+}
+
+// ThreadName returns the subject thread's name, "" for a kernel-global
+// event.
+func (e *Event) ThreadName() string {
+	if e.Thread == nil {
+		return ""
+	}
+	return e.Thread.Name
 }
 
 // Handler consumes published events. Handlers run synchronously on the

@@ -2,6 +2,7 @@ package event_test
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/event"
 	"repro/internal/sysc"
@@ -39,10 +40,11 @@ func TestPublishRoutesByKind(t *testing.T) {
 	var got []event.Event
 	b.Subscribe(func(e event.Event) { got = append(got, e) },
 		event.KindDispatch, event.KindPreempt)
-	b.Publish(event.Event{Kind: event.KindDispatch, Thread: "a"})
-	b.Publish(event.Event{Kind: event.KindBlock, Thread: "x"}) // not subscribed
-	b.Publish(event.Event{Kind: event.KindPreempt, Thread: "b"})
-	if len(got) != 2 || got[0].Thread != "a" || got[1].Thread != "b" {
+	a, x, c := &event.Subject{Index: 1, Name: "a"}, &event.Subject{Index: 2, Name: "x"}, &event.Subject{Index: 3, Name: "b"}
+	b.Publish(event.Event{Kind: event.KindDispatch, Thread: a})
+	b.Publish(event.Event{Kind: event.KindBlock, Thread: x}) // not subscribed
+	b.Publish(event.Event{Kind: event.KindPreempt, Thread: c})
+	if len(got) != 2 || got[0].ThreadName() != "a" || got[1].ThreadName() != "b" {
 		t.Fatalf("got %+v", got)
 	}
 }
@@ -85,6 +87,73 @@ func TestMultipleSubscribersInOrder(t *testing.T) {
 	}
 	if !b.Wants(event.KindSvcExit) {
 		t.Fatal("bus lost interest while a subscriber remains")
+	}
+}
+
+// TestEventSize pins the event at 64 bytes or less: every publish and every
+// handler call copies it, and past 64 bytes the compiler copies it with a
+// runtime.duffcopy call instead of inline moves.
+func TestEventSize(t *testing.T) {
+	if n := unsafe.Sizeof(event.Event{}); n > 64 {
+		t.Fatalf("event.Event is %d bytes, want <= 64 so it is copied inline", n)
+	}
+}
+
+func TestThreadName(t *testing.T) {
+	e := event.Event{Kind: event.KindDispatch}
+	if got := e.ThreadName(); got != "" {
+		t.Fatalf("kernel-global event names thread %q", got)
+	}
+	e.Thread = &event.Subject{Index: 1, Name: "w"}
+	if got := e.ThreadName(); got != "w" {
+		t.Fatalf("ThreadName = %q, want w", got)
+	}
+}
+
+// TestSubjectCache: a slot answers only for the subject that filled it, so
+// another subject on the same index (a thread re-created under its name, or
+// one from a different SIM_API) misses.
+func TestSubjectCache(t *testing.T) {
+	var c event.SubjectCache[int]
+	s1 := &event.Subject{Index: 3, Name: "a"}
+	s2 := &event.Subject{Index: 3, Name: "a"}
+	if _, ok := c.Get(nil); ok {
+		t.Fatal("nil subject hit")
+	}
+	if _, ok := c.Get(s1); ok {
+		t.Fatal("empty cache hit")
+	}
+	c.Put(s1, 7)
+	if v, ok := c.Get(s1); !ok || v != 7 {
+		t.Fatalf("Get(s1) = %d, %v", v, ok)
+	}
+	if _, ok := c.Get(s2); ok {
+		t.Fatal("different subject on the same index hit")
+	}
+	c.Reset()
+	if _, ok := c.Get(s1); ok {
+		t.Fatal("hit after Reset")
+	}
+}
+
+// BenchmarkBusPublish is the bus's own per-event cost: one run-slice event
+// fanned out to two subscribers that read it.
+func BenchmarkBusPublish(b *testing.B) {
+	bus := event.NewBus()
+	var n int
+	var sum float64
+	bus.Subscribe(func(e event.Event) { n += int(e.Ctx) }, event.KindRunSlice)
+	bus.Subscribe(func(e event.Event) { sum += float64(e.Energy) }, event.KindRunSlice)
+	e := event.Event{Kind: event.KindRunSlice, Ctx: 1, Time: 2, Start: 1, Energy: 1e-3,
+		Thread: &event.Subject{Index: 1, Name: "worker"}, Obj: "step"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Seq = uint64(i)
+		bus.Publish(e)
+	}
+	if n != b.N || sum == 0 {
+		b.Fatalf("delivered %d of %d", n, b.N)
 	}
 }
 

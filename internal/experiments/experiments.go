@@ -16,6 +16,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/app"
@@ -233,8 +234,14 @@ func Figure6(w io.Writer, window sysc.Time) *trace.Gantt {
 	fmt.Fprintln(w)
 	g.Summary(w)
 	fmt.Fprintln(w, "\nper-context breakdown of T1.lcd:")
-	for ctx, d := range g.ContextBreakdown("T1.lcd") {
-		fmt.Fprintf(w, "  %-8s %v\n", ctx, d)
+	breakdown := g.ContextBreakdown("T1.lcd")
+	ctxs := make([]trace.Context, 0, len(breakdown))
+	for ctx := range breakdown {
+		ctxs = append(ctxs, ctx)
+	}
+	slices.Sort(ctxs)
+	for _, ctx := range ctxs {
+		fmt.Fprintf(w, "  %-8s %v\n", ctx, breakdown[ctx])
 	}
 	return g
 }

@@ -77,6 +77,23 @@ func TestFigure6ProducesTrace(t *testing.T) {
 	}
 }
 
+// TestFigure6ByteStable: the figure prints its per-context breakdown in
+// context order, so repeated runs print the same bytes. The breakdown has
+// three contexts, so a map-order print would differ between two of the
+// runs most of the time.
+func TestFigure6ByteStable(t *testing.T) {
+	var first string
+	for i := 0; i < 3; i++ {
+		var b strings.Builder
+		Figure6(&b, 20*sysc.Ms)
+		if i == 0 {
+			first = b.String()
+		} else if b.String() != first {
+			t.Fatalf("run %d differs:\n%s\nfirst:\n%s", i, b.String(), first)
+		}
+	}
+}
+
 func TestFigure7And8(t *testing.T) {
 	var b7 strings.Builder
 	Figure7(&b7, 200*sysc.Ms)

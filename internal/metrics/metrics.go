@@ -82,16 +82,13 @@ type Report struct {
 type Collector struct {
 	sub *event.Subscription
 
-	tasks map[string]*taskState
+	// tasks is keyed by thread name, so a task deleted and re-created
+	// under the same name keeps one row; bySubject caches it per subject.
+	tasks     map[string]*taskState
+	bySubject event.SubjectCache[*taskState]
 	// ctxs is indexed by the event's context byte (a trace.Context); nil
 	// marks a context not seen yet.
 	ctxs [256]*ContextMetrics
-
-	// last caches the most recent task lookup: consecutive events mostly
-	// name the same thread, and the publisher reuses one name string per
-	// thread, so the comparison is usually a pointer check.
-	lastName string
-	last     *taskState
 
 	end sysc.Time
 }
@@ -123,17 +120,18 @@ func Attach(b *event.Bus) *Collector {
 // Close detaches the collector from the bus.
 func (c *Collector) Close() { c.sub.Close() }
 
-// task returns (creating on first sight) the state for a thread name.
-func (c *Collector) task(name string) *taskState {
-	if c.last != nil && name == c.lastName {
-		return c.last
+// task returns (creating on first sight) the state for e's thread.
+func (c *Collector) task(e *event.Event) *taskState {
+	if t, ok := c.bySubject.Get(e.Thread); ok {
+		return t
 	}
+	name := e.ThreadName()
 	t, ok := c.tasks[name]
 	if !ok {
 		t = &taskState{m: TaskMetrics{Thread: name}}
 		c.tasks[name] = t
 	}
-	c.lastName, c.last = name, t
+	c.bySubject.Put(e.Thread, t)
 	return t
 }
 
@@ -141,9 +139,9 @@ func (c *Collector) handle(e event.Event) {
 	if e.Time > c.end {
 		c.end = e.Time
 	}
+	t := c.task(&e) // every collector kind is about a thread
 	switch e.Kind {
 	case event.KindRunSlice:
-		t := c.task(e.Thread)
 		dur := e.Time - e.Start
 		t.m.CETUs += float64(dur) / 1e6
 		t.m.CEEJoules += e.Energy.Joules()
@@ -156,10 +154,8 @@ func (c *Collector) handle(e event.Event) {
 		ctx.Joules += e.Energy.Joules()
 		ctx.Slices++
 	case event.KindActivate:
-		t := c.task(e.Thread)
 		t.readyAt, t.ready = e.Time, true
 	case event.KindRelease:
-		t := c.task(e.Thread)
 		if t.blocked {
 			t.m.WaitTime.observe(e.Time - t.blockedAt)
 			t.blocked = false
@@ -167,18 +163,15 @@ func (c *Collector) handle(e event.Event) {
 		t.readyAt, t.ready = e.Time, true
 	case event.KindPreempt:
 		// The preempted thread goes back to READY and will be re-dispatched.
-		t := c.task(e.Thread)
 		t.m.Preemptions++
 		t.readyAt, t.ready = e.Time, true
 	case event.KindDispatch:
-		t := c.task(e.Thread)
 		t.m.Dispatches++
 		if t.ready {
 			t.m.DispatchLatency.observe(e.Time - t.readyAt)
 			t.ready = false
 		}
 	case event.KindBlock:
-		t := c.task(e.Thread)
 		t.blockedAt, t.blocked = e.Time, true
 	}
 }

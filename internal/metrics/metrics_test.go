@@ -10,8 +10,21 @@ import (
 	"repro/internal/sysc"
 )
 
+// subjects hands out one Subject per thread name, numbered densely from 1
+// as a SIM_API numbers its threads.
+var subjects = map[string]*event.Subject{}
+
+func subject(name string) *event.Subject {
+	s, ok := subjects[name]
+	if !ok {
+		s = &event.Subject{Index: len(subjects) + 1, Name: name}
+		subjects[name] = s
+	}
+	return s
+}
+
 func ev(k event.Kind, thread string, at sysc.Time) event.Event {
-	return event.Event{Kind: k, Thread: thread, Time: at}
+	return event.Event{Kind: k, Thread: subject(thread), Time: at}
 }
 
 func TestDispatchLatencyAndWaitTime(t *testing.T) {
@@ -52,11 +65,11 @@ func TestRunSliceRollups(t *testing.T) {
 	b := event.NewBus()
 	c := Attach(b)
 
-	b.Publish(event.Event{Kind: event.KindRunSlice, Thread: "a", Ctx: 1,
+	b.Publish(event.Event{Kind: event.KindRunSlice, Thread: subject("a"), Ctx: 1,
 		Start: 0, Time: 3 * sysc.Ms, Energy: 2 * petri.MilliJ})
-	b.Publish(event.Event{Kind: event.KindRunSlice, Thread: "a", Ctx: 2,
+	b.Publish(event.Event{Kind: event.KindRunSlice, Thread: subject("a"), Ctx: 2,
 		Start: 3 * sysc.Ms, Time: 4 * sysc.Ms, Energy: 1 * petri.MilliJ})
-	b.Publish(event.Event{Kind: event.KindRunSlice, Thread: "b", Ctx: 1,
+	b.Publish(event.Event{Kind: event.KindRunSlice, Thread: subject("b"), Ctx: 1,
 		Start: 4 * sysc.Ms, Time: 6 * sysc.Ms, Energy: 4 * petri.MilliJ})
 
 	r := c.Report()
@@ -131,7 +144,7 @@ func handleStream() []event.Event {
 	var evs []event.Event
 	at := sysc.Time(0)
 	slice := func(th string, ctx uint8) {
-		evs = append(evs, event.Event{Kind: event.KindRunSlice, Thread: th, Ctx: ctx,
+		evs = append(evs, event.Event{Kind: event.KindRunSlice, Thread: subject(th), Ctx: ctx,
 			Start: at, Time: at + 10*sysc.Us, Energy: petri.MilliJ})
 		at += 10 * sysc.Us
 	}
@@ -165,10 +178,10 @@ func BenchmarkCollectorHandle(b *testing.B) {
 	}
 }
 
-// TestLoadStateResetsLookupCache rewinds a collector whose cached task
-// lookup points at a row the restore replaces: later events must land in
+// TestLoadStateResetsIndexCache rewinds a collector whose subject-index
+// cache points at a row the restore replaces: later events must land in
 // the restored row.
-func TestLoadStateResetsLookupCache(t *testing.T) {
+func TestLoadStateResetsIndexCache(t *testing.T) {
 	b := event.NewBus()
 	c := Attach(b)
 	b.Publish(ev(event.KindDispatch, "a", 0))
@@ -176,7 +189,7 @@ func TestLoadStateResetsLookupCache(t *testing.T) {
 	b.Publish(ev(event.KindDispatch, "a", sysc.Ms))
 	c.LoadState(st)
 	b.Publish(ev(event.KindDispatch, "a", 2*sysc.Ms))
-	b.Publish(event.Event{Kind: event.KindRunSlice, Thread: "a", Ctx: 1,
+	b.Publish(event.Event{Kind: event.KindRunSlice, Thread: subject("a"), Ctx: 1,
 		Start: 2 * sysc.Ms, Time: 3 * sysc.Ms})
 	r := c.Report()
 	if len(r.Tasks) != 1 || r.Tasks[0].Dispatches != 2 || r.Tasks[0].CETUs != 1000 {
@@ -184,5 +197,23 @@ func TestLoadStateResetsLookupCache(t *testing.T) {
 	}
 	if len(r.Contexts) != 1 || r.Contexts[0].Context != "task" || r.Contexts[0].Slices != 1 {
 		t.Fatalf("contexts after restore: %+v", r.Contexts)
+	}
+}
+
+// TestSameNameSubjectsShareRow: a thread re-created under a name already
+// seen has a new subject (a fresh index), and a kernel-global event has none;
+// rows stay keyed by name, so each name keeps exactly one row.
+func TestSameNameSubjectsShareRow(t *testing.T) {
+	b := event.NewBus()
+	c := Attach(b)
+	first := &event.Subject{Index: 1, Name: "a"}
+	again := &event.Subject{Index: 2, Name: "a"}
+	b.Publish(event.Event{Kind: event.KindDispatch, Thread: first})
+	b.Publish(event.Event{Kind: event.KindDispatch, Thread: again, Time: sysc.Ms})
+	b.Publish(event.Event{Kind: event.KindDispatch, Thread: first, Time: 2 * sysc.Ms})
+	b.Publish(event.Event{Kind: event.KindDispatch, Time: 3 * sysc.Ms})
+	r := c.Report()
+	if len(r.Tasks) != 2 || r.Tasks[0].Thread != "" || r.Tasks[1].Thread != "a" || r.Tasks[1].Dispatches != 3 {
+		t.Fatalf("tasks: %+v", r.Tasks)
 	}
 }

@@ -39,7 +39,7 @@ func (c *Collector) LoadState(st CollectorState) {
 		tc := t
 		c.tasks[name] = &tc
 	}
-	c.lastName, c.last = "", nil
+	c.bySubject.Reset()
 	c.ctxs = [256]*ContextMetrics{}
 	for k, x := range st.ctxs {
 		xc := x

@@ -24,12 +24,20 @@ func (s *FiringSequence) SaveState() SequenceState {
 	}
 }
 
-// LoadState restores a state captured from this sequence (or one over a
-// net with the same transition count).
-func (s *FiringSequence) LoadState(st SequenceState) error {
+// CheckState reports whether LoadState would accept st.
+func (s *FiringSequence) CheckState(st SequenceState) error {
 	if len(st.Counts) != len(s.counts) {
 		return fmt.Errorf("petri: sequence state has %d transition counts, want %d",
 			len(st.Counts), len(s.counts))
+	}
+	return nil
+}
+
+// LoadState restores a state captured from this sequence (or one over a
+// net with the same transition count).
+func (s *FiringSequence) LoadState(st SequenceState) error {
+	if err := s.CheckState(st); err != nil {
+		return err
 	}
 	s.n = st.N
 	copy(s.counts, st.Counts)

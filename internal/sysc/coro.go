@@ -49,6 +49,10 @@ func (s *Simulator) SpawnCoro(name string, step func(*Coro)) *Coro {
 // Name returns the coroutine's diagnostic name.
 func (c *Coro) Name() string { return c.name }
 
+// Index returns the coroutine's position in its simulator's creation order:
+// dense from 0, so callers can keep per-coroutine data in a slice.
+func (c *Coro) Index() int { return int(c.idx) }
+
 // Sim returns the owning simulator.
 func (c *Coro) Sim() *Simulator { return c.sim }
 
@@ -138,12 +142,8 @@ func (c *Coro) Elapse(d Time) bool {
 	if next, ok := s.timed.nextTime(); ok && next <= s.now+d {
 		return false
 	}
-	if s.cancel != nil {
-		select {
-		case <-s.cancel:
-			return false
-		default:
-		}
+	if s.cancel != nil && s.cancel.Load() {
+		return false
 	}
 	if s.observer != nil {
 		s.curCoro = nil

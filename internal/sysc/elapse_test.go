@@ -220,3 +220,35 @@ func TestElapseMatchesArmedPath(t *testing.T) {
 		})
 	}
 }
+
+// TestStartContextCancelledMidRun cancels the context from another
+// goroutine while a coroutine lets time pass inline with Elapse: the run
+// stops at a quiescent point before its horizon and reports the
+// cancellation.
+func TestStartContextCancelledMidRun(t *testing.T) {
+	sim := NewSimulator()
+	defer sim.Shutdown()
+	started := make(chan struct{})
+	sim.SpawnCoro("worker", func(c *Coro) {
+		if started != nil {
+			close(started)
+			started = nil
+		}
+		for c.Elapse(Us) {
+		}
+		c.Wait(Us)
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func(started <-chan struct{}) {
+		<-started
+		cancel()
+	}(started)
+	const horizon = 1000 * Sec
+	if err := sim.StartContext(ctx, horizon); err != context.Canceled {
+		t.Fatalf("StartContext = %v, want context.Canceled", err)
+	}
+	if now := sim.Now(); now >= horizon {
+		t.Fatalf("stopped at %v, want before the %v horizon", now, horizon)
+	}
+}

@@ -3,6 +3,7 @@ package sysc
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 )
 
 // Simulator owns a complete discrete-event simulation: the time wheel, the
@@ -40,10 +41,11 @@ type Simulator struct {
 	warp func(now, horizon Time)
 
 	// cancel, when non-nil, is polled at every quiescent point (the model
-	// is stable there): once closed, the run stops before the clock
-	// advances again and cancelled records that the stop came from the
-	// context, not the model (StartContext).
-	cancel    <-chan struct{}
+	// is stable there): once set, the run stops before the clock advances
+	// again and cancelled records that the stop came from the context, not
+	// the model (StartContext). It is a flag rather than the context's
+	// channel so the poll is a plain load, not a select.
+	cancel    *atomic.Bool
 	cancelled bool
 
 	// until is the horizon of the Start in progress: Coro.Elapse never
@@ -282,13 +284,9 @@ func (s *Simulator) Start(until Time) error {
 		// Timed notification phase: advance to the next event time. The
 		// model is quiescent at s.now here — nothing runnable, no updates,
 		// no deltas — so observers get a stable snapshot.
-		if s.cancel != nil {
-			select {
-			case <-s.cancel:
-				s.cancelled = true
-				return s.err
-			default:
-			}
+		if s.cancel != nil && s.cancel.Load() {
+			s.cancelled = true
+			return s.err
 		}
 		if s.observer != nil {
 			s.observer.Quiescent(s.now)
@@ -336,9 +334,17 @@ func (s *Simulator) Run() error { return s.Start(MaxTime) }
 // flags). A simulation that completes its horizon first returns exactly
 // what Start would, even if ctx expires afterwards.
 func (s *Simulator) StartContext(ctx context.Context, until Time) error {
-	done := ctx.Done()
-	if done == nil {
+	if ctx.Done() == nil {
 		return s.Start(until)
+	}
+	// A context that is already done sets the flag here: AfterFunc would
+	// set it from a new goroutine, racing the first poll.
+	done := new(atomic.Bool)
+	if ctx.Err() != nil {
+		done.Store(true)
+	} else {
+		stop := context.AfterFunc(ctx, func() { done.Store(true) })
+		defer stop()
 	}
 	s.cancel = done
 	s.cancelled = false

@@ -66,6 +66,6 @@ func (l *EventLog) Render(w io.Writer) {
 		if e.Kind == event.KindIntEnter {
 			detail = fmt.Sprintf("depth %d", e.Seq)
 		}
-		fmt.Fprintf(w, "%-14s %-10s %-16s %s\n", e.Time, e.Kind, e.Thread, detail)
+		fmt.Fprintf(w, "%-14s %-10s %-16s %s\n", e.Time, e.Kind, e.ThreadName(), detail)
 	}
 }

@@ -55,7 +55,7 @@ func TestEventLogRecordsKernelDynamics(t *testing.T) {
 		t.Fatalf("activates = %d", len(log.ByKind(event.KindActivate)))
 	}
 	pre := log.ByKind(event.KindPreempt)
-	if len(pre) != 1 || pre[0].Thread != "lo" || !strings.Contains(pre[0].Obj, "hi") {
+	if len(pre) != 1 || pre[0].ThreadName() != "lo" || !strings.Contains(pre[0].Obj, "hi") {
 		t.Fatalf("preempts = %+v", pre)
 	}
 	if len(log.ByKind(event.KindIntEnter)) != 1 || len(log.ByKind(event.KindIntExit)) != 1 {

@@ -151,10 +151,10 @@ func TestWaitObjectLabels(t *testing.T) {
 					k.StaTsk(waiter)
 				})
 				k.Bus().Subscribe(func(e event.Event) {
-					if e.Thread == "waiter" {
+					if e.ThreadName() == "waiter" {
 						obj = append(obj, e.Obj)
 					} else {
-						blocked = append(blocked, e.Thread)
+						blocked = append(blocked, e.ThreadName())
 					}
 				}, event.KindBlock)
 				run(t, sim, 10*sysc.Ms)

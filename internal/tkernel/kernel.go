@@ -415,7 +415,7 @@ func (c *svcCall) step(k *Kernel, t *core.TThread, try func(*Kernel) (ER, *armed
 		k.api.LockDispatch()
 		if k.bus.Wants(event.KindSvcEnter) {
 			k.bus.Publish(event.Event{Kind: event.KindSvcEnter,
-				Time: k.sim.Now(), Thread: threadName(t), Obj: c.name})
+				Time: k.sim.Now(), Thread: t.Subject(), Obj: c.name})
 		}
 		c.sp = spConsume
 		fallthrough
@@ -458,7 +458,7 @@ func (c *svcCall) step(k *Kernel, t *core.TThread, try func(*Kernel) (ER, *armed
 func (c *svcCall) exit(k *Kernel, t *core.TThread, er ER) ER {
 	if k.bus.Wants(event.KindSvcExit) {
 		k.bus.Publish(event.Event{Kind: event.KindSvcExit,
-			Time: k.sim.Now(), Thread: threadName(t), Obj: c.name, Code: int(er)})
+			Time: k.sim.Now(), Thread: t.Subject(), Obj: c.name, Code: int32(er)})
 	}
 	k.api.UnlockDispatch()
 	c.sp = spEnter
@@ -478,14 +478,6 @@ func (k *Kernel) call(name string, try func(*Kernel) (ER, *armedWait)) ER {
 			return er
 		}
 	}
-}
-
-// threadName names a T-THREAD, tolerating nil (handler/boot contexts).
-func threadName(tt *core.TThread) string {
-	if tt == nil {
-		return ""
-	}
-	return tt.Name()
 }
 
 // blockCheck validates that the executing context may issue a blocking wait

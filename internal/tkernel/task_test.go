@@ -543,7 +543,7 @@ func terMidService(t *testing.T, face, svc string, waiting bool,
 		_ = k.StaAlm(alm, 23*sysc.Ms)
 	})
 	k.Bus().Subscribe(func(e event.Event) {
-		if e.Thread != "victim" || e.Obj != svc {
+		if e.ThreadName() != "victim" || e.Obj != svc {
 			return
 		}
 		if e.Kind == event.KindSvcEnter {
@@ -597,7 +597,7 @@ func TestExtTskEndsCycleLikeReturn(t *testing.T) {
 	})
 	kinds := map[string]map[event.Kind]int{"closure": {}, "program": {}}
 	k.Bus().Subscribe(func(e event.Event) {
-		if m, ok := kinds[e.Thread]; ok {
+		if m, ok := kinds[e.ThreadName()]; ok {
 			m[e.Kind]++
 		}
 	}, event.KindExit, event.KindTerminate)

@@ -9,7 +9,7 @@ import "repro/internal/event"
 func AttachGantt(b *event.Bus, g *Gantt) *event.Subscription {
 	return b.Subscribe(func(e event.Event) {
 		g.Add(Segment{
-			Thread: e.Thread,
+			Thread: e.ThreadName(),
 			Start:  e.Start,
 			End:    e.Time,
 			Ctx:    Context(e.Ctx),

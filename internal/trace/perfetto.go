@@ -26,13 +26,14 @@ import (
 // seeded model produce byte-identical files. Records are appended into one
 // reused buffer, so a steady-state event costs no allocation.
 type Perfetto struct {
-	w       *bufio.Writer
-	sub     *event.Subscription
-	tids    map[string]int
-	nextTid int
-	n       int    // records written
-	buf     []byte // the record being encoded
-	err     error
+	w         *bufio.Writer
+	sub       *event.Subscription
+	tids      map[string]int // row per thread name, in first-sight order
+	bySubject event.SubjectCache[int]
+	nextTid   int
+	n         int    // records written
+	buf       []byte // the record being encoded
+	err       error
 }
 
 // tidKernel is the synthetic row carrying events without a subject thread.
@@ -87,20 +88,25 @@ func (p *Perfetto) Close() error {
 // Events returns the number of trace records written so far.
 func (p *Perfetto) Events() int { return p.n }
 
-// tid returns the row for a thread name, assigning one (and emitting its
-// thread_name metadata) on first sight. Events without a subject thread go
-// to the kernel row.
-func (p *Perfetto) tid(thread string) int {
+// tid returns the row for e's thread, assigning one (and emitting its
+// thread_name metadata) on first sight of the name. Events without a
+// subject thread go to the kernel row.
+func (p *Perfetto) tid(e *event.Event) int {
+	if id, ok := p.bySubject.Get(e.Thread); ok {
+		return id
+	}
+	thread := e.ThreadName()
 	if thread == "" {
 		return tidKernel
 	}
-	if id, ok := p.tids[thread]; ok {
-		return id
+	id, ok := p.tids[thread]
+	if !ok {
+		id = p.nextTid
+		p.nextTid++
+		p.tids[thread] = id
+		p.meta("thread_name", id, thread)
 	}
-	id := p.nextTid
-	p.nextTid++
-	p.tids[thread] = id
-	p.meta("thread_name", id, thread)
+	p.bySubject.Put(e.Thread, id)
 	return id
 }
 
@@ -114,7 +120,7 @@ func (p *Perfetto) handle(e event.Event) {
 	if p.err != nil {
 		return
 	}
-	tid := p.tid(e.Thread) // a new thread's metadata record goes first
+	tid := p.tid(&e) // a new thread's metadata record goes first
 	switch e.Kind {
 	case event.KindRunSlice:
 		cat := Context(e.Ctx).String()

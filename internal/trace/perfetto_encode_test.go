@@ -98,7 +98,7 @@ func (p *oraclePerfetto) handle(e event.Event) {
 		p.emit(pfComplete{
 			Name: name, Cat: Context(e.Ctx).String(), Ph: "X",
 			Ts: us(e.Start), Dur: us(e.Time - e.Start),
-			Pid: pfPid, Tid: p.tid(e.Thread),
+			Pid: pfPid, Tid: p.tid(e.ThreadName()),
 			Args: map[string]any{"energy_j": float64(e.Energy)},
 		})
 	case event.KindSvcExit:
@@ -123,7 +123,7 @@ func (p *oraclePerfetto) handle(e event.Event) {
 func (p *oraclePerfetto) instant(e event.Event, name string, args map[string]any) {
 	p.emit(pfInstant{
 		Name: name, Cat: e.Kind.String(), Ph: "i",
-		Ts: us(e.Time), Pid: pfPid, Tid: p.tid(e.Thread), S: "t",
+		Ts: us(e.Time), Pid: pfPid, Tid: p.tid(e.ThreadName()), S: "t",
 		Args: args,
 	})
 }
@@ -202,16 +202,16 @@ func FuzzPerfettoRecord(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, kind, ctx uint8, code int, tm, start int64, seq uint64, energy float64, thread, obj string) {
 		e := event.Event{
-			Kind: pfKinds[int(kind)%len(pfKinds)], Ctx: ctx, Code: code,
+			Kind: pfKinds[int(kind)%len(pfKinds)], Ctx: ctx, Code: int32(code),
 			Time: sysc.Time(tm), Start: sysc.Time(start), Seq: seq,
-			Energy: petri.Energy(energy), Thread: thread, Obj: obj,
+			Energy: petri.Energy(energy), Thread: &event.Subject{Index: 1, Name: thread}, Obj: obj,
 		}
 		b := event.NewBus()
 		var got, want bytes.Buffer
 		p := AttachPerfetto(b, &got)
 		o := attachOracle(b, &want)
 		kernel := e
-		kernel.Thread = ""
+		kernel.Thread = nil
 		for _, ev := range []event.Event{e, kernel, e} {
 			b.Publish(ev)
 		}
@@ -228,11 +228,13 @@ func FuzzPerfettoRecord(f *testing.F) {
 	})
 }
 
+var steadySubject = &event.Subject{Index: 1, Name: "worker"}
+
 // steadyEvent is a kind's event on an already-named thread, with every
 // field the encoder reads set.
 func steadyEvent(k event.Kind) event.Event {
 	return event.Event{Kind: k, Ctx: uint8(CtxTask), Code: -18, Time: 5 * sysc.Ms, Start: 2 * sysc.Ms,
-		Seq: 3, Energy: 1e-3, Thread: "worker", Obj: "tk_wai_sem"}
+		Seq: 3, Energy: 1e-3, Thread: steadySubject, Obj: "tk_wai_sem"}
 }
 
 // TestPerfettoSteadyStateAllocs pins the encoder's allocation budget: once

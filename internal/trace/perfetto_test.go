@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/event"
+	"repro/internal/metrics"
 	"repro/internal/petri"
 	"repro/internal/run/opts"
 	"repro/internal/sysc"
@@ -22,11 +23,12 @@ func TestPerfettoGolden(t *testing.T) {
 	var buf bytes.Buffer
 	p := trace.AttachPerfetto(b, &buf)
 
-	b.Publish(event.Event{Kind: event.KindDispatch, Thread: "worker", Time: 1 * sysc.Ms})
-	b.Publish(event.Event{Kind: event.KindRunSlice, Thread: "worker", Ctx: 1,
+	worker := &event.Subject{Index: 1, Name: "worker"}
+	b.Publish(event.Event{Kind: event.KindDispatch, Thread: worker, Time: 1 * sysc.Ms})
+	b.Publish(event.Event{Kind: event.KindRunSlice, Thread: worker, Ctx: 1,
 		Start: 1 * sysc.Ms, Time: 4 * sysc.Ms, Energy: 2 * petri.MilliJ, Obj: "step"})
-	b.Publish(event.Event{Kind: event.KindSvcExit, Thread: "worker", Time: 4 * sysc.Ms,
-		Obj: "tk_sig_sem", Code: int(tkernel.ENOEXS)})
+	b.Publish(event.Event{Kind: event.KindSvcExit, Thread: worker, Time: 4 * sysc.Ms,
+		Obj: "tk_sig_sem", Code: int32(tkernel.ENOEXS)})
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -104,5 +106,62 @@ func TestPerfettoDeterministic(t *testing.T) {
 	one, two := traceRun(t), traceRun(t)
 	if !bytes.Equal(one, two) {
 		t.Fatal("traces differ across identical runs")
+	}
+}
+
+// TestRecreatedTaskKeepsOneRow deletes a task and creates a new one under
+// the same name. The new T-THREAD carries a new subject, yet rows stay keyed
+// by name: the metrics report has one row for it and the trace names it
+// once.
+func TestRecreatedTaskKeepsOneRow(t *testing.T) {
+	var buf bytes.Buffer
+	sim := sysc.NewSimulator()
+	defer sim.Shutdown()
+	bus := event.NewBus()
+	p := trace.AttachPerfetto(bus, &buf)
+	c := metrics.Attach(bus)
+	k := tkernel.New(sim, tkernel.Config{CommonOptions: opts.CommonOptions{Bus: bus}, Costs: tkernel.ZeroCosts()})
+	work := func(*tkernel.Task) { k.Work(core.Cost{Time: sysc.Ms}, "a-work") }
+	var subjects []*event.Subject
+	bus.Subscribe(func(e event.Event) { subjects = append(subjects, e.Thread) }, event.KindActivate)
+	k.Boot(func(k *tkernel.Kernel) {
+		a, _ := k.CreTsk("a", 5, work)
+		ctl, _ := k.CreTsk("ctl", 20, func(*tkernel.Task) {
+			if er := k.DelTsk(a); er != tkernel.EOK {
+				t.Errorf("DelTsk = %v", er)
+			}
+			again, _ := k.CreTsk("a", 5, work)
+			_ = k.StaTsk(again)
+		})
+		_ = k.StaTsk(a)
+		_ = k.StaTsk(ctl)
+	})
+	if err := sim.Start(10 * sysc.Ms); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var as []*event.Subject
+	for _, s := range subjects {
+		if s.Name == "a" {
+			as = append(as, s)
+		}
+	}
+	if len(as) != 2 || as[0] == as[1] || as[0].Index == as[1].Index {
+		t.Fatalf("activations of a carried subjects %+v, want two distinct", as)
+	}
+	var rows []metrics.TaskMetrics
+	for _, r := range c.Report().Tasks {
+		if r.Thread == "a" {
+			rows = append(rows, r)
+		}
+	}
+	if len(rows) != 1 || rows[0].Dispatches != 2 || rows[0].CETUs != 2000 {
+		t.Fatalf("metrics rows for a: %+v", rows)
+	}
+	if n := strings.Count(buf.String(), `"name":"thread_name","ph":"M","pid":1,"tid":2,"args":{"name":"a"}`); n != 1 ||
+		strings.Count(buf.String(), `"args":{"name":"a"}`) != 1 {
+		t.Fatalf("want one thread_name record for a, on row 2:\n%s", buf.String())
 	}
 }

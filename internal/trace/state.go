@@ -56,6 +56,7 @@ func (p *Perfetto) SaveState() PerfettoState {
 // underlying writer.
 func (p *Perfetto) LoadState(st PerfettoState) {
 	clear(p.tids)
+	p.bySubject.Reset()
 	for k, v := range st.tids {
 		p.tids[k] = v
 	}
