@@ -8,7 +8,7 @@
 GO ?= go
 BENCHTIME ?= 2s
 
-.PHONY: all build test vet race check serve serve-fleet serve-e2e serve-load serve-load-guard serve-stream chaos chaos-traced snapshot-diff fuzz-smoke bench bench-guard bench-all bench-smoke perf-smoke scenarios synthetic-campaign clean
+.PHONY: all build test vet race check golden-386 serve serve-fleet serve-e2e serve-load serve-load-guard serve-stream chaos chaos-traced snapshot-diff fuzz-smoke bench bench-guard bench-all bench-smoke perf-smoke scenarios synthetic-campaign clean
 
 all: check
 
@@ -36,6 +36,13 @@ vet:
 
 race:
 	$(GO) test -race ./...
+
+# The golden digests on a second float path: a 386 build compiles the
+# model with a different backend and 32-bit ints, so an artifact whose
+# bytes depend on the platform rather than on the model fails its digest
+# here as well as on amd64.
+golden-386:
+	GOARCH=386 $(GO) test ./internal/run ./internal/workload
 
 check: vet build test race
 

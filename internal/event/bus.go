@@ -8,8 +8,10 @@
 // never know who is listening, and consumers (Gantt recording, Perfetto
 // export, metrics, chaos oracles) attach independently without fighting over
 // single-consumer hook slots. Subscription is pay-for-what-you-use — with no
-// subscriber for a kind, the publish path is a single bitmask test, so an
-// untraced speed-measure run is not distorted by the instrumentation.
+// subscriber for a kind, the publish path is a single bitmask test, and with
+// no subscriber to quiescent points or clock advances the simulator's
+// observer slot stays empty, so an untraced speed-measure run is not
+// distorted by the instrumentation.
 //
 // The bus is deliberately not goroutine-safe: like the rest of the model it
 // belongs to exactly one simulation, whose evaluation phase is sequential.
@@ -136,6 +138,12 @@ type Bus struct {
 	mask   uint32
 	subs   [nKinds][]entry
 	nextID int
+
+	// obs publishes the milestones of the simulator AttachSimulator bound
+	// the bus to (nil before that). It sits in the simulator's observer slot
+	// only while the mask wants KindQuiescent or KindTimeAdvance
+	// (syncObserver).
+	obs *simAdapter
 }
 
 // NewBus returns an empty bus.
@@ -167,7 +175,9 @@ type Subscription struct {
 
 // Subscribe registers h for the given kinds (all kinds when none are given)
 // and returns a handle that detaches it again. Subscribing during a Publish
-// of the same kind is not supported.
+// of the same kind is not supported. The first subscriber to KindQuiescent
+// or KindTimeAdvance puts the bus into its attached simulator's observer
+// slot (AttachSimulator).
 func (b *Bus) Subscribe(h Handler, kinds ...Kind) *Subscription {
 	if len(kinds) == 0 {
 		kinds = make([]Kind, nKinds)
@@ -182,11 +192,14 @@ func (b *Bus) Subscribe(h Handler, kinds ...Kind) *Subscription {
 		b.subs[k] = append(b.subs[k], entry{id: id, h: h})
 		b.mask |= 1 << k
 	}
+	b.syncObserver()
 	return sub
 }
 
 // Close removes the subscription's handler from every kind it was registered
-// for and recomputes the wants mask. Closing twice is harmless.
+// for and recomputes the wants mask; closing the last subscriber to
+// KindQuiescent and KindTimeAdvance empties the attached simulator's
+// observer slot. Closing twice is harmless.
 func (s *Subscription) Close() {
 	if s == nil || s.bus == nil {
 		return
@@ -207,4 +220,5 @@ func (s *Subscription) Close() {
 			b.mask &^= 1 << k
 		}
 	}
+	b.syncObserver()
 }

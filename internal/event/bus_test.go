@@ -1,11 +1,14 @@
 package event_test
 
 import (
+	"io"
 	"testing"
 	"unsafe"
 
 	"repro/internal/event"
+	"repro/internal/metrics"
 	"repro/internal/sysc"
+	"repro/internal/trace"
 )
 
 func TestNilBusIsInert(t *testing.T) {
@@ -208,4 +211,67 @@ func TestAttachSimulator(t *testing.T) {
 	if last.Time != 3*sysc.Ms {
 		t.Fatalf("final advance to %v, want 3ms", last.Time)
 	}
+}
+
+// TestObserverSlotOnDemand checks that the bus occupies the simulator's
+// observer slot only while some subscriber wants quiescent points or clock
+// advances, whichever of AttachSimulator and Subscribe comes first.
+func TestObserverSlotOnDemand(t *testing.T) {
+	nop := func(event.Event) {}
+	occupied := func(sim *sysc.Simulator) bool { return sim.Observer() != nil }
+
+	t.Run("subscribe-before-attach", func(t *testing.T) {
+		sim, b := sysc.NewSimulator(), event.NewBus()
+		sub := b.Subscribe(nop, event.KindQuiescent)
+		if occupied(sim) {
+			t.Fatal("slot filled before AttachSimulator")
+		}
+		event.AttachSimulator(b, sim)
+		if !occupied(sim) {
+			t.Fatal("slot empty with a quiescent subscriber attached first")
+		}
+		sub.Close()
+		if occupied(sim) {
+			t.Fatal("slot still filled after the last subscriber closed")
+		}
+	})
+
+	t.Run("subscribe-after-attach", func(t *testing.T) {
+		sim, b := sysc.NewSimulator(), event.NewBus()
+		event.AttachSimulator(b, sim)
+		if occupied(sim) {
+			t.Fatal("slot filled on a bus with no subscriber")
+		}
+		q := b.Subscribe(nop, event.KindQuiescent)
+		ta := b.Subscribe(nop, event.KindTimeAdvance)
+		if !occupied(sim) {
+			t.Fatal("slot empty after subscribing")
+		}
+		q.Close()
+		if !occupied(sim) {
+			t.Fatal("slot emptied while a time-advance subscriber remains")
+		}
+		ta.Close()
+		if occupied(sim) {
+			t.Fatal("slot still filled after the last subscriber closed")
+		}
+		all := b.Subscribe(nop) // every kind
+		if !occupied(sim) {
+			t.Fatal("slot empty with an all-kinds subscriber")
+		}
+		all.Close()
+		if occupied(sim) {
+			t.Fatal("slot still filled after the all-kinds subscriber closed")
+		}
+	})
+
+	t.Run("metrics-and-perfetto-only", func(t *testing.T) {
+		sim, b := sysc.NewSimulator(), event.NewBus()
+		event.AttachSimulator(b, sim)
+		metrics.Attach(b)
+		trace.AttachPerfetto(b, io.Discard)
+		if occupied(sim) {
+			t.Fatal("metrics or Perfetto filled the observer slot")
+		}
+	})
 }

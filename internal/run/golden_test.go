@@ -1,6 +1,7 @@
 package run
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -63,14 +64,29 @@ func digestOf(res Result) goldenEntry {
 	return e
 }
 
-// checkGolden runs spec and compares its digest with the entry recorded
-// under key.
+// checkGolden runs spec twice, requires the two builds' artifacts to be
+// byte-equal, and compares the digest with the entry recorded under key.
+// The second build in the same process sees a fresh map iteration order,
+// so an artifact that depends on it fails here every time rather than
+// only when its digest happens to move.
 func checkGolden(t *testing.T, key string, spec Spec) {
 	t.Helper()
 	want, ok := loadGolden(t)[key]
 	res, err := Execute(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("%s: %v", key, err)
+	}
+	again, err := Execute(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("%s (second build): %v", key, err)
+	}
+	if len(again.Artifacts) != len(res.Artifacts) {
+		t.Fatalf("%s: second build produced %d artifacts, first %d", key, len(again.Artifacts), len(res.Artifacts))
+	}
+	for name, b := range res.Artifacts {
+		if !bytes.Equal(again.Artifacts[name], b) {
+			t.Fatalf("%s: artifact %s differs between two builds in one process", key, name)
+		}
 	}
 	gb, _ := json.Marshal(digestOf(res))
 	if !ok {

@@ -25,7 +25,6 @@ type Coro struct {
 
 	queued  bool     // already on the runnable queue
 	waiting []*Event // events of the armed wait set
-	scratch []*Event // reusable wait-set buffer (WaitTimeout fast path)
 	trigEv  *Event   // event that fired the current resumption
 	timer   *Event   // per-coroutine timer for Wait/WaitTimeout
 
@@ -75,13 +74,26 @@ func (c *Coro) WaitEvent(evs ...*Event) {
 	if len(evs) == 0 {
 		panic(fmt.Sprintf("sysc: coroutine %q waits on empty event set", c.name))
 	}
+	c.arm(nil, evs)
+}
+
+// arm parks c on first (when non-nil) followed by evs, in that order: the
+// wait set and each event's waiter list grow one element at a time, which
+// the compiler turns into plain stores rather than a runtime bulk copy.
+func (c *Coro) arm(first *Event, evs []*Event) {
 	if c.armed {
 		panic(fmt.Sprintf("sysc: coroutine %q armed two waits in one step", c.name))
 	}
-	c.waiting = append(c.waiting[:0], evs...)
+	w := c.waiting[:0]
+	if first != nil {
+		w = append(w, first)
+		first.cwaiters = append(first.cwaiters, c)
+	}
 	for _, e := range evs {
+		w = append(w, e)
 		e.cwaiters = append(e.cwaiters, c)
 	}
+	c.waiting = w
 	c.trigEv = nil
 	c.armed = true
 }
@@ -89,18 +101,16 @@ func (c *Coro) WaitEvent(evs ...*Event) {
 // Wait arms the coroutine to resume after duration d of simulated time.
 func (c *Coro) Wait(d Time) {
 	c.timer.NotifyAfter(d)
-	c.WaitEvent(c.timer)
+	c.arm(c.timer, nil)
 }
 
 // WaitTimeout arms the coroutine to resume when one of evs triggers or d
 // elapses. The resumed step calls TimedOut to resolve which it was. The
-// combined wait set lives in a per-coroutine scratch buffer so the call
-// does not allocate.
+// wait set is the coroutine's timer followed by evs, armed directly into
+// the coroutine's reusable wait-set buffer, so the call does not allocate.
 func (c *Coro) WaitTimeout(d Time, evs ...*Event) {
 	c.timer.NotifyAfter(d)
-	c.scratch = append(c.scratch[:0], c.timer)
-	c.scratch = append(c.scratch, evs...)
-	c.WaitEvent(c.scratch...)
+	c.arm(c.timer, evs)
 }
 
 // TimedOut resolves the WaitTimeout that parked the previous step: it
@@ -130,8 +140,11 @@ func (c *Coro) TimedOut() bool {
 // Elapse does the same inline: it polls the StartContext cancellation,
 // fires Observer.Quiescent with CurrentCoro cleared, draws the heap seq the
 // timer push would have drawn (so HeapSeq and every later entry's seq
-// match), advances the clock and fires Observer.TimeAdvance. The warp hook
-// is skipped (see SetWarpHook).
+// match), advances the clock and fires Observer.TimeAdvance. With the
+// observer slot empty (the event bus fills it only while someone listens
+// for quiescent points or clock advances) both callbacks cost one nil test.
+// An observer that panics here aborts the run in c's name, as a panic in
+// c's own step would. The warp hook is skipped (see SetWarpHook).
 func (c *Coro) Elapse(d Time) bool {
 	s := c.sim
 	if s.curCoro != c || d <= 0 || c.armed || s.stopRequested ||
@@ -164,25 +177,21 @@ func (c *Coro) Elapse(d Time) bool {
 // all currently runnable processes have run.
 func (c *Coro) YieldDelta() {
 	c.timer.NotifyDelta()
-	c.WaitEvent(c.timer)
+	c.arm(c.timer, nil)
 }
 
 // runCoro executes one step of a coroutine inline on the scheduler
-// goroutine, converting a panic into a simulation abort. CurrentCoro names
-// the stepping coroutine for the duration (and CurrentThread its thread).
+// goroutine. CurrentCoro names the stepping coroutine for the duration (and
+// CurrentThread its thread). It sets up no recover of its own: a panicking
+// step unwinds to the one guard in Start, which turns it into a simulation
+// abort naming the coroutine, leaves it not done and clears CurrentCoro.
 func (s *Simulator) runCoro(c *Coro) {
 	prev := s.curCoro
 	s.curCoro = c
-	defer func() {
-		s.curCoro = prev
-		if r := recover(); r != nil && s.err == nil {
-			s.err = fmt.Errorf("sysc: coroutine %q panicked: %v", c.name, r)
-			s.stopRequested = true
-		}
-	}()
 	c.armed = false
 	c.step(c)
 	if !c.armed {
 		c.done = true
 	}
+	s.curCoro = prev
 }

@@ -150,13 +150,50 @@ func BenchmarkTimedQueue(b *testing.B) {
 	}
 }
 
+// nopObserver fills the observer slot without doing anything.
+type nopObserver struct{}
+
+func (nopObserver) Quiescent(Time)         {}
+func (nopObserver) TimeAdvance(Time, Time) {}
+
+// BenchmarkElapse measures one inline clock advance (Coro.Elapse) of a
+// coroutine that is alone in the model, with the observer slot empty and
+// filled: the difference is the two observer callbacks per advance that an
+// unobserved run no longer pays.
+func BenchmarkElapse(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		obs  Observer
+	}{{"unobserved", nil}, {"observed", nopObserver{}}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			sim := NewSimulator()
+			defer sim.Shutdown()
+			sim.SetObserver(bc.obs)
+			sim.SpawnCoro("E", func(c *Coro) {
+				for i := 0; i < b.N; i++ {
+					if !c.Elapse(1) {
+						b.Error("Elapse fell back with nothing else in the model")
+						return
+					}
+				}
+			})
+			b.ResetTimer()
+			if err := sim.Run(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestContinuationSteadyStateZeroAlloc asserts the coroutine
 // steady-state data path — timer self-yields, event ping-pong handoffs, and
-// the WaitTimeout scratch-buffer path — performs zero heap allocations per
-// Start window once warm. The timed queue holds its entries by value in a
-// slice that keeps its capacity, trigger keeps waiter backing arrays, and
-// WaitTimeout builds its wait set in the per-coroutine scratch buffer, so
-// nothing on this path should ever reach the allocator after warmup.
+// the WaitTimeout path — performs zero heap allocations per Start window
+// once warm. The timed queue holds its entries by value in a slice that
+// keeps its capacity, trigger keeps waiter backing arrays, and WaitTimeout
+// arms its timer and events straight into the coroutine's reusable wait-set
+// buffer, so nothing on this path should ever reach the allocator after
+// warmup.
 func TestContinuationSteadyStateZeroAlloc(t *testing.T) {
 	sim := NewSimulator()
 	defer sim.Shutdown()
@@ -177,8 +214,8 @@ func TestContinuationSteadyStateZeroAlloc(t *testing.T) {
 		}
 		c.WaitEvent(ping)
 	})
-	// WaitTimeout scratch path: the timeout always wins, detaching the
-	// coroutine from the never-firing event each round.
+	// WaitTimeout path: the timeout always wins, detaching the coroutine
+	// from the never-firing event each round.
 	sim.SpawnCoro("tmo", func(c *Coro) {
 		if c.Fired() != nil && !c.TimedOut() {
 			t.Error("tmo: unexpected event fire")
@@ -186,8 +223,8 @@ func TestContinuationSteadyStateZeroAlloc(t *testing.T) {
 		c.WaitTimeout(1, never)
 	})
 
-	// Warm up: stabilize runnable-queue, waiter-list, scratch and timed-heap
-	// capacities.
+	// Warm up: stabilize runnable-queue, waiter-list, wait-set and
+	// timed-heap capacities.
 	var end Time = 1000
 	if err := sim.Start(end); err != nil {
 		t.Fatal(err)

@@ -27,6 +27,13 @@ type Simulator struct {
 	curCoro *Coro    // coroutine currently stepping (nil outside a step)
 	nextID  int
 
+	// stepping is the process the evaluation phase last handed control to.
+	// It is cleared when the phase ends, so while it is set any panic comes
+	// from that process: Start's one recover names it from here, even when
+	// the panic is raised by an observer inside Coro.Elapse (which clears
+	// curCoro for that callback).
+	stepping procRef
+
 	// observer, when set, watches scheduler milestones: quiescent points
 	// (no runnable process, no pending update, no pending delta at the
 	// current time, immediately before the timed phase advances the clock)
@@ -102,8 +109,15 @@ type Observer interface {
 }
 
 // SetObserver installs the simulator's single observer slot (nil removes
-// it). Multi-consumer fan-out belongs to the event bus layered on top.
+// it). Multi-consumer fan-out belongs to the event bus layered on top,
+// which fills the slot only while some subscriber wants quiescent points or
+// clock advances: an empty slot costs the scheduler one nil test per
+// milestone instead of two interface calls.
 func (s *Simulator) SetObserver(o Observer) { s.observer = o }
+
+// Observer returns the observer installed by SetObserver (nil when the
+// slot is empty).
+func (s *Simulator) Observer() Observer { return s.observer }
 
 // SetWarpHook installs the quiescent-point warp hook (nil removes it). The
 // hook runs when the model is stable at the current time, receives the
@@ -198,28 +212,44 @@ func (s *Simulator) trigger(e *Event) {
 	}
 }
 
-// runMethod invokes a method process inline on the scheduler goroutine,
-// converting a panic into a simulation abort. CurrentThread is nil there.
-func (s *Simulator) runMethod(m *Method) {
-	defer func() {
-		if r := recover(); r != nil && s.err == nil {
-			s.err = fmt.Errorf("sysc: method %q panicked: %v", m.name, r)
-			s.stopRequested = true
-		}
-	}()
-	m.fn()
-}
-
 // Start runs the simulation until no activity remains, Stop is called, a
 // process panics, or simulated time would pass `until`. When the model goes
 // quiet before the horizon, time advances to `until` so that successive
 // Start calls step the clock deterministically. It returns the first process
-// panic as an error.
-func (s *Simulator) Start(until Time) error {
+// panic as an error; a panic outside any process (an observer or warp hook
+// at a quiescent point, a signal update) propagates.
+func (s *Simulator) Start(until Time) (err error) {
 	if s.shutdown {
 		return fmt.Errorf("sysc: simulator already shut down")
 	}
 	s.until = until
+	// The one panic guard of the run: methods and coroutine steps set up no
+	// recover of their own, so a step costs no deferred call.
+	defer func() {
+		p := s.stepping
+		if p == (procRef{}) {
+			return // no process was stepping: let any panic propagate
+		}
+		s.stepping = procRef{}
+		r := recover()
+		if r == nil {
+			return
+		}
+		s.curCoro = nil
+		if s.err == nil {
+			if p.m != nil {
+				s.err = fmt.Errorf("sysc: method %q panicked: %v", p.m.name, r)
+			} else {
+				s.err = fmt.Errorf("sysc: coroutine %q panicked: %v", p.c.name, r)
+			}
+		}
+		s.stopRequested = true
+		if s.runHead == len(s.runnable) {
+			s.runnable = s.runnable[:0]
+			s.runHead = 0
+		}
+		err = s.err
+	}()
 	for !s.stopRequested {
 		// Evaluation phase: run until no process is runnable. Methods and
 		// coroutines execute inline on the scheduler goroutine (a thread's
@@ -231,7 +261,8 @@ func (s *Simulator) Start(until Time) error {
 			s.runHead++
 			if m := p.m; m != nil {
 				m.queued = false
-				s.runMethod(m)
+				s.stepping = p
+				m.fn()
 				continue
 			}
 			c := p.c
@@ -239,8 +270,10 @@ func (s *Simulator) Start(until Time) error {
 			if c.done {
 				continue
 			}
+			s.stepping = p
 			s.runCoro(c)
 		}
+		s.stepping = procRef{}
 		if s.runHead == len(s.runnable) {
 			s.runnable = s.runnable[:0]
 			s.runHead = 0

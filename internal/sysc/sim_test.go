@@ -411,6 +411,25 @@ func TestTickerPeriodicEvents(t *testing.T) {
 	}
 }
 
+// wantAbort checks that a run ended in the process-panic abort with exactly
+// the given text: Start and Err report it, the run is stopped and no
+// coroutine is left claiming to step.
+func wantAbort(t *testing.T, sim *Simulator, err error, want string) {
+	t.Helper()
+	if err == nil || err.Error() != want {
+		t.Fatalf("Start err = %v, want %q", err, want)
+	}
+	if sim.Err() != err {
+		t.Fatalf("Err() = %v, want the error Start returned", sim.Err())
+	}
+	if !sim.Stopped() {
+		t.Fatal("run not stopped after a process panic")
+	}
+	if c := sim.CurrentCoro(); c != nil {
+		t.Fatalf("CurrentCoro = %q after the abort, want nil", c.Name())
+	}
+}
+
 func TestProcessPanicPropagates(t *testing.T) {
 	sim := NewSimulator()
 	defer sim.Shutdown()
@@ -418,9 +437,9 @@ func TestProcessPanicPropagates(t *testing.T) {
 		th.Wait(Ms)
 		panic("boom")
 	})
-	err := sim.Run()
-	if err == nil {
-		t.Fatal("expected error from panicking process")
+	wantAbort(t, sim, sim.Run(), `sysc: coroutine "bomb" panicked: boom`)
+	if sim.Now() != Ms {
+		t.Fatalf("aborted at %v, want 1ms", sim.Now())
 	}
 }
 
@@ -429,10 +448,91 @@ func TestMethodPanicPropagates(t *testing.T) {
 	defer sim.Shutdown()
 	ev := sim.NewEvent("e")
 	sim.SpawnMethod("bomb", func() { panic("boom") }, ev)
+	ran := false
+	sim.SpawnMethod("after", func() { ran = true }, ev)
 	ev.NotifyAfter(Ms)
-	if err := sim.Run(); err == nil {
-		t.Fatal("expected error from panicking method")
+	err := sim.Run()
+	wantAbort(t, sim, err, `sysc: method "bomb" panicked: boom`)
+	if ran {
+		t.Fatal("a process ran after the abort")
 	}
+	// The first panic wins: a later Start runs nothing and reports it again.
+	if again := sim.Start(10 * Ms); again != err {
+		t.Fatalf("second Start = %v, want the first abort", again)
+	}
+}
+
+// TestCoroPanicPropagates: a panicking coroutine step aborts the run in the
+// coroutine's name and does not mark it done.
+func TestCoroPanicPropagates(t *testing.T) {
+	sim := NewSimulator()
+	defer sim.Shutdown()
+	c := sim.SpawnCoro("bomb", func(c *Coro) {
+		if c.Fired() == nil && c.Now() == 0 {
+			c.Wait(Ms)
+			return
+		}
+		panic(fmt.Errorf("boom at %v", c.Now()))
+	})
+	wantAbort(t, sim, sim.Run(), `sysc: coroutine "bomb" panicked: boom at 1 ms`)
+	if c.Done() {
+		t.Fatal("panicking coroutine marked done")
+	}
+}
+
+// panicObserver panics from the callback its fields select.
+type panicObserver struct{ quiescent, advance any }
+
+func (o panicObserver) Quiescent(Time) {
+	if o.quiescent != nil {
+		panic(o.quiescent)
+	}
+}
+
+func (o panicObserver) TimeAdvance(Time, Time) {
+	if o.advance != nil {
+		panic(o.advance)
+	}
+}
+
+// TestElapseObserverPanicNamesCoroutine: an observer that panics inside
+// Coro.Elapse runs with CurrentCoro cleared, yet the abort still names the
+// coroutine whose step called Elapse.
+func TestElapseObserverPanicNamesCoroutine(t *testing.T) {
+	for _, o := range []panicObserver{{quiescent: "in Quiescent"}, {advance: "in TimeAdvance"}} {
+		sim := NewSimulator()
+		sim.SetObserver(o)
+		sim.SpawnCoro("elapser", func(c *Coro) {
+			c.Elapse(Ms)
+			t.Error("Elapse returned past a panicking observer")
+		})
+		want := fmt.Sprintf(`sysc: coroutine "elapser" panicked: %v`, o.quiescent)
+		if o.quiescent == nil {
+			want = fmt.Sprintf(`sysc: coroutine "elapser" panicked: %v`, o.advance)
+		}
+		wantAbort(t, sim, sim.Start(10*Ms), want)
+		sim.Shutdown()
+	}
+}
+
+// TestPanicOutsideProcessPropagates: a panic raised while no process is
+// stepping (here an observer at a scheduler quiescent point) is not turned
+// into a run error; it propagates out of Start.
+func TestPanicOutsideProcessPropagates(t *testing.T) {
+	sim := NewSimulator()
+	defer sim.Shutdown()
+	sim.SetObserver(panicObserver{quiescent: "outside"})
+	sim.SpawnCoro("idle", func(c *Coro) {})
+	defer func() {
+		if r := recover(); r != "outside" {
+			t.Fatalf("recovered %v, want the observer's panic", r)
+		}
+		if sim.Err() != nil {
+			t.Fatalf("Err() = %v, want nil", sim.Err())
+		}
+	}()
+	sim.Start(10 * Ms)
+	t.Fatal("Start returned instead of propagating the panic")
 }
 
 func TestStopEndsSimulation(t *testing.T) {
