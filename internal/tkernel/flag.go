@@ -13,7 +13,8 @@ const (
 
 // EventFlag is a T-Kernel event flag: a 32-bit pattern tasks wait on with
 // AND/OR conditions and optional clearing (tk_cre_flg family).
-// The wait condition of each waiter is the task's embedded flg record.
+// Each waiter's condition is its winfo ptn and mode, and winfo.relptn
+// receives the pattern that releases it.
 type EventFlag struct {
 	id      ID
 	name    string
@@ -21,13 +22,6 @@ type EventFlag struct {
 	attr    Attr
 	pattern uint32
 	wq      waitQueue
-}
-
-// flgWait is a waiter's tk_wai_flg condition.
-type flgWait struct {
-	waiptn uint32
-	mode   FlagMode
-	relptn *uint32 // where to deliver the release pattern
 }
 
 // FlagInfo is the tk_ref_flg snapshot.
@@ -42,9 +36,9 @@ type FlagInfo struct {
 // TaWMUL permits multiple simultaneous waiters.
 func (k *Kernel) CreFlg(name string, attr Attr, init uint32) (id ID, er ER) {
 	er = k.call("tk_cre_flg", func(k *Kernel) (ER, *armedWait) {
-		k.nextFlg++
-		id = k.nextFlg
-		k.flags[id] = &EventFlag{
+		var f *EventFlag
+		id, f = k.flags.add()
+		*f = EventFlag{
 			id: id, name: name, label: objName("flg", id, name),
 			attr: attr, pattern: init, wq: newWaitQueue(attr),
 		}
@@ -56,12 +50,12 @@ func (k *Kernel) CreFlg(name string, attr Attr, init uint32) (id ID, er ER) {
 // DelFlg deletes an event flag; waiters are released with E_DLT (tk_del_flg).
 func (k *Kernel) DelFlg(id ID) ER {
 	return k.call("tk_del_flg", func(k *Kernel) (ER, *armedWait) {
-		f, ok := k.flags[id]
-		if !ok {
+		f := k.flags.get(id)
+		if f == nil {
 			return ENOEXS, nil
 		}
 		f.wq.drain(func(t *Task) { k.wake(t, EDLT) })
-		delete(k.flags, id)
+		k.flags.del(id)
 		return EOK, nil
 	})
 }
@@ -82,8 +76,8 @@ func (k *Kernel) SetFlg(id ID, setptn uint32) ER {
 
 // setFlgBody is the body of SetFlg, shared with its program op.
 func (k *Kernel) setFlgBody(id ID, setptn uint32) ER {
-	f, ok := k.flags[id]
-	if !ok {
+	f := k.flags.get(id)
+	if f == nil {
 		return ENOEXS
 	}
 	f.pattern |= setptn
@@ -98,8 +92,8 @@ func (k *Kernel) flgRelease(f *EventFlag) {
 	for {
 		released := false
 		for t := f.wq.head(); t != nil; t = t.wqNext {
-			w := &t.flg
-			if !flgMatch(f.pattern, w.waiptn, w.mode) {
+			w := &t.winfo
+			if !flgMatch(f.pattern, w.ptn, w.mode) {
 				continue
 			}
 			if w.relptn != nil {
@@ -108,7 +102,7 @@ func (k *Kernel) flgRelease(f *EventFlag) {
 			if w.mode&TwfCLR != 0 {
 				f.pattern = 0
 			} else if w.mode&TwfBitCLR != 0 {
-				f.pattern &^= w.waiptn
+				f.pattern &^= w.ptn
 			}
 			f.wq.remove(t)
 			k.wake(t, EOK)
@@ -125,8 +119,8 @@ func (k *Kernel) flgRelease(f *EventFlag) {
 // bits to KEEP, per the T-Kernel signature).
 func (k *Kernel) ClrFlg(id ID, clrptn uint32) ER {
 	return k.call("tk_clr_flg", func(k *Kernel) (ER, *armedWait) {
-		f, ok := k.flags[id]
-		if !ok {
+		f := k.flags.get(id)
+		if f == nil {
 			return ENOEXS, nil
 		}
 		f.pattern &= clrptn
@@ -144,8 +138,8 @@ func (k *Kernel) WaiFlg(id ID, waiptn uint32, mode FlagMode, tmout TMO) (relptn 
 // waiFlgBody is the body of WaiFlg, shared with its program op: the release pattern
 // is delivered through relptn (zero on error paths).
 func (k *Kernel) waiFlgBody(id ID, waiptn uint32, mode FlagMode, tmout TMO, relptn *uint32) (ER, *armedWait) {
-	f, ok := k.flags[id]
-	if !ok {
+	f := k.flags.get(id)
+	if f == nil {
 		return ENOEXS, nil
 	}
 	if waiptn == 0 {
@@ -171,7 +165,7 @@ func (k *Kernel) waiFlgBody(id ID, waiptn uint32, mode FlagMode, tmout TMO, relp
 		return er, nil
 	}
 	f.wq.add(task)
-	task.flg = flgWait{waiptn: waiptn, mode: mode, relptn: relptn}
+	task.winfo.ptn, task.winfo.mode, task.winfo.relptn = waiptn, mode, relptn
 	return EOK, k.armSleep(task, f, f.label, tmout)
 }
 
@@ -180,8 +174,8 @@ func (f *EventFlag) cancelWait(_ *Kernel, t *Task) { f.wq.remove(t) }
 
 // RefFlg returns the event-flag state (tk_ref_flg).
 func (k *Kernel) RefFlg(id ID) (FlagInfo, ER) {
-	f, ok := k.flags[id]
-	if !ok {
+	f := k.flags.get(id)
+	if f == nil {
 		return FlagInfo{}, ENOEXS
 	}
 	return FlagInfo{ID: f.id, Name: f.name, Pattern: f.pattern,

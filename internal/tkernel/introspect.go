@@ -1,9 +1,7 @@
 package tkernel
 
-import "sort"
-
 // This file is the kernel's invariant-introspection surface: deterministic
-// (ID-sorted) structural snapshots of kernel objects, consumed by the chaos
+// (ID-ordered) structural snapshots of kernel objects, consumed by the chaos
 // oracle layer (internal/chaos) to check wait-queue membership, priority
 // inheritance, and resource accounting live during a simulation. The
 // snapshot path and the tk_ref_* services return the same unified views
@@ -19,66 +17,24 @@ type WaitRef struct {
 	Priority int
 }
 
-// SnapshotTasks returns all tasks (including the INIT task, ID 0) sorted by
-// ID.
-func (k *Kernel) SnapshotTasks() []TaskInfo {
-	out := make([]TaskInfo, 0, len(k.tasks))
-	for _, t := range k.tasks {
-		out = append(out, k.taskInfo(t))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+// SnapshotTasks returns all tasks (including the INIT task, ID 0) in ID
+// order: a walk of the task table.
+func (k *Kernel) SnapshotTasks() []TaskInfo { return views(&k.tasks, k.taskInfo) }
 
-// SnapshotMutexes returns all mutexes sorted by ID.
-func (k *Kernel) SnapshotMutexes() []MutexInfo {
-	out := make([]MutexInfo, 0, len(k.mtxs))
-	for _, m := range k.mtxs {
-		out = append(out, k.mtxInfo(m))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+// SnapshotMutexes returns all mutexes in ID order.
+func (k *Kernel) SnapshotMutexes() []MutexInfo { return views(&k.mtxs, k.mtxInfo) }
 
-// SnapshotSemaphores returns all semaphores sorted by ID.
-func (k *Kernel) SnapshotSemaphores() []SemInfo {
-	out := make([]SemInfo, 0, len(k.sems))
-	for _, s := range k.sems {
-		out = append(out, k.semInfo(s))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+// SnapshotSemaphores returns all semaphores in ID order.
+func (k *Kernel) SnapshotSemaphores() []SemInfo { return views(&k.sems, k.semInfo) }
 
-// SnapshotFixedPools returns all fixed-size pools sorted by ID.
-func (k *Kernel) SnapshotFixedPools() []FixedPoolInfo {
-	out := make([]FixedPoolInfo, 0, len(k.mpfs))
-	for _, p := range k.mpfs {
-		out = append(out, k.mpfInfo(p))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+// SnapshotFixedPools returns all fixed-size pools in ID order.
+func (k *Kernel) SnapshotFixedPools() []FixedPoolInfo { return views(&k.mpfs, k.mpfInfo) }
 
-// SnapshotVariablePools returns all variable-size pools sorted by ID.
-func (k *Kernel) SnapshotVariablePools() []VariablePoolInfo {
-	out := make([]VariablePoolInfo, 0, len(k.mpls))
-	for _, p := range k.mpls {
-		out = append(out, k.mplInfo(p))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+// SnapshotVariablePools returns all variable-size pools in ID order.
+func (k *Kernel) SnapshotVariablePools() []VariablePoolInfo { return views(&k.mpls, k.mplInfo) }
 
-// SnapshotMessageBuffers returns all message buffers sorted by ID.
-func (k *Kernel) SnapshotMessageBuffers() []MessageBufferInfo {
-	out := make([]MessageBufferInfo, 0, len(k.mbfs))
-	for _, b := range k.mbfs {
-		out = append(out, k.mbfInfo(b))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+// SnapshotMessageBuffers returns all message buffers in ID order.
+func (k *Kernel) SnapshotMessageBuffers() []MessageBufferInfo { return views(&k.mbfs, k.mbfInfo) }
 
 // InjectPoolLeak corrupts a fixed pool's bookkeeping for oracle self-testing:
 // it removes one block from the free list without recording it as
@@ -87,8 +43,8 @@ func (k *Kernel) SnapshotMessageBuffers() []MessageBufferInfo {
 // prove the oracle layer catches real defects; it has no legitimate use in a
 // model of a correct kernel.
 func (k *Kernel) InjectPoolLeak(id ID) ER {
-	p, ok := k.mpfs[id]
-	if !ok {
+	p := k.mpfs.get(id)
+	if p == nil {
 		return ENOEXS
 	}
 	if len(p.free) == 0 {

@@ -1,7 +1,9 @@
 package tkernel
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/event"
@@ -117,24 +119,26 @@ type Kernel struct {
 	bus *event.Bus
 	cfg Config
 
-	tasks map[ID]*Task
-	sems  map[ID]*Semaphore
-	flags map[ID]*EventFlag
-	mtxs  map[ID]*Mutex
-	mbxs  map[ID]*Mailbox
-	mbfs  map[ID]*MessageBuffer
-	mpfs  map[ID]*FixedPool
-	mpls  map[ID]*VariablePool
-	cycs  map[ID]*CyclicHandler
-	alms  map[ID]*AlarmHandler
-	isrs  map[int]*ISR
-	pors  map[ID]*Port
+	// Control blocks in ID-indexed tables, one per object class.
+	tasks table[Task]
+	sems  table[Semaphore]
+	flags table[EventFlag]
+	mtxs  table[Mutex]
+	mbxs  table[Mailbox]
+	mbfs  table[MessageBuffer]
+	mpfs  table[FixedPool]
+	mpls  table[VariablePool]
+	cycs  table[CyclicHandler]
+	alms  table[AlarmHandler]
+	pors  table[Port]
 
+	// isrs is keyed by the interrupt number the caller chooses, so a table
+	// would let one definition decide the kernel's memory; rdvs gets a new
+	// number per rendezvous and drops it on reply, so a table would only
+	// grow. Both walk in key order through sortedKeys.
+	isrs    map[int]*ISR
 	rdvs    map[RdvNo]portRdv
 	nextRdv uint64
-
-	nextTask, nextSem, nextFlg, nextMtx, nextMbx, nextMbf ID
-	nextMpf, nextMpl, nextCyc, nextAlm, nextPor           ID
 
 	timerQ  timerQueue
 	sysBase sysc.Time // tk_set_tim offset: system time = sysBase + sim time
@@ -187,21 +191,90 @@ func New(sim *sysc.Simulator, cfg Config) *Kernel {
 		cfg:       cfg,
 		tickDelay: cfg.TickDelay,
 		intFilter: cfg.InterruptFilter,
-		tasks:     map[ID]*Task{},
-		sems:      map[ID]*Semaphore{},
-		flags:     map[ID]*EventFlag{},
-		mtxs:      map[ID]*Mutex{},
-		mbxs:      map[ID]*Mailbox{},
-		mbfs:      map[ID]*MessageBuffer{},
-		mpfs:      map[ID]*FixedPool{},
-		mpls:      map[ID]*VariablePool{},
-		cycs:      map[ID]*CyclicHandler{},
-		alms:      map[ID]*AlarmHandler{},
 		isrs:      map[int]*ISR{},
-		pors:      map[ID]*Port{},
 		rdvs:      map[RdvNo]portRdv{},
 	}
 	return k
+}
+
+// table is a kernel object table: control blocks in a slice indexed by ID,
+// as T-Kernel keeps them. IDs are handed out in creation order and never
+// reused, and ID 0 is never handed out (it names the calling task; slot 0
+// of the task table holds INIT). A deleted object leaves its slot nil.
+type table[T any] struct {
+	slots []*T
+	live  int // non-nil slots
+}
+
+// get returns the object with the given ID, or nil when there is none.
+func (t *table[T]) get(id ID) *T {
+	if id < 0 || int(id) >= len(t.slots) {
+		return nil
+	}
+	return t.slots[id]
+}
+
+// add appends a zero control block for the caller to fill and returns it
+// with its ID, the slot count before the append.
+func (t *table[T]) add() (ID, *T) {
+	if len(t.slots) == 0 {
+		t.slots = append(t.slots, nil) // slot 0
+	}
+	obj := new(T)
+	t.slots = append(t.slots, obj)
+	t.live++
+	return ID(len(t.slots) - 1), obj
+}
+
+// setInit fills slot 0, which add never hands out: INIT's slot in the
+// task table.
+func (t *table[T]) setInit(obj *T) {
+	if len(t.slots) == 0 {
+		t.slots = append(t.slots, nil)
+	}
+	t.slots[0] = obj
+	t.live++
+}
+
+// del empties the slot of a live object.
+func (t *table[T]) del(id ID) {
+	t.slots[id] = nil
+	t.live--
+}
+
+// len returns the number of live objects.
+func (t *table[T]) len() int { return t.live }
+
+// ids returns the IDs of the live objects in ascending order.
+func (t *table[T]) ids() []ID {
+	out := make([]ID, 0, t.live)
+	for id, obj := range t.slots {
+		if obj != nil {
+			out = append(out, ID(id))
+		}
+	}
+	return out
+}
+
+// views returns view(obj) for every live object of t, in ID order.
+func views[T, V any](t *table[T], view func(*T) V) []V {
+	out := make([]V, 0, t.live)
+	for _, obj := range t.slots {
+		if obj != nil {
+			out = append(out, view(obj))
+		}
+	}
+	return out
+}
+
+// sortedKeys returns the keys of m in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	out := make([]K, 0, len(m))
+	for key := range m {
+		out = append(out, key)
+	}
+	slices.Sort(out)
+	return out
 }
 
 // API exposes the SIM_API library instance (for debugger support and
@@ -257,8 +330,9 @@ func (k *Kernel) Boot(userMain func(*Kernel)) {
 			tt.Consume(k.cfg.Costs.Service, trace.CtxStartup, "kernel-init")
 			userMain(k)
 		})
-		k.tasks[0] = &Task{id: 0, k: k, tt: init, name: "INIT"}
-		init.SetExinf(k.tasks[0])
+		task := &Task{id: 0, k: k, tt: init, name: "INIT"}
+		k.tasks.setInit(task)
+		init.SetExinf(task)
 		if err := k.api.Activate(init); err != nil {
 			panic(err)
 		}
@@ -510,7 +584,8 @@ type armedWait struct {
 
 // waitObject is a kernel object a task can wait on. cancelWait unlinks a
 // waiter whose wait ends without the object releasing it (timeout,
-// tk_rel_wai, tk_ter_tsk): off the wait queue, its wait record dropped.
+// tk_rel_wai, tk_ter_tsk) from its wait queue; the request itself lives in
+// the task's winfo, which the caller clears.
 type waitObject interface {
 	cancelWait(k *Kernel, t *Task)
 }
@@ -541,12 +616,14 @@ func (t *Task) expire(seq int) {
 	t.k.api.Release(t.tt, ETMOUT)
 }
 
-// cancelWait unlinks the task from the object it waits on, if any.
+// cancelWait unlinks the task from the object it waits on, if any, and
+// clears its wait request.
 func (t *Task) cancelWait() {
 	if t.waitOn != nil {
 		t.waitOn.cancelWait(t.k, t)
 		t.waitOn = nil
 	}
+	t.winfo = winfo{}
 }
 
 // endSleep completes an armed wait once the block ends, under the
@@ -564,10 +641,12 @@ func (k *Kernel) endSleep(task *Task, err error) ER {
 }
 
 // wake releases a waiting task with the given code, invalidating its
-// timeout entry and wait-queue bookkeeping.
+// timeout entry and clearing its wait request (a grant reads the request
+// first).
 func (k *Kernel) wake(task *Task, code ER) {
 	task.waitSeq++
 	task.waitOn = nil
+	task.winfo = winfo{}
 	if code == EOK {
 		k.api.Release(task.tt, nil)
 	} else {

@@ -3,7 +3,9 @@ package tkernel
 // MessageBuffer is a T-Kernel message buffer (tk_cre_mbf family): messages
 // are copied into a ring buffer of bufsz bytes; senders block while the
 // buffer lacks space, receivers block while it is empty. A bufsz of zero
-// gives fully synchronous send/receive rendezvous.
+// gives fully synchronous send/receive rendezvous. A blocked sender's
+// message is its winfo.msg; a blocked receiver's delivery slot its
+// winfo.rcv.
 type MessageBuffer struct {
 	id     ID
 	name   string
@@ -16,8 +18,6 @@ type MessageBuffer struct {
 
 	sendQ waitQueue
 	recvQ waitQueue
-	sMsg  map[*Task][]byte  // message a blocked sender wants to enqueue
-	rDst  map[*Task]*[]byte // delivery slot of a blocked receiver
 }
 
 // MessageBufferInfo is the tk_ref_mbf snapshot.
@@ -39,13 +39,12 @@ func (k *Kernel) CreMbf(name string, attr Attr, bufsz, maxmsz int) (id ID, er ER
 		if bufsz < 0 || maxmsz <= 0 {
 			return EPAR, nil
 		}
-		k.nextMbf++
-		id = k.nextMbf
-		k.mbfs[id] = &MessageBuffer{
+		var b *MessageBuffer
+		id, b = k.mbfs.add()
+		*b = MessageBuffer{
 			id: id, name: name, label: objName("mbf", id, name),
 			attr: attr, bufsz: bufsz, maxmsz: maxmsz,
 			sendQ: newWaitQueue(attr), recvQ: newWaitQueue(TaTFIFO),
-			sMsg: map[*Task][]byte{}, rDst: map[*Task]*[]byte{},
 		}
 		return EOK, nil
 	})
@@ -55,18 +54,14 @@ func (k *Kernel) CreMbf(name string, attr Attr, bufsz, maxmsz int) (id ID, er ER
 // DelMbf deletes a message buffer; all waiters get E_DLT (tk_del_mbf).
 func (k *Kernel) DelMbf(id ID) ER {
 	return k.call("tk_del_mbf", func(k *Kernel) (ER, *armedWait) {
-		b, ok := k.mbfs[id]
-		if !ok {
+		b := k.mbfs.get(id)
+		if b == nil {
 			return ENOEXS, nil
 		}
 		for _, q := range []*waitQueue{&b.sendQ, &b.recvQ} {
-			q.drain(func(t *Task) {
-				delete(b.sMsg, t)
-				delete(b.rDst, t)
-				k.wake(t, EDLT)
-			})
+			q.drain(func(t *Task) { k.wake(t, EDLT) })
 		}
-		delete(k.mbfs, id)
+		k.mbfs.del(id)
 		return EOK, nil
 	})
 }
@@ -79,8 +74,8 @@ func (k *Kernel) SndMbf(id ID, msg []byte, tmout TMO) ER {
 
 // sndMbfBody is the body of SndMbf, shared with its program op.
 func (k *Kernel) sndMbfBody(id ID, msg []byte, tmout TMO) (ER, *armedWait) {
-	b, ok := k.mbfs[id]
-	if !ok {
+	b := k.mbfs.get(id)
+	if b == nil {
 		return ENOEXS, nil
 	}
 	if len(msg) == 0 || len(msg) > b.maxmsz {
@@ -93,8 +88,7 @@ func (k *Kernel) sndMbfBody(id ID, msg []byte, tmout TMO) (ER, *armedWait) {
 	if len(b.msgs) == 0 && b.sendQ.len() == 0 {
 		if t := b.recvQ.head(); t != nil {
 			b.recvQ.remove(t)
-			*b.rDst[t] = own
-			delete(b.rDst, t)
+			*t.winfo.rcv = own
 			k.wake(t, EOK)
 			return EOK, nil
 		}
@@ -111,7 +105,7 @@ func (k *Kernel) sndMbfBody(id ID, msg []byte, tmout TMO) (ER, *armedWait) {
 		return er, nil
 	}
 	b.sendQ.add(task)
-	b.sMsg[task] = own
+	task.winfo.msg = own
 	return EOK, k.armSleep(task, b, b.label, tmout)
 }
 
@@ -124,8 +118,8 @@ func (k *Kernel) RcvMbf(id ID, tmout TMO) (msg []byte, er ER) {
 // rcvMbfBody is the body of RcvMbf, shared with its program op: the message is
 // delivered through dst (nil on error paths).
 func (k *Kernel) rcvMbfBody(id ID, tmout TMO, dst *[]byte) (ER, *armedWait) {
-	b, ok := k.mbfs[id]
-	if !ok {
+	b := k.mbfs.get(id)
+	if b == nil {
 		return ENOEXS, nil
 	}
 	if len(b.msgs) > 0 {
@@ -136,9 +130,8 @@ func (k *Kernel) rcvMbfBody(id ID, tmout TMO, dst *[]byte) (ER, *armedWait) {
 	// Empty buffer: a blocked sender (zero-size rendezvous) hands over
 	// directly.
 	if t := b.sendQ.head(); t != nil {
-		*dst = b.sMsg[t]
+		*dst = t.winfo.msg
 		b.sendQ.remove(t)
-		delete(b.sMsg, t)
 		k.wake(t, EOK)
 		k.mbfDrainSenders(b)
 		return EOK, nil
@@ -151,7 +144,7 @@ func (k *Kernel) rcvMbfBody(id ID, tmout TMO, dst *[]byte) (ER, *armedWait) {
 		return er, nil
 	}
 	b.recvQ.add(task)
-	b.rDst[task] = dst
+	task.winfo.rcv = dst
 	return EOK, k.armSleep(task, b, b.label, tmout)
 }
 
@@ -159,9 +152,7 @@ func (k *Kernel) rcvMbfBody(id ID, tmout TMO, dst *[]byte) (ER, *armedWait) {
 // task is on one queue only; removal from the other is a no-op).
 func (b *MessageBuffer) cancelWait(_ *Kernel, t *Task) {
 	b.sendQ.remove(t)
-	delete(b.sMsg, t)
 	b.recvQ.remove(t)
-	delete(b.rDst, t)
 }
 
 // mbfDrainSenders moves blocked senders' messages into freed space, in
@@ -172,12 +163,11 @@ func (k *Kernel) mbfDrainSenders(b *MessageBuffer) {
 		if t == nil {
 			return
 		}
-		msg := b.sMsg[t]
+		msg := t.winfo.msg
 		if !b.fits(len(msg)) {
 			return
 		}
 		b.sendQ.remove(t)
-		delete(b.sMsg, t)
 		b.push(msg)
 		k.wake(t, EOK)
 	}
@@ -203,8 +193,8 @@ func (b *MessageBuffer) pop() []byte {
 
 // RefMbf returns the message-buffer state (tk_ref_mbf).
 func (k *Kernel) RefMbf(id ID) (MessageBufferInfo, ER) {
-	b, ok := k.mbfs[id]
-	if !ok {
+	b := k.mbfs.get(id)
+	if b == nil {
 		return MessageBufferInfo{}, ENOEXS
 	}
 	return k.mbfInfo(b), EOK

@@ -9,7 +9,7 @@ type Message struct {
 
 // Mailbox is a T-Kernel mailbox (tk_cre_mbx family): senders never block
 // (messages are queued by reference), receivers block until a message
-// arrives.
+// arrives. A waiting receiver's delivery slot is its winfo.mbx.
 type Mailbox struct {
 	id    ID
 	name  string
@@ -17,7 +17,6 @@ type Mailbox struct {
 	attr  Attr
 	msgs  []*Message
 	wq    waitQueue
-	dest  map[*Task]**Message // delivery slot per waiting receiver
 }
 
 // MailboxInfo is the tk_ref_mbx snapshot.
@@ -33,10 +32,10 @@ type MailboxInfo struct {
 // priority; the default is FIFO.
 func (k *Kernel) CreMbx(name string, attr Attr) (id ID, er ER) {
 	er = k.call("tk_cre_mbx", func(k *Kernel) (ER, *armedWait) {
-		k.nextMbx++
-		id = k.nextMbx
-		k.mbxs[id] = &Mailbox{id: id, name: name, label: objName("mbx", id, name),
-			attr: attr, wq: newWaitQueue(attr), dest: map[*Task]**Message{}}
+		var m *Mailbox
+		id, m = k.mbxs.add()
+		*m = Mailbox{id: id, name: name, label: objName("mbx", id, name),
+			attr: attr, wq: newWaitQueue(attr)}
 		return EOK, nil
 	})
 	return id, er
@@ -45,15 +44,12 @@ func (k *Kernel) CreMbx(name string, attr Attr) (id ID, er ER) {
 // DelMbx deletes a mailbox; waiting receivers get E_DLT (tk_del_mbx).
 func (k *Kernel) DelMbx(id ID) ER {
 	return k.call("tk_del_mbx", func(k *Kernel) (ER, *armedWait) {
-		m, ok := k.mbxs[id]
-		if !ok {
+		m := k.mbxs.get(id)
+		if m == nil {
 			return ENOEXS, nil
 		}
-		m.wq.drain(func(t *Task) {
-			delete(m.dest, t)
-			k.wake(t, EDLT)
-		})
-		delete(k.mbxs, id)
+		m.wq.drain(func(t *Task) { k.wake(t, EDLT) })
+		k.mbxs.del(id)
 		return EOK, nil
 	})
 }
@@ -66,8 +62,8 @@ func (k *Kernel) SndMbx(id ID, msg *Message) ER {
 
 // sndMbxBody is the body of SndMbx, shared with its program op.
 func (k *Kernel) sndMbxBody(id ID, msg *Message) ER {
-	m, ok := k.mbxs[id]
-	if !ok {
+	m := k.mbxs.get(id)
+	if m == nil {
 		return ENOEXS
 	}
 	if msg == nil {
@@ -75,8 +71,7 @@ func (k *Kernel) sndMbxBody(id ID, msg *Message) ER {
 	}
 	if t := m.wq.head(); t != nil {
 		m.wq.remove(t)
-		*m.dest[t] = msg
-		delete(m.dest, t)
+		*t.winfo.mbx = msg
 		k.wake(t, EOK)
 		return EOK
 	}
@@ -106,8 +101,8 @@ func (k *Kernel) RcvMbx(id ID, tmout TMO) (msg *Message, er ER) {
 // rcvMbxBody is the body of RcvMbx, shared with its program op: the message is
 // delivered through dst (nil on error paths).
 func (k *Kernel) rcvMbxBody(id ID, tmout TMO, dst **Message) (ER, *armedWait) {
-	m, ok := k.mbxs[id]
-	if !ok {
+	m := k.mbxs.get(id)
+	if m == nil {
 		return ENOEXS, nil
 	}
 	if len(m.msgs) > 0 {
@@ -123,20 +118,17 @@ func (k *Kernel) rcvMbxBody(id ID, tmout TMO, dst **Message) (ER, *armedWait) {
 		return er, nil
 	}
 	m.wq.add(task)
-	m.dest[task] = dst
+	task.winfo.mbx = dst
 	return EOK, k.armSleep(task, m, m.label, tmout)
 }
 
 // cancelWait implements waitObject.
-func (m *Mailbox) cancelWait(_ *Kernel, t *Task) {
-	m.wq.remove(t)
-	delete(m.dest, t)
-}
+func (m *Mailbox) cancelWait(_ *Kernel, t *Task) { m.wq.remove(t) }
 
 // RefMbx returns the mailbox state (tk_ref_mbx).
 func (k *Kernel) RefMbx(id ID) (MailboxInfo, ER) {
-	m, ok := k.mbxs[id]
-	if !ok {
+	m := k.mbxs.get(id)
+	if m == nil {
 		return MailboxInfo{}, ENOEXS
 	}
 	info := MailboxInfo{ID: m.id, Name: m.name, Messages: len(m.msgs),

@@ -11,7 +11,8 @@ type MemBlock struct {
 }
 
 // FixedPool is a T-Kernel fixed-size memory pool (tk_cre_mpf family):
-// blkcnt blocks of blksz bytes; tk_get_mpf blocks while exhausted.
+// blkcnt blocks of blksz bytes; tk_get_mpf blocks while exhausted. A
+// waiter's delivery slot is its winfo.blk.
 type FixedPool struct {
 	id          ID
 	name        string
@@ -24,7 +25,6 @@ type FixedPool struct {
 	arena       []byte
 	blocks      []*MemBlock
 	wq          waitQueue
-	dst         map[*Task]**MemBlock
 }
 
 // FixedPoolInfo is the tk_ref_mpf snapshot.
@@ -44,14 +44,13 @@ func (k *Kernel) CreMpf(name string, attr Attr, blkcnt, blksz int) (id ID, er ER
 		if blkcnt <= 0 || blksz <= 0 {
 			return EPAR, nil
 		}
-		k.nextMpf++
-		id = k.nextMpf
-		p := &FixedPool{
+		var p *FixedPool
+		id, p = k.mpfs.add()
+		*p = FixedPool{
 			id: id, name: name, label: objName("mpf", id, name),
 			attr: attr, blksz: blksz, blkcnt: blkcnt,
 			arena: make([]byte, blkcnt*blksz),
 			wq:    newWaitQueue(attr),
-			dst:   map[*Task]**MemBlock{},
 		}
 		p.blocks = make([]*MemBlock, blkcnt)
 		for i := blkcnt - 1; i >= 0; i-- {
@@ -59,7 +58,6 @@ func (k *Kernel) CreMpf(name string, attr Attr, blkcnt, blksz int) (id ID, er ER
 			p.blocks[i] = &MemBlock{pool: id, idx: i,
 				Data: p.arena[i*blksz : (i+1)*blksz]}
 		}
-		k.mpfs[id] = p
 		return EOK, nil
 	})
 	return id, er
@@ -68,15 +66,12 @@ func (k *Kernel) CreMpf(name string, attr Attr, blkcnt, blksz int) (id ID, er ER
 // DelMpf deletes a fixed pool; waiters get E_DLT (tk_del_mpf).
 func (k *Kernel) DelMpf(id ID) ER {
 	return k.call("tk_del_mpf", func(k *Kernel) (ER, *armedWait) {
-		p, ok := k.mpfs[id]
-		if !ok {
+		p := k.mpfs.get(id)
+		if p == nil {
 			return ENOEXS, nil
 		}
-		p.wq.drain(func(t *Task) {
-			delete(p.dst, t)
-			k.wake(t, EDLT)
-		})
-		delete(k.mpfs, id)
+		p.wq.drain(func(t *Task) { k.wake(t, EDLT) })
+		k.mpfs.del(id)
 		return EOK, nil
 	})
 }
@@ -90,8 +85,8 @@ func (k *Kernel) GetMpf(id ID, tmout TMO) (blk *MemBlock, er ER) {
 // getMpfBody is the body of GetMpf, shared with its program op: the block is
 // delivered through dst (nil on error paths).
 func (k *Kernel) getMpfBody(id ID, tmout TMO, dst **MemBlock) (ER, *armedWait) {
-	p, ok := k.mpfs[id]
-	if !ok {
+	p := k.mpfs.get(id)
+	if p == nil {
 		return ENOEXS, nil
 	}
 	if p.wq.len() == 0 && len(p.free) > 0 {
@@ -106,15 +101,12 @@ func (k *Kernel) getMpfBody(id ID, tmout TMO, dst **MemBlock) (ER, *armedWait) {
 		return er, nil
 	}
 	p.wq.add(task)
-	p.dst[task] = dst
+	task.winfo.blk = dst
 	return EOK, k.armSleep(task, p, p.label, tmout)
 }
 
 // cancelWait implements waitObject.
-func (p *FixedPool) cancelWait(_ *Kernel, t *Task) {
-	p.wq.remove(t)
-	delete(p.dst, t)
-}
+func (p *FixedPool) cancelWait(_ *Kernel, t *Task) { p.wq.remove(t) }
 
 func (p *FixedPool) take() *MemBlock {
 	i := p.free[len(p.free)-1]
@@ -133,8 +125,8 @@ func (k *Kernel) RelMpf(id ID, b *MemBlock) ER {
 
 // relMpfBody is the body of RelMpf, shared with its program op.
 func (k *Kernel) relMpfBody(id ID, b *MemBlock) ER {
-	p, ok := k.mpfs[id]
-	if !ok {
+	p := k.mpfs.get(id)
+	if p == nil {
 		return ENOEXS
 	}
 	if b == nil || b.pool != id || !b.live {
@@ -145,8 +137,7 @@ func (k *Kernel) relMpfBody(id ID, b *MemBlock) ER {
 		// Direct handoff: the block stays outstanding, ownership moves.
 		p.wq.remove(t)
 		b.live = true
-		*p.dst[t] = b
-		delete(p.dst, t)
+		*t.winfo.blk = b
 		k.wake(t, EOK)
 		return EOK
 	}
@@ -157,8 +148,8 @@ func (k *Kernel) relMpfBody(id ID, b *MemBlock) ER {
 
 // RefMpf returns the fixed-pool state (tk_ref_mpf).
 func (k *Kernel) RefMpf(id ID) (FixedPoolInfo, ER) {
-	p, ok := k.mpfs[id]
-	if !ok {
+	p := k.mpfs.get(id)
+	if p == nil {
 		return FixedPoolInfo{}, ENOEXS
 	}
 	return k.mpfInfo(p), EOK
@@ -173,7 +164,8 @@ func (k *Kernel) mpfInfo(p *FixedPool) FixedPoolInfo {
 
 // VariablePool is a T-Kernel variable-size memory pool (tk_cre_mpl family)
 // backed by a first-fit free-list allocator with coalescing over a real
-// byte arena.
+// byte arena. A waiter's request is its winfo.cnt (the size) and
+// winfo.blk (the delivery slot).
 type VariablePool struct {
 	id         ID
 	name       string
@@ -183,15 +175,9 @@ type VariablePool struct {
 	holes      []hole // sorted by offset, coalesced
 	allocBytes int    // bytes currently carved out (accounting invariant)
 	wq         waitQueue
-	reqs       map[*Task]*mplReq
 }
 
 type hole struct{ off, size int }
-
-type mplReq struct {
-	size int
-	dst  **MemBlock
-}
 
 // VariablePoolInfo is the tk_ref_mpl snapshot.
 type VariablePoolInfo struct {
@@ -214,14 +200,13 @@ func (k *Kernel) CreMpl(name string, attr Attr, mplsz int) (id ID, er ER) {
 			return EPAR, nil
 		}
 		mplsz = align(mplsz)
-		k.nextMpl++
-		id = k.nextMpl
-		k.mpls[id] = &VariablePool{
+		var p *VariablePool
+		id, p = k.mpls.add()
+		*p = VariablePool{
 			id: id, name: name, label: objName("mpl", id, name), attr: attr,
 			arena: make([]byte, mplsz),
 			holes: []hole{{0, mplsz}},
 			wq:    newWaitQueue(attr),
-			reqs:  map[*Task]*mplReq{},
 		}
 		return EOK, nil
 	})
@@ -231,15 +216,12 @@ func (k *Kernel) CreMpl(name string, attr Attr, mplsz int) (id ID, er ER) {
 // DelMpl deletes a variable pool; waiters get E_DLT (tk_del_mpl).
 func (k *Kernel) DelMpl(id ID) ER {
 	return k.call("tk_del_mpl", func(k *Kernel) (ER, *armedWait) {
-		p, ok := k.mpls[id]
-		if !ok {
+		p := k.mpls.get(id)
+		if p == nil {
 			return ENOEXS, nil
 		}
-		p.wq.drain(func(t *Task) {
-			delete(p.reqs, t)
-			k.wake(t, EDLT)
-		})
-		delete(k.mpls, id)
+		p.wq.drain(func(t *Task) { k.wake(t, EDLT) })
+		k.mpls.del(id)
 		return EOK, nil
 	})
 }
@@ -301,8 +283,8 @@ func (k *Kernel) GetMpl(id ID, size int, tmout TMO) (blk *MemBlock, er ER) {
 // getMplBody is the body of GetMpl, shared with its program op: the block is
 // delivered through dst (nil on error paths).
 func (k *Kernel) getMplBody(id ID, size int, tmout TMO, dst **MemBlock) (ER, *armedWait) {
-	p, ok := k.mpls[id]
-	if !ok {
+	p := k.mpls.get(id)
+	if p == nil {
 		return ENOEXS, nil
 	}
 	if size <= 0 || align(size)+8 > len(p.arena) {
@@ -322,15 +304,12 @@ func (k *Kernel) getMplBody(id ID, size int, tmout TMO, dst **MemBlock) (ER, *ar
 		return er, nil
 	}
 	p.wq.add(task)
-	p.reqs[task] = &mplReq{size: size, dst: dst}
+	task.winfo.cnt, task.winfo.blk = size, dst
 	return EOK, k.armSleep(task, p, p.label, tmout)
 }
 
 // cancelWait implements waitObject.
-func (p *VariablePool) cancelWait(_ *Kernel, t *Task) {
-	p.wq.remove(t)
-	delete(p.reqs, t)
-}
+func (p *VariablePool) cancelWait(_ *Kernel, t *Task) { p.wq.remove(t) }
 
 // RelMpl frees a block (tk_rel_mpl) and satisfies queued requests in order.
 func (k *Kernel) RelMpl(id ID, b *MemBlock) ER {
@@ -339,8 +318,8 @@ func (k *Kernel) RelMpl(id ID, b *MemBlock) ER {
 
 // relMplBody is the body of RelMpl, shared with its program op.
 func (k *Kernel) relMplBody(id ID, b *MemBlock) ER {
-	p, ok := k.mpls[id]
-	if !ok {
+	p := k.mpls.get(id)
+	if p == nil {
 		return ENOEXS
 	}
 	if b == nil || b.pool != id || !b.live {
@@ -354,22 +333,20 @@ func (k *Kernel) relMplBody(id ID, b *MemBlock) ER {
 		if t == nil {
 			return EOK
 		}
-		req := p.reqs[t]
-		blk, ok := p.alloc(req.size)
+		blk, ok := p.alloc(t.winfo.cnt)
 		if !ok {
 			return EOK
 		}
 		p.wq.remove(t)
-		delete(p.reqs, t)
-		*req.dst = blk
+		*t.winfo.blk = blk
 		k.wake(t, EOK)
 	}
 }
 
 // RefMpl returns the variable-pool state (tk_ref_mpl).
 func (k *Kernel) RefMpl(id ID) (VariablePoolInfo, ER) {
-	p, ok := k.mpls[id]
-	if !ok {
+	p := k.mpls.get(id)
+	if p == nil {
 		return VariablePoolInfo{}, ENOEXS
 	}
 	return k.mplInfo(p), EOK

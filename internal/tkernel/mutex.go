@@ -36,16 +36,15 @@ func (k *Kernel) CreMtx(name string, attr Attr, ceilpri int) (id ID, er ER) {
 		if attr&TaCeiling != 0 && attr&TaInherit != 0 {
 			return ERSATR, nil
 		}
-		k.nextMtx++
-		id = k.nextMtx
 		wqAttr := attr
 		if attr&(TaInherit|TaCeiling) != 0 {
 			wqAttr |= TaTPRI // inheritance/ceiling imply priority-ordered queue
 		}
-		m := &Mutex{id: id, name: name, label: objName("mtx", id, name),
+		var m *Mutex
+		id, m = k.mtxs.add()
+		*m = Mutex{id: id, name: name, label: objName("mtx", id, name),
 			attr: attr, ceiling: ceilpri, wq: newWaitQueue(wqAttr)}
 		m.wq.mtx = m
-		k.mtxs[id] = m
 		return EOK, nil
 	})
 	return id, er
@@ -54,8 +53,8 @@ func (k *Kernel) CreMtx(name string, attr Attr, ceilpri int) (id ID, er ER) {
 // DelMtx deletes a mutex; waiters are released with E_DLT (tk_del_mtx).
 func (k *Kernel) DelMtx(id ID) ER {
 	return k.call("tk_del_mtx", func(k *Kernel) (ER, *armedWait) {
-		m, ok := k.mtxs[id]
-		if !ok {
+		m := k.mtxs.get(id)
+		if m == nil {
 			return ENOEXS, nil
 		}
 		if m.owner != nil {
@@ -64,7 +63,7 @@ func (k *Kernel) DelMtx(id ID) ER {
 		m.wq.drain(func(t *Task) {
 			k.wake(t, EDLT)
 		})
-		delete(k.mtxs, id)
+		k.mtxs.del(id)
 		return EOK, nil
 	})
 }
@@ -78,8 +77,8 @@ func (k *Kernel) LocMtx(id ID, tmout TMO) ER {
 
 // locMtxBody is the body of LocMtx, shared with its program op.
 func (k *Kernel) locMtxBody(id ID, tmout TMO) (ER, *armedWait) {
-	m, ok := k.mtxs[id]
-	if !ok {
+	m := k.mtxs.get(id)
+	if m == nil {
 		return ENOEXS, nil
 	}
 	if tmout < TmoFevr {
@@ -128,8 +127,8 @@ func (k *Kernel) UnlMtx(id ID) ER {
 
 // unlMtxBody is the body of UnlMtx, shared with its program op.
 func (k *Kernel) unlMtxBody(id ID) ER {
-	m, ok := k.mtxs[id]
-	if !ok {
+	m := k.mtxs.get(id)
+	if m == nil {
 		return ENOEXS
 	}
 	task := k.caller()
@@ -151,8 +150,8 @@ func (k *Kernel) unlMtxBody(id ID) ER {
 
 // RefMtx returns the mutex state (tk_ref_mtx).
 func (k *Kernel) RefMtx(id ID) (MutexInfo, ER) {
-	m, ok := k.mtxs[id]
-	if !ok {
+	m := k.mtxs.get(id)
+	if m == nil {
 		return MutexInfo{}, ENOEXS
 	}
 	return k.mtxInfo(m), EOK

@@ -9,7 +9,10 @@ package tkernel
 // rendezvous only — once accepted, the client waits indefinitely for the
 // reply, per the specification.
 
-// Port is a rendezvous port.
+// Port is a rendezvous port. A queued caller's request is its winfo ptn
+// (calptn), msg and rcv (the reply slot, kept until the reply); a queued
+// acceptor's is its winfo ptn (acpptn), rdvno and rcv (the call-message
+// slot).
 type Port struct {
 	id      ID
 	name    string
@@ -20,34 +23,13 @@ type Port struct {
 	callQ waitQueue // blocked callers
 	acpQ  waitQueue // blocked acceptors
 
-	calls map[*Task]*porCall
-	acps  map[*Task]*porAcp
-
 	// Wait-object labels, formed at creation: porLabel while a call or
 	// accept is queued, rdvLabel while a caller awaits the reply.
 	porLabel, rdvLabel string
 }
 
-type porCall struct {
-	calptn uint32
-	msg    []byte
-	reply  *[]byte // reply destination in the caller's frame
-}
-
-type porAcp struct {
-	acpptn uint32
-	rdvno  *RdvNo  // delivered rendezvous number
-	msg    *[]byte // delivered call message
-}
-
 // RdvNo identifies an established rendezvous awaiting its reply.
 type RdvNo uint64
-
-// rendezvous is an accepted, unreplied call.
-type rendezvous struct {
-	client *Task
-	reply  *[]byte
-}
 
 // PortInfo is the tk_ref_por snapshot.
 type PortInfo struct {
@@ -64,13 +46,12 @@ func (k *Kernel) CrePor(name string, attr Attr, maxCMsz, maxRMsz int) (id ID, er
 		if maxCMsz <= 0 || maxRMsz <= 0 {
 			return EPAR, nil
 		}
-		k.nextPor++
-		id = k.nextPor
-		k.pors[id] = &Port{
+		var p *Port
+		id, p = k.pors.add()
+		*p = Port{
 			id: id, name: name, attr: attr, maxCMsz: maxCMsz, maxRMsz: maxRMsz,
 			porLabel: objName("por", id, name), rdvLabel: objName("rdv", id, name),
 			callQ: newWaitQueue(attr), acpQ: newWaitQueue(TaTFIFO),
-			calls: map[*Task]*porCall{}, acps: map[*Task]*porAcp{},
 		}
 		return EOK, nil
 	})
@@ -81,25 +62,19 @@ func (k *Kernel) CrePor(name string, attr Attr, maxCMsz, maxRMsz int) (id ID, er
 // an established rendezvous also get E_DLT (tk_del_por).
 func (k *Kernel) DelPor(id ID) ER {
 	return k.call("tk_del_por", func(k *Kernel) (ER, *armedWait) {
-		p, ok := k.pors[id]
-		if !ok {
+		p := k.pors.get(id)
+		if p == nil {
 			return ENOEXS, nil
 		}
-		p.callQ.drain(func(t *Task) {
-			delete(p.calls, t)
-			k.wake(t, EDLT)
-		})
-		p.acpQ.drain(func(t *Task) {
-			delete(p.acps, t)
-			k.wake(t, EDLT)
-		})
-		for no, r := range k.rdvs {
-			if r.port == id {
+		p.callQ.drain(func(t *Task) { k.wake(t, EDLT) })
+		p.acpQ.drain(func(t *Task) { k.wake(t, EDLT) })
+		for _, no := range sortedKeys(k.rdvs) {
+			if r := k.rdvs[no]; r.port == id {
 				delete(k.rdvs, no)
-				k.wake(r.rendezvous.client, EDLT)
+				k.wake(r.client, EDLT)
 			}
 		}
-		delete(k.pors, id)
+		k.pors.del(id)
 		return EOK, nil
 	})
 }
@@ -109,8 +84,8 @@ func (k *Kernel) DelPor(id ID) ER {
 // message is returned. tmout bounds rendezvous establishment only.
 func (k *Kernel) CalPor(id ID, calptn uint32, msg []byte, tmout TMO) (reply []byte, er ER) {
 	er = k.call("tk_cal_por", func(k *Kernel) (ER, *armedWait) {
-		p, ok := k.pors[id]
-		if !ok {
+		p := k.pors.get(id)
+		if p == nil {
 			return ENOEXS, nil
 		}
 		if calptn == 0 || len(msg) > p.maxCMsz {
@@ -125,14 +100,12 @@ func (k *Kernel) CalPor(id ID, calptn uint32, msg []byte, tmout TMO) (reply []by
 
 		// A matching acceptor already waiting: establish immediately.
 		if srv := p.matchAcceptor(calptn); srv != nil {
-			acp := p.acps[srv]
 			p.acpQ.remove(srv)
-			delete(p.acps, srv)
-			no := k.establish(p, task, &reply)
-			*acp.rdvno = no
-			*acp.msg = own
+			*srv.winfo.rdvno = k.establish(p, task)
+			*srv.winfo.rcv = own
 			k.wake(srv, EOK)
 			// Rendezvous established: wait (unbounded) for the reply.
+			task.winfo.rcv = &reply
 			return EOK, k.armSleep(task, p, p.rdvLabel, TmoFevr)
 		}
 
@@ -140,7 +113,7 @@ func (k *Kernel) CalPor(id ID, calptn uint32, msg []byte, tmout TMO) (reply []by
 			return ETMOUT, nil
 		}
 		p.callQ.add(task)
-		p.calls[task] = &porCall{calptn: calptn, msg: own, reply: &reply}
+		task.winfo.ptn, task.winfo.msg, task.winfo.rcv = calptn, own, &reply
 		return EOK, k.armSleep(task, p, p.porLabel, tmout)
 	})
 	return reply, er
@@ -151,8 +124,8 @@ func (k *Kernel) CalPor(id ID, calptn uint32, msg []byte, tmout TMO) (reply []by
 // matches acpptn, blocking up to tmout when none is queued.
 func (k *Kernel) AcpPor(id ID, acpptn uint32, tmout TMO) (no RdvNo, msg []byte, er ER) {
 	er = k.call("tk_acp_por", func(k *Kernel) (ER, *armedWait) {
-		p, ok := k.pors[id]
-		if !ok {
+		p := k.pors.get(id)
+		if p == nil {
 			return ENOEXS, nil
 		}
 		if acpptn == 0 {
@@ -161,14 +134,13 @@ func (k *Kernel) AcpPor(id ID, acpptn uint32, tmout TMO) (no RdvNo, msg []byte, 
 
 		// A matching caller already queued: establish immediately.
 		if cl := p.matchCaller(acpptn); cl != nil {
-			call := p.calls[cl]
 			p.callQ.remove(cl)
-			delete(p.calls, cl)
 			// The caller's timeout no longer applies; it now waits for the
 			// reply indefinitely.
 			cl.waitSeq++
 			cl.tt.SetWaitObject(p.rdvLabel)
-			no, msg = k.establish(p, cl, call.reply), call.msg
+			no, msg = k.establish(p, cl), cl.winfo.msg
+			cl.winfo.msg = nil
 			return EOK, nil
 		}
 
@@ -180,7 +152,7 @@ func (k *Kernel) AcpPor(id ID, acpptn uint32, tmout TMO) (no RdvNo, msg []byte, 
 			return er, nil
 		}
 		p.acpQ.add(task)
-		p.acps[task] = &porAcp{acpptn: acpptn, rdvno: &no, msg: &msg}
+		task.winfo.ptn, task.winfo.rdvno, task.winfo.rcv = acpptn, &no, &msg
 		return EOK, k.armSleep(task, p, p.porLabel, tmout)
 	})
 	return no, msg, er
@@ -194,14 +166,14 @@ func (k *Kernel) RplRdv(no RdvNo, reply []byte) ER {
 		if !ok {
 			return EOBJ, nil
 		}
-		p := k.pors[r.port]
+		p := k.pors.get(r.port)
 		if p != nil && len(reply) > p.maxRMsz {
 			return EPAR, nil
 		}
 		delete(k.rdvs, no)
 		own := make([]byte, len(reply))
 		copy(own, reply)
-		*r.reply = own
+		*r.client.winfo.rcv = own
 		r.client.rdvno = 0
 		k.wake(r.client, EOK)
 		return EOK, nil
@@ -210,8 +182,8 @@ func (k *Kernel) RplRdv(no RdvNo, reply []byte) ER {
 
 // RefPor returns the port state (tk_ref_por).
 func (k *Kernel) RefPor(id ID) (PortInfo, ER) {
-	p, ok := k.pors[id]
-	if !ok {
+	p := k.pors.get(id)
+	if p == nil {
 		return PortInfo{}, ENOEXS
 	}
 	open := 0
@@ -224,11 +196,12 @@ func (k *Kernel) RefPor(id ID) (PortInfo, ER) {
 		AcceptWait: p.acpQ.refs(), OpenRdv: open}, EOK
 }
 
-// establish registers a rendezvous for the given client.
-func (k *Kernel) establish(p *Port, client *Task, reply *[]byte) RdvNo {
+// establish registers a rendezvous for the given client; the reply goes to
+// the client's winfo.rcv.
+func (k *Kernel) establish(p *Port, client *Task) RdvNo {
 	k.nextRdv++
 	no := RdvNo(k.nextRdv)
-	k.rdvs[no] = portRdv{port: p.id, rendezvous: rendezvous{client: client, reply: reply}}
+	k.rdvs[no] = portRdv{port: p.id, client: client}
 	client.rdvno = no
 	return no
 }
@@ -239,11 +212,9 @@ func (k *Kernel) establish(p *Port, client *Task, reply *[]byte) RdvNo {
 func (p *Port) cancelWait(k *Kernel, t *Task) {
 	if t.wqIn == &p.acpQ {
 		p.acpQ.remove(t)
-		delete(p.acps, t)
 		return
 	}
 	p.callQ.remove(t)
-	delete(p.calls, t)
 	k.dropRdvOf(t)
 }
 
@@ -259,7 +230,7 @@ func (k *Kernel) dropRdvOf(task *Task) {
 // calptn.
 func (p *Port) matchAcceptor(calptn uint32) *Task {
 	for t := p.acpQ.head(); t != nil; t = t.wqNext {
-		if a := p.acps[t]; a != nil && a.acpptn&calptn != 0 {
+		if t.winfo.ptn&calptn != 0 {
 			return t
 		}
 	}
@@ -270,15 +241,16 @@ func (p *Port) matchAcceptor(calptn uint32) *Task {
 // acpptn.
 func (p *Port) matchCaller(acpptn uint32) *Task {
 	for t := p.callQ.head(); t != nil; t = t.wqNext {
-		if c := p.calls[t]; c != nil && c.calptn&acpptn != 0 {
+		if t.winfo.ptn&acpptn != 0 {
 			return t
 		}
 	}
 	return nil
 }
 
-// portRdv ties a rendezvous to its port for deletion handling.
+// portRdv is an accepted, unreplied call: its port (for deletion
+// handling) and its client.
 type portRdv struct {
-	port ID
-	rendezvous
+	port   ID
+	client *Task
 }

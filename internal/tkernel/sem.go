@@ -2,15 +2,15 @@ package tkernel
 
 // Semaphore is a T-Kernel counting semaphore (tk_cre_sem family): a
 // non-negative resource count with a wait queue of tasks requesting counts.
+// Each waiter's request is its winfo.cnt.
 type Semaphore struct {
-	id      ID
-	name    string
-	label   string // wait-object label, formed at creation
-	attr    Attr
-	count   int
-	maxSem  int
-	wq      waitQueue
-	pending map[*Task]int // requested count per waiting task
+	id     ID
+	name   string
+	label  string // wait-object label, formed at creation
+	attr   Attr
+	count  int
+	maxSem int
+	wq     waitQueue
 }
 
 // SemInfo is the unified semaphore view returned by both tk_ref_sem and the
@@ -31,13 +31,11 @@ func (k *Kernel) CreSem(name string, attr Attr, initCount, maxCount int) (id ID,
 		if maxCount <= 0 || initCount < 0 || initCount > maxCount {
 			return EPAR, nil
 		}
-		k.nextSem++
-		id = k.nextSem
-		k.sems[id] = &Semaphore{
+		var s *Semaphore
+		id, s = k.sems.add()
+		*s = Semaphore{
 			id: id, name: name, label: objName("sem", id, name), attr: attr,
-			count: initCount, maxSem: maxCount,
-			wq:      newWaitQueue(attr),
-			pending: map[*Task]int{},
+			count: initCount, maxSem: maxCount, wq: newWaitQueue(attr),
 		}
 		return EOK, nil
 	})
@@ -48,15 +46,12 @@ func (k *Kernel) CreSem(name string, attr Attr, initCount, maxCount int) (id ID,
 // (tk_del_sem).
 func (k *Kernel) DelSem(id ID) ER {
 	return k.call("tk_del_sem", func(k *Kernel) (ER, *armedWait) {
-		s, ok := k.sems[id]
-		if !ok {
+		s := k.sems.get(id)
+		if s == nil {
 			return ENOEXS, nil
 		}
-		s.wq.drain(func(t *Task) {
-			delete(s.pending, t)
-			k.wake(t, EDLT)
-		})
-		delete(k.sems, id)
+		s.wq.drain(func(t *Task) { k.wake(t, EDLT) })
+		k.sems.del(id)
 		return EOK, nil
 	})
 }
@@ -69,8 +64,8 @@ func (k *Kernel) SigSem(id ID, cnt int) ER {
 
 // sigSemBody is the body of SigSem, shared with its program op.
 func (k *Kernel) sigSemBody(id ID, cnt int) ER {
-	s, ok := k.sems[id]
-	if !ok {
+	s := k.sems.get(id)
+	if s == nil {
 		return ENOEXS
 	}
 	if cnt <= 0 {
@@ -93,13 +88,11 @@ func (k *Kernel) semGrant(s *Semaphore) {
 		if t == nil {
 			return
 		}
-		need := s.pending[t]
-		if s.count < need {
+		if s.count < t.winfo.cnt {
 			return
 		}
-		s.count -= need
+		s.count -= t.winfo.cnt
 		s.wq.remove(t)
-		delete(s.pending, t)
 		k.wake(t, EOK)
 	}
 }
@@ -111,8 +104,8 @@ func (k *Kernel) WaiSem(id ID, cnt int, tmout TMO) ER {
 
 // waiSemBody is the body of WaiSem, shared with its program op.
 func (k *Kernel) waiSemBody(id ID, cnt int, tmout TMO) (ER, *armedWait) {
-	s, ok := k.sems[id]
-	if !ok {
+	s := k.sems.get(id)
+	if s == nil {
 		return ENOEXS, nil
 	}
 	if cnt <= 0 || cnt > s.maxSem {
@@ -130,20 +123,17 @@ func (k *Kernel) waiSemBody(id ID, cnt int, tmout TMO) (ER, *armedWait) {
 		return er, nil
 	}
 	s.wq.add(task)
-	s.pending[task] = cnt
+	task.winfo.cnt = cnt
 	return EOK, k.armSleep(task, s, s.label, tmout)
 }
 
 // cancelWait implements waitObject.
-func (s *Semaphore) cancelWait(_ *Kernel, t *Task) {
-	s.wq.remove(t)
-	delete(s.pending, t)
-}
+func (s *Semaphore) cancelWait(_ *Kernel, t *Task) { s.wq.remove(t) }
 
 // RefSem returns the semaphore state (tk_ref_sem).
 func (k *Kernel) RefSem(id ID) (SemInfo, ER) {
-	s, ok := k.sems[id]
-	if !ok {
+	s := k.sems.get(id)
+	if s == nil {
 		return SemInfo{}, ENOEXS
 	}
 	return k.semInfo(s), EOK
@@ -154,7 +144,7 @@ func (k *Kernel) semInfo(s *Semaphore) SemInfo {
 	info := SemInfo{ID: s.id, Name: s.name, Count: s.count,
 		MaxCount: s.maxSem, Waiting: s.wq.refs()}
 	if h := s.wq.head(); h != nil {
-		info.HeadNeed = s.pending[h]
+		info.HeadNeed = h.winfo.cnt
 	}
 	return info
 }

@@ -2,7 +2,6 @@ package tkernel
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/sysc"
@@ -178,16 +177,6 @@ func machineOf(tt *core.TThread) *progMachine {
 	return m
 }
 
-// sortedIDs returns the map's keys in ascending order.
-func sortedIDs[V any](m map[ID]V) []ID {
-	out := make([]ID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // SaveState captures the kernel's dynamic state at a sysc quiescent
 // point. It fails when the kernel holds object classes the snapshot layer
 // does not support, or when a goroutine-backed T-THREAD is active (its
@@ -198,13 +187,13 @@ func (k *Kernel) SaveState() (*KernelState, error) {
 		return nil, fmt.Errorf("tkernel: cannot capture state before Boot")
 	}
 	switch {
-	case len(k.mbxs) > 0:
+	case k.mbxs.len() > 0:
 		return nil, fmt.Errorf("tkernel: state capture does not support mailboxes")
-	case len(k.mpfs) > 0:
+	case k.mpfs.len() > 0:
 		return nil, fmt.Errorf("tkernel: state capture does not support fixed-size memory pools")
-	case len(k.mpls) > 0:
+	case k.mpls.len() > 0:
 		return nil, fmt.Errorf("tkernel: state capture does not support variable-size memory pools")
-	case len(k.pors) > 0 || len(k.rdvs) > 0:
+	case k.pors.len() > 0 || len(k.rdvs) > 0:
 		return nil, fmt.Errorf("tkernel: state capture does not support rendezvous ports")
 	}
 	for _, tt := range k.api.Threads() {
@@ -222,10 +211,9 @@ func (k *Kernel) SaveState() (*KernelState, error) {
 		Ticks:    k.ticks,
 		DisDsp:   k.disDsp,
 	}
-	for _, id := range sortedIDs(k.tasks) {
-		t := k.tasks[id]
+	st.Tasks = views(&k.tasks, func(t *Task) TaskSnap {
 		s := TaskSnap{
-			ID:       id,
+			ID:       t.id,
 			WupCount: t.wupCount,
 			WaitSeq:  t.waitSeq,
 			WaitOn:   t.waitOn,
@@ -241,78 +229,64 @@ func (k *Kernel) SaveState() (*KernelState, error) {
 			s.SP = uint8(m.sp)
 			s.AwArmed = m.aw != nil
 		}
-		st.Tasks = append(st.Tasks, s)
-	}
-	for _, id := range sortedIDs(k.sems) {
-		sem := k.sems[id]
-		s := SemSnap{ID: id, Count: sem.count}
+		return s
+	})
+	// Each waiter's request comes from its winfo, in queue order.
+	st.Sems = views(&k.sems, func(sem *Semaphore) SemSnap {
+		s := SemSnap{ID: sem.id, Count: sem.count}
 		for t := sem.wq.head(); t != nil; t = t.wqNext {
 			s.Wait = append(s.Wait, t.id)
-			s.Need = append(s.Need, sem.pending[t])
+			s.Need = append(s.Need, t.winfo.cnt)
 		}
-		st.Sems = append(st.Sems, s)
-	}
-	for _, id := range sortedIDs(k.flags) {
-		f := k.flags[id]
-		s := FlgSnap{ID: id, Pattern: f.pattern}
+		return s
+	})
+	st.Flags = views(&k.flags, func(f *EventFlag) FlgSnap {
+		s := FlgSnap{ID: f.id, Pattern: f.pattern}
 		for t := f.wq.head(); t != nil; t = t.wqNext {
-			w := &t.flg
 			s.Wait = append(s.Wait, t.id)
-			s.Waiptn = append(s.Waiptn, w.waiptn)
-			s.Mode = append(s.Mode, w.mode)
-			s.Relptn = append(s.Relptn, w.relptn)
+			s.Waiptn = append(s.Waiptn, t.winfo.ptn)
+			s.Mode = append(s.Mode, t.winfo.mode)
+			s.Relptn = append(s.Relptn, t.winfo.relptn)
 		}
-		st.Flags = append(st.Flags, s)
-	}
-	for _, id := range sortedIDs(k.mtxs) {
-		m := k.mtxs[id]
-		s := MtxSnap{ID: id, HasOwner: m.owner != nil}
+		return s
+	})
+	st.Mtxs = views(&k.mtxs, func(m *Mutex) MtxSnap {
+		s := MtxSnap{ID: m.id, HasOwner: m.owner != nil, Wait: m.wq.ids()}
 		if m.owner != nil {
 			s.Owner = m.owner.id
 		}
-		for t := m.wq.head(); t != nil; t = t.wqNext {
-			s.Wait = append(s.Wait, t.id)
-		}
-		st.Mtxs = append(st.Mtxs, s)
-	}
-	for _, id := range sortedIDs(k.mbfs) {
-		b := k.mbfs[id]
-		s := MbfSnap{ID: id, Used: b.used}
+		return s
+	})
+	st.Mbfs = views(&k.mbfs, func(b *MessageBuffer) MbfSnap {
+		s := MbfSnap{ID: b.id, Used: b.used}
 		for _, msg := range b.msgs {
 			s.Msgs = append(s.Msgs, append([]byte(nil), msg...))
 		}
 		for t := b.sendQ.head(); t != nil; t = t.wqNext {
 			s.SendQ = append(s.SendQ, t.id)
-			s.SendMsg = append(s.SendMsg, append([]byte(nil), b.sMsg[t]...))
+			s.SendMsg = append(s.SendMsg, append([]byte(nil), t.winfo.msg...))
 		}
 		for t := b.recvQ.head(); t != nil; t = t.wqNext {
 			s.RecvQ = append(s.RecvQ, t.id)
-			s.RecvDst = append(s.RecvDst, b.rDst[t])
+			s.RecvDst = append(s.RecvDst, t.winfo.rcv)
 		}
-		st.Mbfs = append(st.Mbfs, s)
-	}
-	for _, id := range sortedIDs(k.cycs) {
-		c := k.cycs[id]
-		s := CycSnap{ID: id, Active: c.active, Fires: c.fires, Overruns: c.overruns, Gen: c.gen}
+		return s
+	})
+	st.Cycs = views(&k.cycs, func(c *CyclicHandler) CycSnap {
+		s := CycSnap{ID: c.id, Active: c.active, Fires: c.fires, Overruns: c.overruns, Gen: c.gen}
 		if m := machineOf(c.tt); m != nil {
 			s.HasMachine, s.PC, s.SP = true, m.pc, uint8(m.sp)
 		}
-		st.Cycs = append(st.Cycs, s)
-	}
-	for _, id := range sortedIDs(k.alms) {
-		a := k.alms[id]
-		s := AlmSnap{ID: id, Active: a.active, Fires: a.fires, Gen: a.gen}
+		return s
+	})
+	st.Alms = views(&k.alms, func(a *AlarmHandler) AlmSnap {
+		s := AlmSnap{ID: a.id, Active: a.active, Fires: a.fires, Gen: a.gen}
 		if m := machineOf(a.tt); m != nil {
 			s.HasMachine, s.PC, s.SP = true, m.pc, uint8(m.sp)
 		}
-		st.Alms = append(st.Alms, s)
-	}
-	intnos := make([]int, 0, len(k.isrs))
-	for n := range k.isrs {
-		intnos = append(intnos, n)
-	}
-	sort.Ints(intnos)
-	for _, n := range intnos {
+		return s
+	})
+	for _, n := range sortedKeys(k.isrs) {
 		isr := k.isrs[n]
 		s := ISRSnap{IntNo: n, Fires: isr.fires, Missed: isr.missed, Dropped: isr.dropped}
 		if m := machineOf(isr.tt); m != nil {
@@ -347,7 +321,7 @@ func (q *waitQueue) relink(tasks []*Task) {
 func (k *Kernel) taskList(ids []ID) ([]*Task, error) {
 	out := make([]*Task, len(ids))
 	for i, id := range ids {
-		t := k.tasks[id]
+		t := k.tasks.get(id)
 		if t == nil {
 			return nil, fmt.Errorf("tkernel: captured wait queue references unknown task %d", id)
 		}
@@ -360,20 +334,24 @@ func (k *Kernel) taskList(ids []ID) ([]*Task, error) {
 // same object population (the supported synthetic workloads create all
 // kernel objects at boot and never delete them).
 func (k *Kernel) LoadState(st *KernelState) error {
-	if len(st.Tasks) != len(k.tasks) || len(st.Sems) != len(k.sems) ||
-		len(st.Flags) != len(k.flags) || len(st.Mtxs) != len(k.mtxs) ||
-		len(st.Mbfs) != len(k.mbfs) || len(st.Cycs) != len(k.cycs) ||
-		len(st.Alms) != len(k.alms) || len(st.Isrs) != len(k.isrs) {
+	if len(st.Tasks) != k.tasks.len() || len(st.Sems) != k.sems.len() ||
+		len(st.Flags) != k.flags.len() || len(st.Mtxs) != k.mtxs.len() ||
+		len(st.Mbfs) != k.mbfs.len() || len(st.Cycs) != k.cycs.len() ||
+		len(st.Alms) != k.alms.len() || len(st.Isrs) != len(k.isrs) {
 		return fmt.Errorf("tkernel: state mismatch: kernel object population changed since capture")
 	}
-	// Unlink every task from whatever queue it is on now; the captured
-	// queues re-link below.
-	for _, t := range k.tasks {
-		t.wqNext, t.wqPrev, t.wqIn = nil, nil, nil
+	// Unlink every task from whatever queue it is on now and drop its wait
+	// request; the captured queues re-link below and write the requests of
+	// their waiters back.
+	for _, t := range k.tasks.slots {
+		if t != nil {
+			t.wqNext, t.wqPrev, t.wqIn = nil, nil, nil
+			t.winfo = winfo{}
+		}
 	}
 	for i := range st.Tasks {
 		s := &st.Tasks[i]
-		t := k.tasks[s.ID]
+		t := k.tasks.get(s.ID)
 		if t == nil {
 			return fmt.Errorf("tkernel: captured state references unknown task %d", s.ID)
 		}
@@ -389,7 +367,7 @@ func (k *Kernel) LoadState(st *KernelState) error {
 		t.aw.obj = s.AwObj
 		t.owned = t.owned[:0]
 		for _, mid := range s.Owned {
-			m := k.mtxs[mid]
+			m := k.mtxs.get(mid)
 			if m == nil {
 				return fmt.Errorf("tkernel: task %d owns unknown mutex %d", s.ID, mid)
 			}
@@ -412,7 +390,7 @@ func (k *Kernel) LoadState(st *KernelState) error {
 	}
 	for i := range st.Sems {
 		s := &st.Sems[i]
-		sem := k.sems[s.ID]
+		sem := k.sems.get(s.ID)
 		if sem == nil {
 			return fmt.Errorf("tkernel: captured state references unknown semaphore %d", s.ID)
 		}
@@ -422,14 +400,13 @@ func (k *Kernel) LoadState(st *KernelState) error {
 			return err
 		}
 		sem.wq.relink(ts)
-		clear(sem.pending)
 		for j, t := range ts {
-			sem.pending[t] = s.Need[j]
+			t.winfo.cnt = s.Need[j]
 		}
 	}
 	for i := range st.Flags {
 		s := &st.Flags[i]
-		f := k.flags[s.ID]
+		f := k.flags.get(s.ID)
 		if f == nil {
 			return fmt.Errorf("tkernel: captured state references unknown flag %d", s.ID)
 		}
@@ -440,18 +417,18 @@ func (k *Kernel) LoadState(st *KernelState) error {
 		}
 		f.wq.relink(ts)
 		for j, t := range ts {
-			t.flg = flgWait{waiptn: s.Waiptn[j], mode: s.Mode[j], relptn: s.Relptn[j]}
+			t.winfo.ptn, t.winfo.mode, t.winfo.relptn = s.Waiptn[j], s.Mode[j], s.Relptn[j]
 		}
 	}
 	for i := range st.Mtxs {
 		s := &st.Mtxs[i]
-		m := k.mtxs[s.ID]
+		m := k.mtxs.get(s.ID)
 		if m == nil {
 			return fmt.Errorf("tkernel: captured state references unknown mutex %d", s.ID)
 		}
 		m.owner = nil
 		if s.HasOwner {
-			o := k.tasks[s.Owner]
+			o := k.tasks.get(s.Owner)
 			if o == nil {
 				return fmt.Errorf("tkernel: mutex %d owned by unknown task %d", s.ID, s.Owner)
 			}
@@ -465,7 +442,7 @@ func (k *Kernel) LoadState(st *KernelState) error {
 	}
 	for i := range st.Mbfs {
 		s := &st.Mbfs[i]
-		b := k.mbfs[s.ID]
+		b := k.mbfs.get(s.ID)
 		if b == nil {
 			return fmt.Errorf("tkernel: captured state references unknown message buffer %d", s.ID)
 		}
@@ -479,23 +456,21 @@ func (k *Kernel) LoadState(st *KernelState) error {
 			return err
 		}
 		b.sendQ.relink(senders)
-		clear(b.sMsg)
 		for j, t := range senders {
-			b.sMsg[t] = append([]byte(nil), s.SendMsg[j]...)
+			t.winfo.msg = append([]byte(nil), s.SendMsg[j]...)
 		}
 		receivers, err := k.taskList(s.RecvQ)
 		if err != nil {
 			return err
 		}
 		b.recvQ.relink(receivers)
-		clear(b.rDst)
 		for j, t := range receivers {
-			b.rDst[t] = s.RecvDst[j]
+			t.winfo.rcv = s.RecvDst[j]
 		}
 	}
 	for i := range st.Cycs {
 		s := &st.Cycs[i]
-		c := k.cycs[s.ID]
+		c := k.cycs.get(s.ID)
 		if c == nil {
 			return fmt.Errorf("tkernel: captured state references unknown cyclic handler %d", s.ID)
 		}
@@ -509,7 +484,7 @@ func (k *Kernel) LoadState(st *KernelState) error {
 	}
 	for i := range st.Alms {
 		s := &st.Alms[i]
-		a := k.alms[s.ID]
+		a := k.alms.get(s.ID)
 		if a == nil {
 			return fmt.Errorf("tkernel: captured state references unknown alarm handler %d", s.ID)
 		}

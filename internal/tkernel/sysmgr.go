@@ -52,17 +52,17 @@ func (k *Kernel) RefSys() SysInfo {
 		InHandler:   k.api.InHandler(),
 		IntNesting:  k.api.InterruptDepth(),
 		DispatchDis: k.disDsp,
-		Tasks:       len(k.tasks),
-		Semaphores:  len(k.sems),
-		EventFlags:  len(k.flags),
-		Mutexes:     len(k.mtxs),
-		Mailboxes:   len(k.mbxs),
-		MsgBuffers:  len(k.mbfs),
-		FixedPools:  len(k.mpfs),
-		VarPools:    len(k.mpls),
-		CyclicHdrs:  len(k.cycs),
-		AlarmHdrs:   len(k.alms),
-		Ports:       len(k.pors),
+		Tasks:       k.tasks.len(),
+		Semaphores:  k.sems.len(),
+		EventFlags:  k.flags.len(),
+		Mutexes:     k.mtxs.len(),
+		Mailboxes:   k.mbxs.len(),
+		MsgBuffers:  k.mbfs.len(),
+		FixedPools:  k.mpfs.len(),
+		VarPools:    k.mpls.len(),
+		CyclicHdrs:  k.cycs.len(),
+		AlarmHdrs:   k.alms.len(),
+		Ports:       k.pors.len(),
 	}
 	if cur := k.api.Current(); cur != nil {
 		info.RunTask = cur.Name()
@@ -101,54 +101,19 @@ func (k *Kernel) EnaDsp() ER {
 }
 
 // TaskList returns the IDs of all existing tasks in ascending order.
-func (k *Kernel) TaskList() []ID {
-	out := make([]ID, 0, len(k.tasks))
-	for id := range k.tasks {
-		out = append(out, id)
-	}
-	sortIDs(out)
-	return out
-}
+func (k *Kernel) TaskList() []ID { return k.tasks.ids() }
 
 // Object-class ID listings for the debugger support layer.
-func (k *Kernel) SemList() []ID { return idsOf(k.sems) }
-func (k *Kernel) FlgList() []ID { return idsOf(k.flags) }
-func (k *Kernel) MtxList() []ID { return idsOf(k.mtxs) }
-func (k *Kernel) MbxList() []ID { return idsOf(k.mbxs) }
-func (k *Kernel) MbfList() []ID { return idsOf(k.mbfs) }
-func (k *Kernel) MpfList() []ID { return idsOf(k.mpfs) }
-func (k *Kernel) MplList() []ID { return idsOf(k.mpls) }
-func (k *Kernel) CycList() []ID { return idsOf(k.cycs) }
-func (k *Kernel) AlmList() []ID { return idsOf(k.alms) }
-func (k *Kernel) PorList() []ID { return idsOf(k.pors) }
+func (k *Kernel) SemList() []ID { return k.sems.ids() }
+func (k *Kernel) FlgList() []ID { return k.flags.ids() }
+func (k *Kernel) MtxList() []ID { return k.mtxs.ids() }
+func (k *Kernel) MbxList() []ID { return k.mbxs.ids() }
+func (k *Kernel) MbfList() []ID { return k.mbfs.ids() }
+func (k *Kernel) MpfList() []ID { return k.mpfs.ids() }
+func (k *Kernel) MplList() []ID { return k.mpls.ids() }
+func (k *Kernel) CycList() []ID { return k.cycs.ids() }
+func (k *Kernel) AlmList() []ID { return k.alms.ids() }
+func (k *Kernel) PorList() []ID { return k.pors.ids() }
 
 // IntList returns the defined interrupt numbers in ascending order.
-func (k *Kernel) IntList() []int {
-	out := make([]int, 0, len(k.isrs))
-	for n := range k.isrs {
-		out = append(out, n)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-func idsOf[T any](m map[ID]T) []ID {
-	out := make([]ID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	sortIDs(out)
-	return out
-}
-
-func sortIDs(ids []ID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-}
+func (k *Kernel) IntList() []int { return sortedKeys(k.isrs) }

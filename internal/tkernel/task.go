@@ -7,7 +7,9 @@ import (
 )
 
 // Task is a T-Kernel task: an application thread of control wrapped in a
-// T-THREAD and scheduled by the kernel.
+// T-THREAD and scheduled by the kernel. Like T-Kernel's TCB it sits in the
+// kernel's task table at its ID and carries everything about its one
+// current wait: the wait-queue link, the armed wait and the request.
 type Task struct {
 	id   ID
 	k    *Kernel
@@ -24,15 +26,30 @@ type Task struct {
 	wqNext, wqPrev *Task
 	wqIn           *waitQueue
 
-	// aw is the embedded armed-wait record handed out by armSleep; a task
-	// arms at most one wait at a time, so embedding it keeps the service
+	// aw is the embedded armed-wait record handed out by armSleep, and
+	// winfo the request of the current wait (T-Kernel's TCB winfo): a task
+	// arms at most one wait at a time, so embedding both keeps the service
 	// bodies allocation-free.
-	aw armedWait
-	// flg is the task's event-flag wait condition while it waits on a
-	// flag, embedded for the same reason.
-	flg flgWait
+	aw    armedWait
+	winfo winfo
 
 	owned []*Mutex // mutexes currently locked by this task
+}
+
+// winfo is what a waiting task asks of the object it waits on. The body
+// that queues the task fills the fields its object class reads; grant
+// paths read them from the queued task, and wake and cancelWait clear the
+// record when the wait ends, dropping the references it holds.
+type winfo struct {
+	cnt    int        // semaphore: count requested; variable pool: block size
+	ptn    uint32     // event flag: waiptn; port: calptn or acpptn
+	mode   FlagMode   // event flag: wait mode
+	relptn *uint32    // event flag: release-pattern slot
+	msg    []byte     // message-buffer sender: message; port caller: call message
+	rcv    *[]byte    // message-buffer receiver: message slot; port: reply or call-message slot
+	mbx    **Message  // mailbox receiver: message slot
+	blk    **MemBlock // memory-pool waiter: block slot
+	rdvno  *RdvNo     // port acceptor: rendezvous-number slot
 }
 
 // ID returns the task identifier.
@@ -80,12 +97,11 @@ func (k *Kernel) creTsk(name string, priority int, thread func(*Task) *core.TThr
 		if priority < 1 || priority > k.cfg.MaxPriority {
 			return EPAR, nil
 		}
-		k.nextTask++
-		id = k.nextTask
-		task := &Task{id: id, k: k, name: name}
+		var task *Task
+		id, task = k.tasks.add()
+		*task = Task{id: id, k: k, name: name}
 		task.tt = thread(task)
 		task.tt.SetExinf(task)
-		k.tasks[id] = task
 		return EOK, nil
 	})
 	return id, er
@@ -94,8 +110,8 @@ func (k *Kernel) creTsk(name string, priority int, thread func(*Task) *core.TThr
 // DelTsk deletes a dormant task (tk_del_tsk).
 func (k *Kernel) DelTsk(id ID) ER {
 	return k.call("tk_del_tsk", func(k *Kernel) (ER, *armedWait) {
-		task, ok := k.tasks[id]
-		if !ok {
+		task := k.tasks.get(id)
+		if task == nil {
 			return ENOEXS, nil
 		}
 		if task.tt.State() != core.StateDormant {
@@ -104,7 +120,7 @@ func (k *Kernel) DelTsk(id ID) ER {
 		if err := k.api.DeleteThread(task.tt); err != nil {
 			return EOBJ, nil
 		}
-		delete(k.tasks, id)
+		k.tasks.del(id)
 		return EOK, nil
 	})
 }
@@ -112,8 +128,8 @@ func (k *Kernel) DelTsk(id ID) ER {
 // StaTsk starts a dormant task (tk_sta_tsk).
 func (k *Kernel) StaTsk(id ID) ER {
 	return k.call("tk_sta_tsk", func(k *Kernel) (ER, *armedWait) {
-		task, ok := k.tasks[id]
-		if !ok {
+		task := k.tasks.get(id)
+		if task == nil {
 			return ENOEXS, nil
 		}
 		task.wupCount = 0
@@ -141,8 +157,8 @@ func (k *Kernel) ExtTsk() ER {
 // calling task itself is E_OBJ (use ExtTsk).
 func (k *Kernel) TerTsk(id ID) ER {
 	return k.call("tk_ter_tsk", func(k *Kernel) (ER, *armedWait) {
-		task, ok := k.tasks[id]
-		if !ok {
+		task := k.tasks.get(id)
+		if task == nil {
 			return ENOEXS, nil
 		}
 		if task == k.caller() {
@@ -167,8 +183,8 @@ func (k *Kernel) TerTsk(id ID) ER {
 // by internal/itron; T-Kernel itself only has the strict StaTsk.
 func (k *Kernel) ActTsk(id ID, maxQueued int) ER {
 	return k.call("act_tsk", func(k *Kernel) (ER, *armedWait) {
-		task, ok := k.tasks[id]
-		if !ok {
+		task := k.tasks.get(id)
+		if task == nil {
 			return ENOEXS, nil
 		}
 		if task.tt.State() == core.StateDormant {
@@ -251,8 +267,8 @@ func (k *Kernel) WupTsk(id ID) ER {
 
 // wupTskBody is the body of WupTsk, shared with its program op.
 func (k *Kernel) wupTskBody(id ID) ER {
-	task, ok := k.tasks[id]
-	if !ok {
+	task := k.tasks.get(id)
+	if task == nil {
 		return ENOEXS
 	}
 	st := task.tt.State()
@@ -307,8 +323,8 @@ func (k *Kernel) dlyTskBody(d sysc.Time) (ER, *armedWait) {
 // (tk_rel_wai).
 func (k *Kernel) RelWai(id ID) ER {
 	return k.call("tk_rel_wai", func(k *Kernel) (ER, *armedWait) {
-		task, ok := k.tasks[id]
-		if !ok {
+		task := k.tasks.get(id)
+		if task == nil {
 			return ENOEXS, nil
 		}
 		st := task.tt.State()
@@ -324,8 +340,8 @@ func (k *Kernel) RelWai(id ID) ER {
 // SusTsk forcibly suspends a task (tk_sus_tsk); suspensions nest.
 func (k *Kernel) SusTsk(id ID) ER {
 	return k.call("tk_sus_tsk", func(k *Kernel) (ER, *armedWait) {
-		task, ok := k.tasks[id]
-		if !ok {
+		task := k.tasks.get(id)
+		if task == nil {
 			return ENOEXS, nil
 		}
 		if task == k.caller() && k.disDsp {
@@ -341,8 +357,8 @@ func (k *Kernel) SusTsk(id ID) ER {
 // RsmTsk resumes a forcibly suspended task by one level (tk_rsm_tsk).
 func (k *Kernel) RsmTsk(id ID) ER {
 	return k.call("tk_rsm_tsk", func(k *Kernel) (ER, *armedWait) {
-		task, ok := k.tasks[id]
-		if !ok {
+		task := k.tasks.get(id)
+		if task == nil {
 			return ENOEXS, nil
 		}
 		if err := k.api.ResumeForce(task.tt); err != nil {
@@ -356,8 +372,8 @@ func (k *Kernel) RsmTsk(id ID) ER {
 // (tk_frsm_tsk).
 func (k *Kernel) FrsmTsk(id ID) ER {
 	return k.call("tk_frsm_tsk", func(k *Kernel) (ER, *armedWait) {
-		task, ok := k.tasks[id]
-		if !ok {
+		task := k.tasks.get(id)
+		if task == nil {
 			return ENOEXS, nil
 		}
 		for task.tt.SuspendCount() > 0 {
@@ -433,11 +449,10 @@ func (k *Kernel) taskOrSelf(id ID) (*Task, ER) {
 		}
 		return t, EOK
 	}
-	t, ok := k.tasks[id]
-	if !ok {
-		return nil, ENOEXS
+	if t := k.tasks.get(id); t != nil {
+		return t, EOK
 	}
-	return t, EOK
+	return nil, ENOEXS
 }
 
 // Work consumes application execution time/energy in the calling task or

@@ -73,9 +73,9 @@ func (k *Kernel) creCyc(name string, interval, phase sysc.Time, thread func() *c
 		if interval <= 0 || phase < 0 {
 			return EPAR, nil
 		}
-		k.nextCyc++
-		id = k.nextCyc
-		k.cycs[id] = &CyclicHandler{id: id, name: name, interval: interval, phase: phase,
+		var c *CyclicHandler
+		id, c = k.cycs.add()
+		*c = CyclicHandler{id: id, name: name, interval: interval, phase: phase,
 			k: k, tt: thread()}
 		return EOK, nil
 	})
@@ -85,13 +85,13 @@ func (k *Kernel) creCyc(name string, interval, phase sysc.Time, thread func() *c
 // DelCyc deletes a cyclic handler (tk_del_cyc).
 func (k *Kernel) DelCyc(id ID) ER {
 	return k.call("tk_del_cyc", func(k *Kernel) (ER, *armedWait) {
-		c, ok := k.cycs[id]
-		if !ok {
+		c := k.cycs.get(id)
+		if c == nil {
 			return ENOEXS, nil
 		}
 		c.active = false
 		c.gen++
-		delete(k.cycs, id)
+		k.cycs.del(id)
 		return EOK, nil
 	})
 }
@@ -100,8 +100,8 @@ func (k *Kernel) DelCyc(id ID) ER {
 // phase, subsequent ones every interval (tk_sta_cyc).
 func (k *Kernel) StaCyc(id ID) ER {
 	return k.call("tk_sta_cyc", func(k *Kernel) (ER, *armedWait) {
-		c, ok := k.cycs[id]
-		if !ok {
+		c := k.cycs.get(id)
+		if c == nil {
 			return ENOEXS, nil
 		}
 		if c.active {
@@ -139,8 +139,8 @@ func (c *CyclicHandler) expire(gen int) {
 // StpCyc deactivates a cyclic handler (tk_stp_cyc).
 func (k *Kernel) StpCyc(id ID) ER {
 	return k.call("tk_stp_cyc", func(k *Kernel) (ER, *armedWait) {
-		c, ok := k.cycs[id]
-		if !ok {
+		c := k.cycs.get(id)
+		if c == nil {
 			return ENOEXS, nil
 		}
 		c.active = false
@@ -151,8 +151,8 @@ func (k *Kernel) StpCyc(id ID) ER {
 
 // RefCyc returns the cyclic-handler state (tk_ref_cyc).
 func (k *Kernel) RefCyc(id ID) (CyclicInfo, ER) {
-	c, ok := k.cycs[id]
-	if !ok {
+	c := k.cycs.get(id)
+	if c == nil {
 		return CyclicInfo{}, ENOEXS
 	}
 	return CyclicInfo{Name: c.name, Active: c.active, Interval: c.interval,
@@ -187,9 +187,9 @@ func (k *Kernel) CreAlm(name string, fn HandlerFunc) (ID, ER) {
 // handler's T-THREAD.
 func (k *Kernel) creAlm(name string, thread func() *core.TThread) (id ID, er ER) {
 	er = k.call("tk_cre_alm", func(k *Kernel) (ER, *armedWait) {
-		k.nextAlm++
-		id = k.nextAlm
-		k.alms[id] = &AlarmHandler{id: id, name: name, k: k, tt: thread()}
+		var a *AlarmHandler
+		id, a = k.alms.add()
+		*a = AlarmHandler{id: id, name: name, k: k, tt: thread()}
 		return EOK, nil
 	})
 	return id, er
@@ -198,13 +198,13 @@ func (k *Kernel) creAlm(name string, thread func() *core.TThread) (id ID, er ER)
 // DelAlm deletes an alarm handler (tk_del_alm).
 func (k *Kernel) DelAlm(id ID) ER {
 	return k.call("tk_del_alm", func(k *Kernel) (ER, *armedWait) {
-		a, ok := k.alms[id]
-		if !ok {
+		a := k.alms.get(id)
+		if a == nil {
 			return ENOEXS, nil
 		}
 		a.active = false
 		a.gen++
-		delete(k.alms, id)
+		k.alms.del(id)
 		return EOK, nil
 	})
 }
@@ -217,8 +217,8 @@ func (k *Kernel) StaAlm(id ID, d sysc.Time) ER {
 
 // staAlmBody is the body of StaAlm, shared with its program op.
 func (k *Kernel) staAlmBody(id ID, d sysc.Time) ER {
-	a, ok := k.alms[id]
-	if !ok {
+	a := k.alms.get(id)
+	if a == nil {
 		return ENOEXS
 	}
 	if d < 0 {
@@ -244,8 +244,8 @@ func (a *AlarmHandler) expire(gen int) {
 // StpAlm disarms the alarm (tk_stp_alm).
 func (k *Kernel) StpAlm(id ID) ER {
 	return k.call("tk_stp_alm", func(k *Kernel) (ER, *armedWait) {
-		a, ok := k.alms[id]
-		if !ok {
+		a := k.alms.get(id)
+		if a == nil {
 			return ENOEXS, nil
 		}
 		a.active = false
@@ -256,8 +256,8 @@ func (k *Kernel) StpAlm(id ID) ER {
 
 // RefAlm returns the alarm-handler state (tk_ref_alm).
 func (k *Kernel) RefAlm(id ID) (AlarmInfo, ER) {
-	a, ok := k.alms[id]
-	if !ok {
+	a := k.alms.get(id)
+	if a == nil {
 		return AlarmInfo{}, ENOEXS
 	}
 	return AlarmInfo{Name: a.name, Active: a.active, Fires: a.fires}, EOK
