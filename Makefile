@@ -26,6 +26,11 @@ test:
 # root ./... never compiles), fails when any file is not gofmt-formatted, and
 # fails when the go lines of go.mod and bench/go.mod differ: bench/ builds
 # the root module through a replace, so a root-only bump breaks its build.
+# Last, it fails when the task-set generator's float arithmetic fuses: an
+# arm64 build compiles x*y+z into one fused multiply-add unless an explicit
+# float64(...) conversion forbids it, and the skipped rounding would change
+# generated task sets on arm64 hosts. amd64 and 386 builds never fuse, so
+# the check reads the arm64 assembly (local toolchain, no network).
 vet:
 	@root=$$(sed -n 's/^go //p' go.mod); bench=$$(sed -n 's/^go //p' bench/go.mod); \
 	if [ "$$root" != "$$bench" ]; then \
@@ -33,6 +38,12 @@ vet:
 	$(GO) vet ./...
 	cd bench && $(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
+	@asm=$$(GOARCH=arm64 $(GO) build -o /dev/null -gcflags='repro/internal/workload=-S' ./internal/workload 2>&1) || \
+		{ printf '%s\n' "$$asm"; exit 1; }; \
+	fused=$$(printf '%s\n' "$$asm" | awk '/ STEXT /{fn=$$1} $$4 ~ /^(FMADDD|FMSUBD|FNMADDD|FNMSUBD)$$/{print fn ": " $$3 " " $$4}'); \
+	if [ -n "$$fused" ]; then \
+		echo "fused multiply-adds in internal/workload on arm64 (wrap the product in float64(...)):"; \
+		printf '%s\n' "$$fused"; exit 1; fi
 
 race:
 	$(GO) test -race ./...

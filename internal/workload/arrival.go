@@ -45,7 +45,7 @@ func (s *sampler) next() sysc.Time {
 
 // expDraw samples a unit-mean exponential via inversion.
 func expDraw(rng *sweep.RNG) float64 {
-	return -math.Log(1 - rng.Float64())
+	return -math.Log(1 - float64(rng.Float64()))
 }
 
 // gammaDraw samples Gamma(shape, 1) with the Marsaglia-Tsang squeeze
@@ -62,16 +62,16 @@ func gammaDraw(rng *sweep.RNG, shape float64) float64 {
 	c := 1 / math.Sqrt(9*d)
 	for {
 		x := normDraw(rng)
-		v := 1 + c*x
+		v := 1 + float64(c*x)
 		if v <= 0 {
 			continue
 		}
-		v = v * v * v
+		v = float64(v * v * v)
 		u := rng.Float64()
-		if u < 1-0.0331*x*x*x*x {
+		if u < 1-float64(0.0331*x*x*x*x) {
 			return d * v
 		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
+		if u > 0 && math.Log(u) < float64(0.5*x*x)+float64(d*(1-v+math.Log(v))) {
 			return d * v
 		}
 	}

@@ -275,7 +275,7 @@ func genArrival(rng *sweep.RNG) Arrival {
 		a.Kind = ArrivalPoisson
 	default:
 		a.Kind = ArrivalGamma
-		a.Shape = 0.5 + 3.5*rng.Float64()
+		a.Shape = 0.5 + float64(3.5*rng.Float64())
 	}
 	return a
 }
@@ -286,7 +286,7 @@ func uunifast(rng *sweep.RNG, n int, u float64) []float64 {
 	utils := make([]float64, n)
 	sum := u
 	for i := 0; i < n-1; i++ {
-		next := sum * math.Pow(rng.Float64(), 1/float64(n-1-i))
+		next := float64(sum * math.Pow(rng.Float64(), 1/float64(n-1-i)))
 		utils[i] = sum - next
 		sum = next
 	}
@@ -297,7 +297,7 @@ func uunifast(rng *sweep.RNG, n int, u float64) []float64 {
 // logUniformMs draws log-uniformly from [lo, hi], rounded to 1 ms.
 func logUniformMs(rng *sweep.RNG, lo, hi Duration) Duration {
 	l, h := math.Log(float64(lo)), math.Log(float64(hi))
-	d := time.Duration(math.Exp(l + (h-l)*rng.Float64()))
+	d := time.Duration(math.Exp(l + float64((h-l)*rng.Float64())))
 	ms := d.Round(time.Millisecond)
 	if ms < lo.Std() {
 		ms = lo.Std().Round(time.Millisecond)
