@@ -140,7 +140,6 @@ func (k *Kernel) AcpPor(id ID, acpptn uint32, tmout TMO) (no RdvNo, msg []byte, 
 			cl.waitSeq++
 			cl.tt.SetWaitObject(p.rdvLabel)
 			no, msg = k.establish(p, cl), cl.winfo.msg
-			cl.winfo.msg = nil
 			return EOK, nil
 		}
 
