@@ -166,11 +166,8 @@ func (k *Kernel) waiFlgBody(id ID, waiptn uint32, mode FlagMode, tmout TMO, relp
 	}
 	f.wq.add(task)
 	task.winfo.ptn, task.winfo.mode, task.winfo.relptn = waiptn, mode, relptn
-	return EOK, k.armSleep(task, f, f.label, tmout)
+	return EOK, k.armSleep(task, &f.wq, f.label, tmout)
 }
-
-// cancelWait implements waitObject.
-func (f *EventFlag) cancelWait(_ *Kernel, t *Task) { f.wq.remove(t) }
 
 // RefFlg returns the event-flag state (tk_ref_flg).
 func (k *Kernel) RefFlg(id ID) (FlagInfo, ER) {

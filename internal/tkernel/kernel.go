@@ -582,15 +582,25 @@ type armedWait struct {
 	obj  string
 }
 
-// waitObject is a kernel object a task can wait on. cancelWait unlinks a
-// waiter whose wait ends without the object releasing it (timeout,
-// tk_rel_wai, tk_ter_tsk) from its wait queue; the request itself lives in
-// the task's winfo, which the caller clears.
+// waitObject is what a waiting task waits in: the wait queue of its
+// object, or a rendezvous port for a caller (whose accepted call waits for
+// the reply on no queue). cancelWait unlinks a waiter whose wait ends
+// without the object releasing it (timeout, tk_rel_wai, tk_ter_tsk); the
+// request itself lives in the task's winfo, which the caller clears.
 type waitObject interface {
 	cancelWait(k *Kernel, t *Task)
 }
 
-// armSleep commits the calling task to a wait on obj (nil for the
+// cancelWait implements waitObject: a waiter leaving an inheritance
+// mutex's queue may lower the owner's inherited priority.
+func (q *waitQueue) cancelWait(k *Kernel, t *Task) {
+	q.remove(t)
+	if q.mtx != nil {
+		k.recomputeInheritance(q.mtx)
+	}
+}
+
+// armSleep commits the calling task to a wait in obj (nil for the
 // object-less sleep and delay waits), labelled label, and returns the armed
 // wait for a service body to hand back to its frame. The timeout entry
 // carries the task's waitSeq, so a stale timeout never releases a newer

@@ -106,7 +106,7 @@ func (k *Kernel) sndMbfBody(id ID, msg []byte, tmout TMO) (ER, *armedWait) {
 	}
 	b.sendQ.add(task)
 	task.winfo.msg = own
-	return EOK, k.armSleep(task, b, b.label, tmout)
+	return EOK, k.armSleep(task, &b.sendQ, b.label, tmout)
 }
 
 // RcvMbf receives the oldest message, waiting up to tmout (tk_rcv_mbf).
@@ -145,14 +145,7 @@ func (k *Kernel) rcvMbfBody(id ID, tmout TMO, dst *[]byte) (ER, *armedWait) {
 	}
 	b.recvQ.add(task)
 	task.winfo.rcv = dst
-	return EOK, k.armSleep(task, b, b.label, tmout)
-}
-
-// cancelWait implements waitObject for a blocked sender or receiver (the
-// task is on one queue only; removal from the other is a no-op).
-func (b *MessageBuffer) cancelWait(_ *Kernel, t *Task) {
-	b.sendQ.remove(t)
-	b.recvQ.remove(t)
+	return EOK, k.armSleep(task, &b.recvQ, b.label, tmout)
 }
 
 // mbfDrainSenders moves blocked senders' messages into freed space, in

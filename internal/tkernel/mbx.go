@@ -119,11 +119,8 @@ func (k *Kernel) rcvMbxBody(id ID, tmout TMO, dst **Message) (ER, *armedWait) {
 	}
 	m.wq.add(task)
 	task.winfo.mbx = dst
-	return EOK, k.armSleep(task, m, m.label, tmout)
+	return EOK, k.armSleep(task, &m.wq, m.label, tmout)
 }
-
-// cancelWait implements waitObject.
-func (m *Mailbox) cancelWait(_ *Kernel, t *Task) { m.wq.remove(t) }
 
 // RefMbx returns the mailbox state (tk_ref_mbx).
 func (k *Kernel) RefMbx(id ID) (MailboxInfo, ER) {

@@ -102,11 +102,8 @@ func (k *Kernel) getMpfBody(id ID, tmout TMO, dst **MemBlock) (ER, *armedWait) {
 	}
 	p.wq.add(task)
 	task.winfo.blk = dst
-	return EOK, k.armSleep(task, p, p.label, tmout)
+	return EOK, k.armSleep(task, &p.wq, p.label, tmout)
 }
-
-// cancelWait implements waitObject.
-func (p *FixedPool) cancelWait(_ *Kernel, t *Task) { p.wq.remove(t) }
 
 func (p *FixedPool) take() *MemBlock {
 	i := p.free[len(p.free)-1]
@@ -305,11 +302,8 @@ func (k *Kernel) getMplBody(id ID, size int, tmout TMO, dst **MemBlock) (ER, *ar
 	}
 	p.wq.add(task)
 	task.winfo.cnt, task.winfo.blk = size, dst
-	return EOK, k.armSleep(task, p, p.label, tmout)
+	return EOK, k.armSleep(task, &p.wq, p.label, tmout)
 }
-
-// cancelWait implements waitObject.
-func (p *VariablePool) cancelWait(_ *Kernel, t *Task) { p.wq.remove(t) }
 
 // RelMpl frees a block (tk_rel_mpl) and satisfies queued requests in order.
 func (k *Kernel) RelMpl(id ID, b *MemBlock) ER {

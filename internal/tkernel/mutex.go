@@ -109,14 +109,7 @@ func (k *Kernel) locMtxBody(id ID, tmout TMO) (ER, *armedWait) {
 	}
 	m.wq.add(task)
 	// On success the releaser transfers ownership to the waiter already.
-	return EOK, k.armSleep(task, m, m.label, tmout)
-}
-
-// cancelWait implements waitObject: a waiter leaving may lower the
-// owner's inherited priority.
-func (m *Mutex) cancelWait(k *Kernel, t *Task) {
-	m.wq.remove(t)
-	k.recomputeInheritance(m)
+	return EOK, k.armSleep(task, &m.wq, m.label, tmout)
 }
 
 // UnlMtx unlocks the mutex and passes ownership to the head waiter

@@ -152,7 +152,7 @@ func (k *Kernel) AcpPor(id ID, acpptn uint32, tmout TMO) (no RdvNo, msg []byte, 
 		}
 		p.acpQ.add(task)
 		task.winfo.ptn, task.winfo.rdvno, task.winfo.rcv = acpptn, &no, &msg
-		return EOK, k.armSleep(task, p, p.porLabel, tmout)
+		return EOK, k.armSleep(task, &p.acpQ, p.porLabel, tmout)
 	})
 	return no, msg, er
 }
@@ -205,14 +205,10 @@ func (k *Kernel) establish(p *Port, client *Task) RdvNo {
 	return no
 }
 
-// cancelWait implements waitObject. A queued acceptor leaves the accept
-// queue; a caller leaves the call queue, if still queued, and drops its
+// cancelWait implements waitObject for a caller (an acceptor waits on
+// acpQ): it leaves the call queue, if still queued, and drops its
 // rendezvous, if already accepted.
 func (p *Port) cancelWait(k *Kernel, t *Task) {
-	if t.wqIn == &p.acpQ {
-		p.acpQ.remove(t)
-		return
-	}
 	p.callQ.remove(t)
 	k.dropRdvOf(t)
 }

@@ -124,11 +124,8 @@ func (k *Kernel) waiSemBody(id ID, cnt int, tmout TMO) (ER, *armedWait) {
 	}
 	s.wq.add(task)
 	task.winfo.cnt = cnt
-	return EOK, k.armSleep(task, s, s.label, tmout)
+	return EOK, k.armSleep(task, &s.wq, s.label, tmout)
 }
-
-// cancelWait implements waitObject.
-func (s *Semaphore) cancelWait(_ *Kernel, t *Task) { s.wq.remove(t) }
 
 // RefSem returns the semaphore state (tk_ref_sem).
 func (k *Kernel) RefSem(id ID) (SemInfo, ER) {

@@ -18,8 +18,8 @@ import (
 // Timer entries and armed waits are restorable here because each refers
 // only to objects that are stable across one construction — a timer entry
 // to its target (a task, a cyclic or alarm handler) plus the guard counter
-// it was armed against (waitSeq, gen), an armed wait to the waited kernel
-// object — and the restore writes the guard counters back, so a replayed
+// it was armed against (waitSeq, gen), an armed wait to the wait queue of
+// the waited kernel object — and the restore writes the guard counters back, so a replayed
 // entry observes exactly the state it was armed against. The timer queue
 // is therefore captured as a value copy of its heap array, targets
 // included, in exact array order.
@@ -36,7 +36,7 @@ type TaskSnap struct {
 	ID       ID
 	WupCount int
 	WaitSeq  int
-	WaitOn   waitObject // object of the armed wait (nil when not waiting on one)
+	WaitOn   waitObject // what the armed wait waits in (nil when not waiting on an object)
 	AwTask   bool       // task.aw.task is set
 	AwObj    string
 	Owned    []ID // locked mutexes, acquisition order

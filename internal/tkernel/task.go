@@ -18,7 +18,7 @@ type Task struct {
 
 	wupCount int
 	waitSeq  int
-	waitOn   waitObject // object of the armed wait (nil: none, or sleep/delay)
+	waitOn   waitObject // what the armed wait waits in (nil: none, or sleep/delay)
 	rdvno    RdvNo      // open rendezvous awaiting reply (0 = none)
 
 	// Intrusive wait-queue node: a task waits on at most one kernel object,
