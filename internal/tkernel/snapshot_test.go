@@ -3,6 +3,7 @@ package tkernel_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -227,7 +228,10 @@ func TestKernelStateRoundTrip(t *testing.T) {
 	first := p.view(t)
 	want := []string{`rel got "aaaa"`, `rel got "bbbb"`, `rcvw got "cccc"`, "flgw ptn=0x3", "semw granted",
 		"sndw sent", "owner unlocked", "mtxw done", "tmo ended"}
-	if !sameSet(first.Log, want) {
+	got := slices.Clone(first.Log)
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
 		t.Fatalf("log after the first leg = %q, want (in some order) %q", first.Log, want)
 	}
 	if first.Sem.Count != 0 || first.Flg.Pattern != 0 || first.Full.Messages != 0 {
@@ -250,23 +254,4 @@ func TestKernelStateRoundTrip(t *testing.T) {
 	if got := twin.view(t); !reflect.DeepEqual(got, first) {
 		t.Fatalf("uncaptured twin differs from the captured kernel:\n got %+v\nwant %+v", got, first)
 	}
-}
-
-func sameSet(got, want []string) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	n := map[string]int{}
-	for _, s := range got {
-		n[s]++
-	}
-	for _, s := range want {
-		n[s]--
-	}
-	for _, v := range n {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
 }
