@@ -8,10 +8,10 @@
 package metrics
 
 import (
-	"encoding/json"
 	"io"
 	"math/bits"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/event"
 	"repro/internal/sysc"
@@ -180,22 +180,39 @@ func (c *Collector) handle(e event.Event) {
 // sorted by name for deterministic output.
 func (c *Collector) Report() Report {
 	r := Report{SimTimeUs: float64(c.end) / 1e6}
+	if len(c.tasks) > 0 {
+		r.Tasks = make([]TaskMetrics, 0, len(c.tasks))
+	}
 	for _, t := range c.tasks {
 		r.Tasks = append(r.Tasks, t.m)
 	}
-	sort.Slice(r.Tasks, func(i, j int) bool { return r.Tasks[i].Thread < r.Tasks[j].Thread })
+	slices.SortFunc(r.Tasks, func(a, b TaskMetrics) int { return strings.Compare(a.Thread, b.Thread) })
+	nctx := 0
+	for _, x := range c.ctxs {
+		if x != nil {
+			nctx++
+		}
+	}
+	if nctx > 0 {
+		r.Contexts = make([]ContextMetrics, 0, nctx)
+	}
 	for _, x := range c.ctxs {
 		if x != nil {
 			r.Contexts = append(r.Contexts, *x)
 		}
 	}
-	sort.Slice(r.Contexts, func(i, j int) bool { return r.Contexts[i].Context < r.Contexts[j].Context })
+	slices.SortFunc(r.Contexts, func(a, b ContextMetrics) int { return strings.Compare(a.Context, b.Context) })
 	return r
 }
 
-// WriteJSON writes the report as indented JSON.
+// WriteJSON writes the report as indented JSON (Report.AppendJSON) in one
+// write.
 func (c *Collector) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(c.Report())
+	r := c.Report()
+	b, err := r.AppendJSON(make([]byte, 0, r.jsonSize()))
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
 }

@@ -1,14 +1,13 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 
 	"repro/internal/event"
+	"repro/internal/jsonenc"
 	"repro/internal/sysc"
 )
 
@@ -19,22 +18,29 @@ import (
 // fires...) become instant ("i") events on the owning thread's row, or on a
 // synthetic "kernel" row when no thread is involved.
 //
-// The exporter writes incrementally — each event is encoded and flushed to
-// the underlying writer as it is published, so arbitrarily long runs never
-// buffer the whole trace in memory. Output is deterministic: records are
-// emitted in publish order with fixed field order, so two runs of the same
-// seeded model produce byte-identical files. Records are appended into one
-// reused buffer, so a steady-state event costs no allocation.
+// The exporter writes incrementally — each event is encoded as it is
+// published and handed to the underlying writer in pfChunk-sized chunks, so
+// arbitrarily long runs never buffer the whole trace in memory. Output is
+// deterministic: records are emitted in publish order with fixed field
+// order, so two runs of the same seeded model produce byte-identical files.
+// Records are appended into one reused buffer, so a steady-state event
+// costs no allocation.
 type Perfetto struct {
-	w         *bufio.Writer
+	w         io.Writer
 	sub       *event.Subscription
 	tids      map[string]int // row per thread name, in first-sight order
 	bySubject event.SubjectCache[int]
 	nextTid   int
 	n         int    // records written
-	buf       []byte // the record being encoded
+	buf       []byte // records not yet written to w, the last one maybe still being encoded
+	rec       int    // offset in buf of the record being encoded
+	failed    bool   // a write to w failed
 	err       error
 }
+
+// pfChunk is the size of the writes to the underlying writer: the size the
+// job server's streaming reader takes from the spill ring at a time.
+const pfChunk = 32 << 10
 
 // tidKernel is the synthetic row carrying events without a subject thread.
 const tidKernel = 0
@@ -63,11 +69,12 @@ var pfKinds = []event.Kind{
 // JSON array to w. Call Close after the run to finish the array and flush.
 func AttachPerfetto(b *event.Bus, w io.Writer) *Perfetto {
 	p := &Perfetto{
-		w:       bufio.NewWriter(w),
+		w:       w,
 		tids:    map[string]int{},
 		nextTid: tidKernel + 1,
+		buf:     make([]byte, 0, pfChunk+4<<10),
 	}
-	p.w.WriteString("[")
+	p.raw("[")
 	p.meta("process_name", tidKernel, "rtk-spec-tron")
 	p.meta("thread_name", tidKernel, "kernel")
 	p.sub = b.Subscribe(p.handle, pfKinds...)
@@ -78,10 +85,8 @@ func AttachPerfetto(b *event.Bus, w io.Writer) *Perfetto {
 // flushes. It returns the first write or encode error encountered.
 func (p *Perfetto) Close() error {
 	p.sub.Close()
-	p.w.WriteString("\n]\n")
-	if err := p.w.Flush(); err != nil && p.err == nil {
-		p.err = err
-	}
+	p.raw("\n]\n")
+	p.write(len(p.buf))
 	return p.err
 }
 
@@ -116,19 +121,53 @@ func (p *Perfetto) tid(e *event.Event) int {
 // without arguments, encoding/json's float and string formatting. The
 // differential fuzz test FuzzPerfettoRecord holds it to that oracle.
 
+// Record heads that depend only on the event kind or context, built once
+// through the run-time string encoder so their bytes cannot drift from it.
+var (
+	// kindHead opens an instant named after its kind, up to the ts value.
+	kindHead [256]string
+	// kindCat continues an instant whose name came first (a service call)
+	// from the cat field up to the ts value.
+	kindCat [256]string
+	// sliceCat continues a run slice, per context byte, from the cat field
+	// up to the ts value.
+	sliceCat [256]string
+)
+
+func init() {
+	catTs := func(cat, ph string) string {
+		b := jsonenc.AppendString([]byte(`,"cat":`), cat)
+		b = append(b, `,"ph":`...)
+		b = jsonenc.AppendString(b, ph)
+		return string(append(b, `,"ts":`...))
+	}
+	for i := range kindHead {
+		kind := event.Kind(i).String()
+		kindCat[i] = catTs(kind, "i")
+		kindHead[i] = string(jsonenc.AppendString([]byte(`{"name":`), kind)) + kindCat[i]
+		sliceCat[i] = catTs(Context(i).String(), "X")
+	}
+}
+
+// pfRow precedes the tid value of every record; pid is always pfPid.
+const pfRow = `,"pid":1,"tid":`
+
 func (p *Perfetto) handle(e event.Event) {
 	if p.err != nil {
 		return
 	}
 	tid := p.tid(&e) // a new thread's metadata record goes first
+	p.begin()
 	switch e.Kind {
 	case event.KindRunSlice:
-		cat := Context(e.Ctx).String()
-		name := e.Obj
-		if name == "" {
-			name = cat
+		p.raw(`{"name":`)
+		if e.Obj != "" {
+			p.str(e.Obj)
+		} else {
+			p.str(Context(e.Ctx).String())
 		}
-		p.open(name, cat, "X", e.Start)
+		p.raw(sliceCat[e.Ctx])
+		p.micros(e.Start)
 		p.raw(`,"dur":`)
 		p.micros(e.Time - e.Start)
 		p.row(tid)
@@ -136,15 +175,15 @@ func (p *Perfetto) handle(e event.Event) {
 		p.float(float64(e.Energy))
 		p.raw("}}")
 	case event.KindSvcExit:
-		p.instant(e, tid, e.Obj)
+		p.named(e, tid)
 		p.raw(`,"args":{"er":`)
 		p.buf = strconv.AppendInt(p.buf, int64(e.Code), 10)
 		p.raw("}}")
 	case event.KindSvcEnter:
-		p.instant(e, tid, e.Obj)
+		p.named(e, tid)
 		p.raw("}")
 	case event.KindPreempt, event.KindBlock, event.KindRelease:
-		p.instant(e, tid, e.Kind.String())
+		p.instant(e, tid)
 		if e.Obj != "" {
 			p.raw(`,"args":{"detail":`)
 			p.str(e.Obj)
@@ -152,34 +191,50 @@ func (p *Perfetto) handle(e event.Event) {
 		}
 		p.raw("}")
 	case event.KindIntEnter:
-		p.instant(e, tid, e.Kind.String())
+		p.instant(e, tid)
 		p.raw(`,"args":{"depth":`)
 		p.buf = strconv.AppendUint(p.buf, e.Seq, 10)
 		p.raw("}}")
 	case event.KindTimerFire:
-		p.instant(e, tid, e.Kind.String())
+		p.instant(e, tid)
 		p.raw(`,"args":{"armed_us":`)
 		p.micros(e.Start)
 		p.raw(`,"seq":`)
 		p.buf = strconv.AppendUint(p.buf, e.Seq, 10)
 		p.raw("}}")
 	default:
-		p.instant(e, tid, e.Kind.String())
+		p.instant(e, tid)
 		p.raw("}")
 	}
 	p.commit()
 }
 
-// instant opens an "i" record for e on row tid, up to its "s" field.
-func (p *Perfetto) instant(e event.Event, tid int, name string) {
-	p.open(name, e.Kind.String(), "i", e.Time)
+// instant appends an "i" record for e named after its kind, on row tid,
+// up to its "s" field.
+func (p *Perfetto) instant(e event.Event, tid int) {
+	p.raw(kindHead[e.Kind])
+	p.tail(e, tid)
+}
+
+// named appends an "i" record for e named e.Obj, on row tid, up to its
+// "s" field.
+func (p *Perfetto) named(e event.Event, tid int) {
+	p.raw(`{"name":`)
+	p.str(e.Obj)
+	p.raw(kindCat[e.Kind])
+	p.tail(e, tid)
+}
+
+// tail appends an instant's ts, row and "s" fields.
+func (p *Perfetto) tail(e event.Event, tid int) {
+	p.micros(e.Time)
 	p.row(tid)
 	p.raw(`,"s":"t"`)
 }
 
 // meta emits an "M" record naming a process or thread row.
 func (p *Perfetto) meta(name string, tid int, value string) {
-	p.buf = p.separator(p.buf[:0])
+	p.begin()
 	p.raw(`{"name":`)
 	p.str(name)
 	p.raw(`,"ph":"M"`)
@@ -190,76 +245,34 @@ func (p *Perfetto) meta(name string, tid int, value string) {
 	p.commit()
 }
 
-// open starts a record in p.buf: the array separator, then the name, cat,
-// ph and ts fields.
-func (p *Perfetto) open(name, cat, ph string, ts sysc.Time) {
-	p.buf = p.separator(p.buf[:0])
-	p.raw(`{"name":`)
-	p.str(name)
-	p.raw(`,"cat":`)
-	p.str(cat)
-	p.raw(`,"ph":`)
-	p.str(ph)
-	p.raw(`,"ts":`)
-	p.micros(ts)
-}
-
-// separator appends what precedes the next record in the array.
-func (p *Perfetto) separator(b []byte) []byte {
+// begin starts a record at the end of p.buf with the array separator.
+func (p *Perfetto) begin() {
+	p.rec = len(p.buf)
 	if p.n > 0 {
-		return append(b, ",\n"...)
+		p.raw(",\n")
+	} else {
+		p.raw("\n")
 	}
-	return append(b, '\n')
 }
 
 // row appends the pid and tid fields.
 func (p *Perfetto) row(tid int) {
-	p.raw(`,"pid":`)
-	p.buf = strconv.AppendInt(p.buf, pfPid, 10)
-	p.raw(`,"tid":`)
+	p.raw(pfRow)
 	p.buf = strconv.AppendInt(p.buf, int64(tid), 10)
 }
 
 func (p *Perfetto) raw(s string) { p.buf = append(p.buf, s...) }
 
-// str appends s as a JSON string. Printable ASCII that encoding/json leaves
-// unescaped is copied as is; any other string goes through json.Marshal,
-// so HTML escaping, control bytes, invalid UTF-8 and U+2028/2029 come out
-// exactly as encoding/json writes them.
-func (p *Perfetto) str(s string) {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s) // a string always marshals
-			p.buf = append(p.buf, q...)
-			return
-		}
-	}
-	p.buf = append(p.buf, '"')
-	p.buf = append(p.buf, s...)
-	p.buf = append(p.buf, '"')
-}
+func (p *Perfetto) str(s string) { p.buf = jsonenc.AppendString(p.buf, s) }
 
-// float appends f as encoding/json formats a float64: shortest round-trip
-// digits, exponent form below 1e-6 and from 1e21 up, and a one-digit
-// negative exponent without its leading zero. NaN and ±Inf set p.err to
-// json.Marshal's UnsupportedValueError, which drops the record at commit.
+// float appends f as encoding/json formats a float64. NaN and ±Inf set
+// p.err to json.Marshal's UnsupportedValueError, which drops the record at
+// commit.
 func (p *Perfetto) float(f float64) {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		if p.err == nil {
-			_, p.err = json.Marshal(f)
-		}
-		return
+	var err error
+	if p.buf, err = jsonenc.AppendFloat(p.buf, f); err != nil && p.err == nil {
+		p.err = err
 	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b := strconv.AppendFloat(p.buf, f, format, -1, 64)
-	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1] // e-07 -> e-7
-		b = b[:n-1]
-	}
-	p.buf = b
 }
 
 // micros appends simulation time t in trace-event microseconds, exactly as
@@ -293,17 +306,31 @@ func (p *Perfetto) micros(t sysc.Time) {
 	}
 }
 
-// commit writes the encoded record to the array unless encoding or an
-// earlier write failed.
+// commit keeps the record begun last unless encoding or an earlier write
+// failed, and hands a full chunk to the writer.
 func (p *Perfetto) commit() {
 	if p.err != nil {
-		return
-	}
-	if _, err := p.w.Write(p.buf); err != nil {
-		p.err = err
+		p.buf = p.buf[:p.rec]
 		return
 	}
 	p.n++
+	if len(p.buf) >= pfChunk {
+		p.write(pfChunk)
+	}
+}
+
+// write hands the first n buffered bytes to the writer and moves the rest
+// to the front of p.buf. After a failed write the writer takes no more.
+func (p *Perfetto) write(n int) {
+	if !p.failed {
+		if _, err := p.w.Write(p.buf[:n]); err != nil {
+			p.failed = true
+			if p.err == nil {
+				p.err = err
+			}
+		}
+	}
+	p.buf = p.buf[:copy(p.buf, p.buf[n:])]
 }
 
 // us converts simulation picoseconds to trace-event microseconds.

@@ -299,3 +299,50 @@ func TestPerfettoMicros(t *testing.T) {
 		}
 	}
 }
+
+// writeSizes records the length of every write it takes.
+type writeSizes struct {
+	bytes.Buffer
+	sizes []int
+}
+
+func (w *writeSizes) Write(b []byte) (int, error) {
+	w.sizes = append(w.sizes, len(b))
+	return w.Buffer.Write(b)
+}
+
+// TestPerfettoWritesChunks: the exporter hands its writer pfChunk bytes at
+// a time while the run goes on, Close writes the rest, and the bytes equal
+// one buffered write of the whole trace.
+func TestPerfettoWritesChunks(t *testing.T) {
+	var w writeSizes
+	var whole bytes.Buffer
+	b := event.NewBus()
+	p := AttachPerfetto(b, &w)
+	o := attachOracle(b, &whole)
+	for i := 0; i < 3000; i++ {
+		e := steadyEvent(pfKinds[i%len(pfKinds)])
+		e.Time += sysc.Time(i) * sysc.Us
+		b.Publish(e)
+	}
+	if len(w.sizes) < 3 {
+		t.Fatalf("%d writes before Close for %d bytes of records", len(w.sizes), w.Len())
+	}
+	for i, n := range w.sizes {
+		if n != pfChunk {
+			t.Fatalf("write %d took %d bytes, want %d", i, n, pfChunk)
+		}
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if last := w.sizes[len(w.sizes)-1]; last == 0 || last > pfChunk {
+		t.Fatalf("Close wrote %d bytes", last)
+	}
+	if !bytes.Equal(w.Bytes(), whole.Bytes()) {
+		t.Fatal("chunked trace differs from the encoding/json oracle's")
+	}
+}

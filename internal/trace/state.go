@@ -35,9 +35,7 @@ type PerfettoState struct {
 // Flush pushes buffered output through to the underlying writer without
 // closing the record stream.
 func (p *Perfetto) Flush() error {
-	if err := p.w.Flush(); err != nil && p.err == nil {
-		p.err = err
-	}
+	p.write(len(p.buf))
 	return p.err
 }
 
@@ -52,9 +50,9 @@ func (p *Perfetto) SaveState() PerfettoState {
 }
 
 // LoadState rewinds the exporter to a captured cursor. Any buffered but
-// unflushed output is discarded by resetting onto the (caller-rewound)
-// underlying writer.
+// unflushed output is discarded; the caller rewinds the underlying writer.
 func (p *Perfetto) LoadState(st PerfettoState) {
+	p.buf = p.buf[:0]
 	clear(p.tids)
 	p.bySubject.Reset()
 	for k, v := range st.tids {
