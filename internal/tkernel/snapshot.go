@@ -317,28 +317,125 @@ func (q *waitQueue) relink(tasks []*Task) {
 	q.last = prev
 }
 
-// taskList resolves captured task IDs against the registry.
-func (k *Kernel) taskList(ids []ID) ([]*Task, error) {
+// taskList resolves captured task IDs, which checkState has verified,
+// against this kernel.
+func (k *Kernel) taskList(ids []ID) []*Task {
 	out := make([]*Task, len(ids))
 	for i, id := range ids {
-		t := k.tasks.get(id)
-		if t == nil {
-			return nil, fmt.Errorf("tkernel: captured wait queue references unknown task %d", id)
-		}
-		out[i] = t
+		out[i] = k.tasks.get(id)
 	}
-	return out, nil
+	return out
 }
 
-// LoadState restores a state captured from this same construction: the
-// same object population (the supported synthetic workloads create all
-// kernel objects at boot and never delete them).
-func (k *Kernel) LoadState(st *KernelState) error {
+// checkState refuses, before LoadState changes anything, a state it
+// cannot restore onto this kernel: a different object population, an ID
+// naming no object, a task that gained or lost its compiled machine, or a
+// per-waiter request array whose length differs from its wait queue's.
+func (k *Kernel) checkState(st *KernelState) error {
 	if len(st.Tasks) != k.tasks.len() || len(st.Sems) != k.sems.len() ||
 		len(st.Flags) != k.flags.len() || len(st.Mtxs) != k.mtxs.len() ||
 		len(st.Mbfs) != k.mbfs.len() || len(st.Cycs) != k.cycs.len() ||
 		len(st.Alms) != k.alms.len() || len(st.Isrs) != len(k.isrs) {
 		return fmt.Errorf("tkernel: state mismatch: kernel object population changed since capture")
+	}
+	// queue checks one captured wait queue and its per-waiter arrays.
+	queue := func(class string, id ID, wait []ID, reqs ...int) error {
+		for _, tid := range wait {
+			if k.tasks.get(tid) == nil {
+				return fmt.Errorf("tkernel: captured wait queue of %s %d references unknown task %d", class, id, tid)
+			}
+		}
+		for _, n := range reqs {
+			if n != len(wait) {
+				return fmt.Errorf("tkernel: captured %s %d has %d waiters but %d requests", class, id, len(wait), n)
+			}
+		}
+		return nil
+	}
+	for i := range st.Tasks {
+		s := &st.Tasks[i]
+		t := k.tasks.get(s.ID)
+		if t == nil {
+			return fmt.Errorf("tkernel: captured state references unknown task %d", s.ID)
+		}
+		for _, mid := range s.Owned {
+			if k.mtxs.get(mid) == nil {
+				return fmt.Errorf("tkernel: task %d owns unknown mutex %d", s.ID, mid)
+			}
+		}
+		if has := machineOf(t.tt) != nil; has && !s.HasMachine {
+			return fmt.Errorf("tkernel: task %d gained a compiled machine since capture", s.ID)
+		} else if !has && s.HasMachine {
+			return fmt.Errorf("tkernel: task %d lost its compiled machine since capture", s.ID)
+		}
+	}
+	for i := range st.Sems {
+		s := &st.Sems[i]
+		if k.sems.get(s.ID) == nil {
+			return fmt.Errorf("tkernel: captured state references unknown semaphore %d", s.ID)
+		}
+		if err := queue("semaphore", s.ID, s.Wait, len(s.Need)); err != nil {
+			return err
+		}
+	}
+	for i := range st.Flags {
+		s := &st.Flags[i]
+		if k.flags.get(s.ID) == nil {
+			return fmt.Errorf("tkernel: captured state references unknown flag %d", s.ID)
+		}
+		if err := queue("flag", s.ID, s.Wait, len(s.Waiptn), len(s.Mode), len(s.Relptn)); err != nil {
+			return err
+		}
+	}
+	for i := range st.Mtxs {
+		s := &st.Mtxs[i]
+		if k.mtxs.get(s.ID) == nil {
+			return fmt.Errorf("tkernel: captured state references unknown mutex %d", s.ID)
+		}
+		if s.HasOwner && k.tasks.get(s.Owner) == nil {
+			return fmt.Errorf("tkernel: mutex %d owned by unknown task %d", s.ID, s.Owner)
+		}
+		if err := queue("mutex", s.ID, s.Wait); err != nil {
+			return err
+		}
+	}
+	for i := range st.Mbfs {
+		s := &st.Mbfs[i]
+		if k.mbfs.get(s.ID) == nil {
+			return fmt.Errorf("tkernel: captured state references unknown message buffer %d", s.ID)
+		}
+		if err := queue("message buffer", s.ID, s.SendQ, len(s.SendMsg)); err != nil {
+			return err
+		}
+		if err := queue("message buffer", s.ID, s.RecvQ, len(s.RecvDst)); err != nil {
+			return err
+		}
+	}
+	for i := range st.Cycs {
+		if k.cycs.get(st.Cycs[i].ID) == nil {
+			return fmt.Errorf("tkernel: captured state references unknown cyclic handler %d", st.Cycs[i].ID)
+		}
+	}
+	for i := range st.Alms {
+		if k.alms.get(st.Alms[i].ID) == nil {
+			return fmt.Errorf("tkernel: captured state references unknown alarm handler %d", st.Alms[i].ID)
+		}
+	}
+	for i := range st.Isrs {
+		if k.isrs[st.Isrs[i].IntNo] == nil {
+			return fmt.Errorf("tkernel: captured state references unknown interrupt %d", st.Isrs[i].IntNo)
+		}
+	}
+	return nil
+}
+
+// LoadState restores a state captured from this same construction: the
+// same object population (the supported synthetic workloads create all
+// kernel objects at boot and never delete them). A state checkState
+// refuses leaves the kernel untouched.
+func (k *Kernel) LoadState(st *KernelState) error {
+	if err := k.checkState(st); err != nil {
+		return err
 	}
 	// Unlink every task from whatever queue it is on now and drop its wait
 	// request; the captured queues re-link below and write the requests of
@@ -352,9 +449,6 @@ func (k *Kernel) LoadState(st *KernelState) error {
 	for i := range st.Tasks {
 		s := &st.Tasks[i]
 		t := k.tasks.get(s.ID)
-		if t == nil {
-			return fmt.Errorf("tkernel: captured state references unknown task %d", s.ID)
-		}
 		t.wupCount = s.WupCount
 		t.waitSeq = s.WaitSeq
 		t.waitOn = s.WaitOn
@@ -367,16 +461,9 @@ func (k *Kernel) LoadState(st *KernelState) error {
 		t.aw.obj = s.AwObj
 		t.owned = t.owned[:0]
 		for _, mid := range s.Owned {
-			m := k.mtxs.get(mid)
-			if m == nil {
-				return fmt.Errorf("tkernel: task %d owns unknown mutex %d", s.ID, mid)
-			}
-			t.owned = append(t.owned, m)
+			t.owned = append(t.owned, k.mtxs.get(mid))
 		}
 		if m := machineOf(t.tt); m != nil {
-			if !s.HasMachine {
-				return fmt.Errorf("tkernel: task %d gained a compiled machine since capture", s.ID)
-			}
 			m.pc = s.PC
 			m.sp = svcPhase(s.SP)
 			if s.AwArmed {
@@ -384,21 +471,13 @@ func (k *Kernel) LoadState(st *KernelState) error {
 			} else {
 				m.aw = nil
 			}
-		} else if s.HasMachine {
-			return fmt.Errorf("tkernel: task %d lost its compiled machine since capture", s.ID)
 		}
 	}
 	for i := range st.Sems {
 		s := &st.Sems[i]
 		sem := k.sems.get(s.ID)
-		if sem == nil {
-			return fmt.Errorf("tkernel: captured state references unknown semaphore %d", s.ID)
-		}
 		sem.count = s.Count
-		ts, err := k.taskList(s.Wait)
-		if err != nil {
-			return err
-		}
+		ts := k.taskList(s.Wait)
 		sem.wq.relink(ts)
 		for j, t := range ts {
 			t.winfo.cnt = s.Need[j]
@@ -407,14 +486,8 @@ func (k *Kernel) LoadState(st *KernelState) error {
 	for i := range st.Flags {
 		s := &st.Flags[i]
 		f := k.flags.get(s.ID)
-		if f == nil {
-			return fmt.Errorf("tkernel: captured state references unknown flag %d", s.ID)
-		}
 		f.pattern = s.Pattern
-		ts, err := k.taskList(s.Wait)
-		if err != nil {
-			return err
-		}
+		ts := k.taskList(s.Wait)
 		f.wq.relink(ts)
 		for j, t := range ts {
 			t.winfo.ptn, t.winfo.mode, t.winfo.relptn = s.Waiptn[j], s.Mode[j], s.Relptn[j]
@@ -423,46 +496,26 @@ func (k *Kernel) LoadState(st *KernelState) error {
 	for i := range st.Mtxs {
 		s := &st.Mtxs[i]
 		m := k.mtxs.get(s.ID)
-		if m == nil {
-			return fmt.Errorf("tkernel: captured state references unknown mutex %d", s.ID)
-		}
 		m.owner = nil
 		if s.HasOwner {
-			o := k.tasks.get(s.Owner)
-			if o == nil {
-				return fmt.Errorf("tkernel: mutex %d owned by unknown task %d", s.ID, s.Owner)
-			}
-			m.owner = o
+			m.owner = k.tasks.get(s.Owner)
 		}
-		ts, err := k.taskList(s.Wait)
-		if err != nil {
-			return err
-		}
-		m.wq.relink(ts)
+		m.wq.relink(k.taskList(s.Wait))
 	}
 	for i := range st.Mbfs {
 		s := &st.Mbfs[i]
 		b := k.mbfs.get(s.ID)
-		if b == nil {
-			return fmt.Errorf("tkernel: captured state references unknown message buffer %d", s.ID)
-		}
 		b.used = s.Used
 		b.msgs = b.msgs[:0]
 		for _, msg := range s.Msgs {
 			b.msgs = append(b.msgs, append([]byte(nil), msg...))
 		}
-		senders, err := k.taskList(s.SendQ)
-		if err != nil {
-			return err
-		}
+		senders := k.taskList(s.SendQ)
 		b.sendQ.relink(senders)
 		for j, t := range senders {
 			t.winfo.msg = append([]byte(nil), s.SendMsg[j]...)
 		}
-		receivers, err := k.taskList(s.RecvQ)
-		if err != nil {
-			return err
-		}
+		receivers := k.taskList(s.RecvQ)
 		b.recvQ.relink(receivers)
 		for j, t := range receivers {
 			t.winfo.rcv = s.RecvDst[j]
@@ -471,9 +524,6 @@ func (k *Kernel) LoadState(st *KernelState) error {
 	for i := range st.Cycs {
 		s := &st.Cycs[i]
 		c := k.cycs.get(s.ID)
-		if c == nil {
-			return fmt.Errorf("tkernel: captured state references unknown cyclic handler %d", s.ID)
-		}
 		c.active = s.Active
 		c.fires = s.Fires
 		c.overruns = s.Overruns
@@ -485,9 +535,6 @@ func (k *Kernel) LoadState(st *KernelState) error {
 	for i := range st.Alms {
 		s := &st.Alms[i]
 		a := k.alms.get(s.ID)
-		if a == nil {
-			return fmt.Errorf("tkernel: captured state references unknown alarm handler %d", s.ID)
-		}
 		a.active = s.Active
 		a.fires = s.Fires
 		a.gen = s.Gen
@@ -498,9 +545,6 @@ func (k *Kernel) LoadState(st *KernelState) error {
 	for i := range st.Isrs {
 		s := &st.Isrs[i]
 		isr := k.isrs[s.IntNo]
-		if isr == nil {
-			return fmt.Errorf("tkernel: captured state references unknown interrupt %d", s.IntNo)
-		}
 		isr.fires = s.Fires
 		isr.missed = s.Missed
 		isr.dropped = s.Dropped

@@ -255,3 +255,70 @@ func TestKernelStateRoundTrip(t *testing.T) {
 		t.Fatalf("uncaptured twin differs from the captured kernel:\n got %+v\nwant %+v", got, first)
 	}
 }
+
+// TestKernelLoadStateRefusesUntouched loads captures that name a task or
+// mutex the kernel does not have, or whose request array is shorter than
+// its wait queue, into the parked kernel after it has run on: each load
+// fails, and a re-capture equals the capture taken before it, so a
+// refused restore leaves the kernel as it was.
+func TestKernelLoadStateRefusesUntouched(t *testing.T) {
+	const capAt, leg = 5 * sysc.Ms, 20 * sysc.Ms
+	p := newParkedKernel(t)
+	run(t, p.sim, capAt)
+	c := p.capture(t)
+	run(t, p.sim, capAt+leg)
+	before, err := p.k.SaveState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const unknown = tkernel.ID(99)
+	bad := []struct {
+		name    string
+		corrupt func(st *tkernel.KernelState)
+	}{
+		{"unknown semaphore waiter", func(st *tkernel.KernelState) {
+			for i := range st.Sems {
+				if s := &st.Sems[i]; len(s.Wait) > 0 {
+					s.Wait = append(slices.Clone(s.Wait), unknown)
+					s.Need = append(slices.Clone(s.Need), 1)
+					return
+				}
+			}
+			t.Fatal("no semaphore waiter at capture")
+		}},
+		{"unknown mutex owner", func(st *tkernel.KernelState) {
+			for i := range st.Mtxs {
+				if m := &st.Mtxs[i]; m.HasOwner {
+					m.Owner = unknown
+					return
+				}
+			}
+			t.Fatal("no mutex owner at capture")
+		}},
+		{"short semaphore requests", func(st *tkernel.KernelState) {
+			for i := range st.Sems {
+				if s := &st.Sems[i]; len(s.Wait) > 0 {
+					s.Need = s.Need[:len(s.Need)-1]
+					return
+				}
+			}
+			t.Fatal("no semaphore waiter at capture")
+		}},
+	}
+	for _, b := range bad {
+		st := *c.kern
+		st.Sems = slices.Clone(st.Sems)
+		st.Mtxs = slices.Clone(st.Mtxs)
+		b.corrupt(&st)
+		if err := p.k.LoadState(&st); err == nil {
+			t.Fatalf("%s: LoadState accepted it", b.name)
+		}
+		after, err := p.k.SaveState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(after, before) {
+			t.Fatalf("%s: a refused LoadState changed the kernel:\n got %+v\nwant %+v", b.name, after, before)
+		}
+	}
+}
