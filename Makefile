@@ -26,11 +26,13 @@ test:
 # root ./... never compiles), fails when any file is not gofmt-formatted, and
 # fails when the go lines of go.mod and bench/go.mod differ: bench/ builds
 # the root module through a replace, so a root-only bump breaks its build.
-# Last, it fails when the task-set generator's float arithmetic fuses: an
-# arm64 build compiles x*y+z into one fused multiply-add unless an explicit
+# Last, it fails when any float arithmetic in the module fuses: an arm64
+# build compiles x*y+z into one fused multiply-add unless an explicit
 # float64(...) conversion forbids it, and the skipped rounding would change
-# generated task sets on arm64 hosts. amd64 and 386 builds never fuse, so
-# the check reads the arm64 assembly (local toolchain, no network).
+# generated task sets, the collector's float sums or the energy pro-rating
+# on arm64 hosts. amd64 and 386 builds never fuse, so the check reads the
+# arm64 assembly of every package (local toolchain, no network), streamed
+# through awk after a plain arm64 build has shown that the module compiles.
 vet:
 	@root=$$(sed -n 's/^go //p' go.mod); bench=$$(sed -n 's/^go //p' bench/go.mod); \
 	if [ "$$root" != "$$bench" ]; then \
@@ -38,11 +40,12 @@ vet:
 	$(GO) vet ./...
 	cd bench && $(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
-	@asm=$$(GOARCH=arm64 $(GO) build -o /dev/null -gcflags='repro/internal/workload=-S' ./internal/workload 2>&1) || \
-		{ printf '%s\n' "$$asm"; exit 1; }; \
-	fused=$$(printf '%s\n' "$$asm" | awk '/ STEXT /{fn=$$1} $$4 ~ /^(FMADDD|FMSUBD|FNMADDD|FNMSUBD)$$/{print fn ": " $$3 " " $$4}'); \
+	GOARCH=arm64 $(GO) build -o /dev/null ./...
+	@fused=$$(GOARCH=arm64 $(GO) build -o /dev/null -gcflags='repro/...=-S' ./... 2>&1 | \
+		awk '/ STEXT /{fn=$$1; n++} $$4 ~ /^(FMADDD|FMSUBD|FNMADDD|FNMSUBD)$$/{print fn ": " $$3 " " $$4} \
+			END{if (n == 0) print "the arm64 build listed no assembly"}'); \
 	if [ -n "$$fused" ]; then \
-		echo "fused multiply-adds in internal/workload on arm64 (wrap the product in float64(...)):"; \
+		echo "fused multiply-adds on arm64 (wrap the product in float64(...)):"; \
 		printf '%s\n' "$$fused"; exit 1; fi
 
 race:
@@ -126,12 +129,16 @@ snapshot-diff:
 	$(GO) test ./internal/chaos -run 'TestWarmTrialMatchesCold' -v
 	$(GO) test ./internal/server -run 'TestResumeFromOverHTTP' -v
 
-# Fuzz smoke: each fuzz target for 10 s — the Perfetto encoder against its
-# encoding/json oracle and the decoders that take bytes from outside the
-# process (Spec JSON, snapshot headers, task-set JSON, the artifact
-# store's disk-tier indexes, the client's SSE event feed).
+# Fuzz smoke: each fuzz target for 10 s — the hand-written artifact
+# encoders (Perfetto records, metrics.json and their shared string and
+# float helpers) against encoding/json, and the decoders that take bytes
+# from outside the process (Spec JSON, snapshot headers, task-set JSON, the
+# artifact store's disk-tier indexes, the client's SSE event feed).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPerfettoRecord$$' -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzMetricsReport$$' -fuzztime 10s ./internal/metrics
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendString$$' -fuzztime 10s ./internal/jsonenc
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendFloat$$' -fuzztime 10s ./internal/jsonenc
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/run
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMeta$$' -fuzztime 10s ./internal/snapshot
 	$(GO) test -run '^$$' -fuzz '^FuzzTaskSetJSON$$' -fuzztime 10s ./internal/workload
