@@ -54,9 +54,10 @@ race:
 # The golden digests on a second float path: a 386 build compiles the
 # model with a different backend and 32-bit ints, so an artifact whose
 # bytes depend on the platform rather than on the model fails its digest
-# here as well as on amd64.
+# here as well as on amd64. The engine and kernel packages run too: the
+# kernel's tick-grid arithmetic is 64-bit integer math on 32-bit ints.
 golden-386:
-	GOARCH=386 $(GO) test ./internal/run ./internal/workload
+	GOARCH=386 $(GO) test ./internal/run ./internal/workload ./internal/tkernel ./internal/sysc ./internal/app
 
 check: vet build test race
 

@@ -54,10 +54,11 @@ func BenchmarkTable2CoSimSpeed(b *testing.B) {
 		{name: "gui=on/frame=20ms", gui: true, frame: 20 * sysc.Ms},
 		{name: "gui=on/frame=10ms", gui: true, frame: 10 * sysc.Ms},
 		// Idle-heavy variant: T4 sleeps in tk_dly_tsk instead of modelling
-		// busy work, so most system ticks have nothing to do — the tickless
-		// fast-forward case. The tickless=off twin measures its gain. The
-		// longer window amortizes model construction, which otherwise
-		// dominates an idle iteration and hides the steady-state gain.
+		// busy work, so most system ticks have nothing to do — the case
+		// on-demand timer passes skip. The tickless=off twin, with a pass
+		// at every tick, measures the gain. The longer window amortizes
+		// model construction, which otherwise dominates an idle iteration
+		// and hides the steady-state gain.
 		{name: "gui=off/frame=off/idle=sleep", idleSleep: 50 * sysc.Ms, window: 2500 * sysc.Ms},
 		{name: "gui=off/frame=off/idle=sleep/tickless=off", idleSleep: 50 * sysc.Ms, noTickless: true, window: 2500 * sysc.Ms},
 	}

@@ -41,7 +41,7 @@ func main() {
 	gui := flag.Bool("gui", true, "model GUI widget overhead")
 	frame := flag.Duration("frame", 10*time.Millisecond, "LCD frame period (widget-driving BFM access)")
 	tick := flag.Duration("tick", 0, "kernel tick period (0 = model default, 1ms)")
-	tickless := flag.Bool("tickless", true, "fast-forward the clock across provably idle ticks")
+	tickless := flag.Bool("tickless", true, "run kernel timer passes only at ticks where a timer entry is due (false: at every tick)")
 	idleSleep := flag.Duration("idle-sleep", 0, "make the idle task sleep in tk_dly_tsk per loop (0 = busy idle)")
 	vcdOut := flag.String("vcd", "", "write a VCD waveform of BFM signals")
 	traceOut := flag.String("trace", "", "stream a Perfetto/Chrome trace-event JSON file (load at ui.perfetto.dev)")

@@ -65,8 +65,8 @@ func main() {
 
 	m := i8051.NewMachine(sim, cpu, b.MachineCycle(), 1)
 	wall0 := time.Now()
-	// The BFM RTC free-runs, so advance in bounded steps until the
-	// firmware halts.
+	// Advance in 1 ms steps until the firmware halts, so the run ends on
+	// a whole millisecond; firmware that never halts stops after 1 s.
 	for t := sysc.Ms; !m.Halted() && t <= sysc.Sec; t += sysc.Ms {
 		if err := sim.Start(t); err != nil {
 			fmt.Fprintln(os.Stderr, "simulation error:", err)

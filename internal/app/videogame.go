@@ -62,10 +62,10 @@ type Config struct {
 	// IdleSleep, when positive, makes T4 block in tk_dly_tsk for this long
 	// per loop instead of modelling IdleSlice of busy work — the
 	// halt-the-CPU idle loop of a real RTOS, and the configuration where
-	// the tickless fast-forward pays off.
+	// on-demand timer passes pay off.
 	IdleSleep sysc.Time
-	// DisableTickless forces every RTC tick to be simulated (A/B trace
-	// comparison, debugging).
+	// DisableTickless runs a kernel timer pass at every RTC tick, due
+	// entries or not (A/B trace comparison, debugging).
 	DisableTickless bool
 	// Seed randomizes the synthetic user's key presses (deterministic per
 	// seed). Zero keeps the legacy fixed up/down pattern.
@@ -143,7 +143,7 @@ func Build(cfg Config) *App {
 
 	a := &App{Sim: sysc.NewSimulator(), cfg: cfg, ballDir: 1}
 
-	// Hardware side: BFM with RTC driving the kernel tick.
+	// Hardware side: BFM whose RTC resolution is the kernel tick.
 	a.GUI = gui.NewManager(cfg.GUI)
 	if cfg.GUIWorkFactor > 0 {
 		a.GUI.WorkFactor = cfg.GUIWorkFactor
@@ -165,8 +165,6 @@ func Build(cfg Config) *App {
 			Gantt: cfg.Gantt,
 		},
 		Costs:           costs,
-		TickSource:      a.B.RTC.TickEvent(),
-		Ticker:          a.B.RTC.Ticker(),
 		DisableTickless: cfg.DisableTickless,
 	})
 	a.B.SetAPI(a.K.API())

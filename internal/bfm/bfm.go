@@ -105,8 +105,8 @@ func New(sim *sysc.Simulator, api *core.SimAPI, cfg Config) *BFM {
 func (b *BFM) Sim() *sysc.Simulator { return b.sim }
 
 // SetAPI attaches the SIM_API instance used to attribute access budgets to
-// the calling T-THREAD (breaks the construction cycle: the kernel needs the
-// BFM's RTC tick, the BFM needs the kernel's SIM_API).
+// the calling T-THREAD (breaks the construction cycle: the kernel takes the
+// BFM's RTC period, the BFM needs the kernel's SIM_API).
 func (b *BFM) SetAPI(api *core.SimAPI) { b.api = api }
 
 // MachineCycle returns the duration of one machine cycle.
@@ -153,24 +153,28 @@ func (b *BFM) probe(signal string, val uint64) {
 	}
 }
 
-// RTC is the real-time clock: it drives the kernel's central module with a
-// periodic tick event at the configured resolution.
+// RTC is the real-time clock at the configured resolution. A kernel
+// driven by it takes its Period as the kernel tick and arms its own timer
+// event on that grid; TickEvent gives a free-running tick for a model that
+// needs one.
 type RTC struct {
+	sim    *sysc.Simulator
 	ticker *sysc.Ticker
 	period sysc.Time
 }
 
 func newRTC(sim *sysc.Simulator, period sysc.Time) *RTC {
-	return &RTC{ticker: sysc.NewTicker(sim, "bfm.rtc", period), period: period}
+	return &RTC{sim: sim, period: period}
 }
 
-// TickEvent returns the tick event; pass it as the kernel's TickSource.
-func (r *RTC) TickEvent() *sysc.Event { return r.ticker.Event() }
-
-// Ticker returns the underlying periodic source; pass it as the kernel's
-// Config.Ticker to enable the tickless fast-forward (the kernel is the only
-// consumer of the RTC tick).
-func (r *RTC) Ticker() *sysc.Ticker { return r.ticker }
+// TickEvent returns the tick event (an RTK kernel's TickSource). The
+// ticker behind it starts on the first call.
+func (r *RTC) TickEvent() *sysc.Event {
+	if r.ticker == nil {
+		r.ticker = sysc.NewTicker(r.sim, "bfm.rtc", r.period)
+	}
+	return r.ticker.Event()
+}
 
 // Period returns the tick resolution.
 func (r *RTC) Period() sysc.Time { return r.period }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/event"
 	"repro/internal/petri"
+	"repro/internal/sysc"
 )
 
 // TestFireDisabledPanics: firing a transition whose input place does not
@@ -26,4 +27,37 @@ func TestFireDisabledPanics(t *testing.T) {
 		}
 	}()
 	th.fire(trEx, Cost{})
+}
+
+// BenchmarkTokenFire is the unit cost of one token firing (the layer
+// ledger's per-firing figure): the token cycles running -> ready ->
+// running, one transition per op, with the bus quiet and with one
+// KindToken subscriber. Neither allocates.
+func BenchmarkTokenFire(b *testing.B) {
+	for _, observed := range []bool{false, true} {
+		name := "bus=quiet"
+		if observed {
+			name = "bus=observed"
+		}
+		b.Run(name, func(b *testing.B) {
+			sim := sysc.NewSimulator()
+			defer sim.Shutdown()
+			bus := event.NewBus()
+			if observed {
+				bus.Subscribe(func(event.Event) {}, event.KindToken)
+			}
+			th := NewSimAPI(sim, nil, bus).newThread("t", KindTask, 10)
+			th.place = plRunning
+			cost := Cost{Time: sysc.Us}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if th.place == plRunning {
+					th.fire(trPx, cost)
+				} else {
+					th.fire(trEx, cost)
+				}
+			}
+		})
+	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/bfm"
 	"repro/internal/i8051"
+	"repro/internal/run/opts"
 	"repro/internal/sysc"
 	"repro/internal/tkernel"
 )
@@ -60,8 +61,8 @@ func TestHybridISSCoprocessor(t *testing.T) {
 
 	b := bfm.New(sim, nil, bfm.DefaultConfig())
 	k := tkernel.New(sim, tkernel.Config{
-		Costs:      tkernel.ZeroCosts(),
-		TickSource: b.RTC.TickEvent(),
+		CommonOptions: opts.CommonOptions{Tick: b.RTC.Period()},
+		Costs:         tkernel.ZeroCosts(),
 	})
 	b.SetAPI(k.API())
 	b.IntC.SetSink(func(line int) { _ = k.RaiseInterrupt(line) })

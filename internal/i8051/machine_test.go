@@ -84,8 +84,8 @@ func TestMachineSharesBFMXRAM(t *testing.T) {
 	cpu := i8051.New(fw)
 	cpu.XRAM = b.Mem
 	i8051.NewMachine(sim, cpu, b.MachineCycle(), 1)
-	// The BFM's RTC free-runs, so use a bounded horizon (Run would never
-	// return).
+	// A bounded horizon, so firmware that fails to halt cannot hang the
+	// test.
 	if err := sim.Start(10 * sysc.Ms); err != nil {
 		t.Fatal(err)
 	}

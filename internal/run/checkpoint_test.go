@@ -145,8 +145,8 @@ func TestSnapshotBytesPinned(t *testing.T) {
 		specJSON = `{"scenario":"synthetic","seed":3,"dur":"3s",` +
 			`"synthetic":{"gen":{"tasks":8,"util":0.7,"interrupts":2}},` +
 			`"checkpoint":{"at":"2.5s"},"artifacts":["snapshot.bin","metrics.json"]}`
-		wantSHA = "d204597d8727640203456cfb621cbf463c06708b3ebf6945db11b5c40467159e"
-		wantLen = 7009
+		wantSHA = "8d860d595a91cca5e7d5cc2aba494734cc4d946e12e2e3d6d4e960673766b8f3"
+		wantLen = 6997
 	)
 	spec, err := ParseSpec([]byte(specJSON))
 	if err != nil {

@@ -116,8 +116,8 @@ type Spec struct {
 	// Tick overrides the BFM real-time-clock resolution driving the kernel
 	// tick (videogame; default 1ms).
 	Tick Duration `json:"tick,omitempty"`
-	// Tickless enables the clock fast-forward across provably idle ticks
-	// (videogame; default true).
+	// Tickless runs kernel timer passes only at ticks where a timer entry
+	// is due; false runs one at every tick (videogame; default true).
 	Tickless *bool `json:"tickless,omitempty"`
 	// Step advances tick by tick instead of animate mode, as the paper
 	// prescribes for trace viewing (videogame).

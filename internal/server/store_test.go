@@ -358,6 +358,101 @@ func TestEventsDisconnectMidFeed(t *testing.T) {
 	settles(t, "goroutines", baseline, runtime.NumGoroutine)
 }
 
+// TestShutdownDuringActiveStreams drains the server while a ?stream=1
+// download and the event feed of a running streamed job are open. The
+// download reads most of its bytes only after Shutdown has removed the
+// ephemeral store, from a spill file that is gone from the directory.
+// It must still equal what the job wrote, or end with the stream-error
+// trailer; the feed must end with the job's terminal event; and
+// goroutines settle once both connections close.
+func TestShutdownDuringActiveStreams(t *testing.T) {
+	payload := bytes.Repeat([]byte("0123456789abcdef"), 1<<18) // 4 MiB
+	half := len(payload) / 2
+	gate := make(chan struct{})
+	done := make(chan struct{})
+	spool := t.TempDir()
+	s := New(Config{
+		Workers:       1,
+		DisableCache:  true,
+		SpoolDir:      spool,
+		StreamWindow:  64 << 10,
+		ExecuteStream: streamingExec([][]byte{payload[:half], payload[half:]}, gate, done),
+	})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	release := sync.OnceFunc(func() { close(done) })
+	defer release() // a failed check must not leave the job running
+	http.DefaultClient.CloseIdleConnections()
+	baseline := runtime.NumGoroutine()
+
+	id := submit(t, ts, traceOnlyStream)
+	dl, err := http.Get(ts.URL + "/api/v1/jobs/" + id + "/artifacts/trace.json?stream=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dl.Body.Close()
+	if dl.StatusCode != http.StatusOK {
+		t.Fatalf("live stream: %d", dl.StatusCode)
+	}
+	ev := openEvents(t, ts, id, 0)
+	defer ev.Body.Close()
+
+	gate <- struct{}{}
+	got := make([]byte, 1024)
+	if _, err := io.ReadFull(dl.Body, got); err != nil {
+		t.Fatalf("first bytes: %v", err)
+	}
+
+	shut := make(chan error, 1)
+	go func() { shut <- s.Shutdown(context.Background()) }()
+	// Admission closes while the running job holds the drain open.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		code, _, _ := postSpec(t, ts, traceOnlyStream)
+		if code == http.StatusServiceUnavailable {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("admission never closed: last status %d", code)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	gate <- struct{}{}
+	release()
+	if err := <-shut; err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if left, _ := filepath.Glob(filepath.Join(spool, "*")); len(left) != 0 {
+		t.Fatalf("Shutdown left %v in the spool", left)
+	}
+
+	rest, err := io.ReadAll(dl.Body)
+	if err != nil {
+		t.Fatalf("download after the drain: %v", err)
+	}
+	got = append(got, rest...)
+	if tr := dl.Trailer.Get(TrailerStreamError); tr != "" {
+		if !bytes.HasPrefix(payload, got) {
+			t.Fatalf("download ending in %q is not a prefix of the artifact", tr)
+		}
+	} else if !bytes.Equal(got, payload) {
+		t.Fatalf("download: %d bytes, differ from the %d written", len(got), len(payload))
+	}
+
+	frames := readSSE(t, ev.Body, 0) // the server closes the feed at terminal
+	if len(frames) == 0 {
+		t.Fatal("no events")
+	}
+	if last := frames[len(frames)-1]; last.Event != EventState || !last.Data.Terminal || last.Data.State != StateDone {
+		t.Fatalf("last event %+v, want the terminal done state", last)
+	}
+
+	dl.Body.Close()
+	ev.Body.Close()
+	http.DefaultClient.CloseIdleConnections()
+	settles(t, "goroutines", baseline, runtime.NumGoroutine)
+}
+
 // TestRestartServesKeptBlob streams a job into a persistent store, evicts
 // it to disk, and restarts the server on the same directory: a buffered
 // duplicate is answered from the predecessor's blobs, byte-identical and

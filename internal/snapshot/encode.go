@@ -29,8 +29,10 @@ var magic = [8]byte{'R', 'T', 'K', 'S', 'N', 'A', 'P', '1'}
 // Version is the binary snapshot format version. Version 1 headers carried
 // the T-THREAD engine name; version 2 dropped it with the engine choice;
 // version 3 drops the sysc thread section and the per-event thread wait
-// lists, since threads are coroutines.
-const Version uint32 = 3
+// lists, since threads are coroutines; version 4 has one kernel timer
+// event where the kernel's ticker had two, so the event registry shrank,
+// and drops the kernel tick count, which the clock now gives.
+const Version uint32 = 4
 
 // relNil marks a nil release code on the wire (release codes are
 // otherwise T-Kernel ER values, all small negatives).
@@ -312,7 +314,6 @@ func Encode(sys System, st *State, meta Meta) ([]byte, error) {
 	}
 	e.u64(k.TimerSeq)
 	e.i64(int64(k.SysBase))
-	e.u64(k.Ticks)
 	e.boolean(k.DisDsp)
 
 	// Workload section.

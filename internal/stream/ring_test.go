@@ -6,10 +6,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -314,4 +316,72 @@ func TestRingWriteAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() { r.Write(chunk) }); n != 0 {
 		t.Fatalf("%.1f allocations per write, want 0", n)
 	}
+}
+
+// BenchmarkRingWrite writes 4 KiB and 32 KiB chunks into a ring whose one
+// reader has drained everything and parked, so every write wakes it, as a
+// live download keeps up with the trace exporter. Every 8 MiB the ring is
+// closed and replaced, like one streamed artifact after another, which
+// bounds the spill file. allocs/MiB counts every allocation in the
+// process, the reader's included, per MiB streamed.
+func BenchmarkRingWrite(b *testing.B) {
+	for _, size := range []int{4 << 10, 32 << 10} {
+		b.Run(fmt.Sprintf("write=%dKiB", size>>10), func(b *testing.B) { benchRingWrite(b, size) })
+	}
+}
+
+func benchRingWrite(b *testing.B, size int) {
+	const artifact = 8 << 20
+	chunk := bytes.Repeat([]byte("0123456789abcdef"), size/16)
+	dir := b.TempDir()
+	var r *Ring
+	var done chan struct{}
+	open := func() {
+		r, done = NewRing(dir, 0), make(chan struct{})
+		go func(rd *Reader, done chan struct{}) {
+			buf := make([]byte, 32<<10)
+			for {
+				if _, err := rd.Read(buf); err != nil {
+					break
+				}
+			}
+			close(done)
+		}(r.Reader(context.Background()), done)
+	}
+	finish := func() {
+		r.Close(nil)
+		<-done
+	}
+	parked := func() bool {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return r.parked
+	}
+
+	b.SetBytes(int64(size))
+	b.ReportAllocs()
+	open()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	written := 0
+	for i := 0; i < b.N; i++ {
+		if written+size > artifact {
+			finish()
+			open()
+			written = 0
+		}
+		for !parked() {
+			runtime.Gosched()
+		}
+		if _, err := r.Write(chunk); err != nil {
+			b.Fatal(err)
+		}
+		written += size
+	}
+	finish()
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	mib := float64(b.N) * float64(size) / (1 << 20)
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/mib, "allocs/MiB")
 }

@@ -48,7 +48,6 @@ func (c *Clock) Period() Time { return c.period }
 // generator is a self-re-arming method process with no goroutine of its own.
 type Ticker struct {
 	ev     *Event
-	gen    *Event
 	period Time
 }
 
@@ -59,12 +58,12 @@ func NewTicker(s *Simulator, name string, period Time) *Ticker {
 		panic("sysc: ticker period must be positive")
 	}
 	tk := &Ticker{ev: s.NewEvent(name + ".tick"), period: period}
-	tk.gen = s.NewEvent(name + ".gen")
+	gen := s.NewEvent(name + ".gen")
 	s.SpawnMethod(name+".gen", func() {
 		tk.ev.Notify()
-		tk.gen.NotifyAfter(period)
-	}, tk.gen)
-	tk.gen.NotifyAfter(period)
+		gen.NotifyAfter(period)
+	}, gen)
+	gen.NotifyAfter(period)
 	return tk
 }
 
@@ -73,52 +72,3 @@ func (tk *Ticker) Event() *Event { return tk.ev }
 
 // Period returns the tick period.
 func (tk *Ticker) Period() Time { return tk.period }
-
-// Gen returns the internal generator event. A warp hook passes it to
-// Simulator.NextTimedExcluding to ask what, besides this ticker, needs to
-// run next.
-func (tk *Ticker) Gen() *Event { return tk.gen }
-
-// NextFire returns the time of the next tick (the generator's pending timed
-// notification); ok is false when the generator is not armed.
-func (tk *Ticker) NextFire() (Time, bool) {
-	if tk.gen.pendingKind != notifyTimed {
-		return 0, false
-	}
-	return tk.gen.sim.timed.when(tk.gen), true
-}
-
-// SkipTo fast-forwards the ticker across firings that are known to be no-ops:
-// the generator is re-armed at the first point of the tick grid at or after
-// `when`, preserving phase, and the number of skipped firings is returned so
-// the caller can keep tick accounting exact. A `when` at or before the next
-// fire is a no-op.
-func (tk *Ticker) SkipTo(when Time) int {
-	next, ok := tk.NextFire()
-	if !ok || when <= next {
-		return 0
-	}
-	n := (when - next + tk.period - 1) / tk.period
-	tk.gen.Cancel()
-	tk.gen.NotifyAfter(next + n*tk.period - tk.gen.sim.now)
-	return int(n)
-}
-
-// EnsureFire pulls the generator back so a tick fires at the first grid
-// point at or after `when` — the backstop undoing an earlier SkipTo when a
-// new deadline lands inside the skipped gap. It returns the number of
-// firings re-instated (to subtract from any skip credit). No-op when the
-// next fire is already at or before that grid point.
-func (tk *Ticker) EnsureFire(when Time) int {
-	next, ok := tk.NextFire()
-	if !ok || next-when <= 0 {
-		return 0
-	}
-	g := next - ((next-when)/tk.period)*tk.period
-	if g == next {
-		return 0
-	}
-	tk.gen.Cancel()
-	tk.gen.NotifyAfter(g - tk.gen.sim.now)
-	return int((next - g) / tk.period)
-}

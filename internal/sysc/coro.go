@@ -144,7 +144,7 @@ func (c *Coro) TimedOut() bool {
 // observer slot empty (the event bus fills it only while someone listens
 // for quiescent points or clock advances) both callbacks cost one nil test.
 // An observer that panics here aborts the run in c's name, as a panic in
-// c's own step would. The warp hook is skipped (see SetWarpHook).
+// c's own step would.
 func (c *Coro) Elapse(d Time) bool {
 	s := c.sim
 	if s.curCoro != c || d <= 0 || c.armed || s.stopRequested ||

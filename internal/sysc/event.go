@@ -105,6 +105,15 @@ func (e *Event) Cancel() {
 // Pending reports whether a delta or timed notification is outstanding.
 func (e *Event) Pending() bool { return e.pendingKind != notifyNone }
 
+// When returns the time of the pending timed notification; ok is false
+// when none is pending.
+func (e *Event) When() (t Time, ok bool) {
+	if e.pendingKind != notifyTimed {
+		return 0, false
+	}
+	return e.sim.timed.when(e), true
+}
+
 // addStatic registers a method process as statically sensitive.
 func (e *Event) addStatic(m *Method) { e.static = append(e.static, m) }
 

@@ -40,13 +40,6 @@ type Simulator struct {
 	// and timed-phase clock advances.
 	observer Observer
 
-	// warp, when set, runs at every quiescent point after the observer and
-	// before the timed phase picks the next event time. Unlike an Observer it
-	// may re-schedule timed notifications (cancel + re-arm) — the tickless
-	// fast-forward moves a Ticker's generator across a gap of no-op firings —
-	// but it must not make any process runnable at the current time.
-	warp func(now, horizon Time)
-
 	// cancel, when non-nil, is polled at every quiescent point (the model
 	// is stable there): once set, the run stops before the clock advances
 	// again and cancelled records that the stop came from the context, not
@@ -94,7 +87,8 @@ func (s *Simulator) DeltaCount() uint64 { return s.deltaCount }
 // Observer watches the simulator's phase milestones. Quiescent fires at
 // every quiescent point: all activity at the current time has drained and
 // the timed phase is about to advance the clock (or the run is about to end
-// at its horizon). At that instant the model state is stable, which makes it
+// at its horizon, including right after the clock moved there with no
+// event due). At that instant the model state is stable, which makes it
 // the natural place for live invariant checking. TimeAdvance fires after the
 // timed phase moves the clock from `from` to `to`. Observers must only
 // observe — they must not spawn processes or notify events.
@@ -118,40 +112,6 @@ func (s *Simulator) SetObserver(o Observer) { s.observer = o }
 // Observer returns the observer installed by SetObserver (nil when the
 // slot is empty).
 func (s *Simulator) Observer() Observer { return s.observer }
-
-// SetWarpHook installs the quiescent-point warp hook (nil removes it). The
-// hook runs when the model is stable at the current time, receives the
-// current time and the Start horizon, and may re-arm timed notifications to
-// fast-forward periodic sources across provably idle gaps. One slot: the
-// kernel layer owns it.
-//
-// Coro.Elapse does not call the hook. An elapse happens only when the
-// stepping coroutine's own wake at now+d is strictly earlier than every
-// pending timed notification, so there is no idle gap to cross: a hook that
-// fast-forwards a source up to the next other wake would find its target at
-// or before the source's next fire and do nothing.
-func (s *Simulator) SetWarpHook(fn func(now, horizon Time)) { s.warp = fn }
-
-// NextTimedExcluding returns the earliest pending timed-notification time
-// belonging to any event other than ex (the tickless fast-forward asks
-// "when does anything besides my own tick generator need to run?"). An
-// event owns at most one heap entry, so when ex holds the root the answer
-// is the earlier of the root's children.
-func (s *Simulator) NextTimedExcluding(ex *Event) (Time, bool) {
-	q := &s.timed
-	switch n := len(q.items); {
-	case n == 0:
-		return 0, false
-	case q.items[0].ev != ex:
-		return q.items[0].when, true
-	case n == 1:
-		return 0, false
-	case n == 2 || q.less(1, 2):
-		return q.items[1].when, true
-	default:
-		return q.items[2].when, true
-	}
-}
 
 // Stop requests that the simulation stop at the end of the current delta
 // cycle (sc_stop semantics).
@@ -216,8 +176,8 @@ func (s *Simulator) trigger(e *Event) {
 // process panics, or simulated time would pass `until`. When the model goes
 // quiet before the horizon, time advances to `until` so that successive
 // Start calls step the clock deterministically. It returns the first process
-// panic as an error; a panic outside any process (an observer or warp hook
-// at a quiescent point, a signal update) propagates.
+// panic as an error; a panic outside any process (an observer at a
+// quiescent point, a signal update) propagates.
 func (s *Simulator) Start(until Time) (err error) {
 	if s.shutdown {
 		return fmt.Errorf("sysc: simulator already shut down")
@@ -324,19 +284,18 @@ func (s *Simulator) Start(until Time) (err error) {
 		if s.observer != nil {
 			s.observer.Quiescent(s.now)
 		}
-		if s.warp != nil {
-			s.warp(s.now, until)
-		}
 		next, ok := s.timed.nextTime()
 		if !ok || next > until {
 			// Step mode: advance the clock to the horizon so successive
 			// Start calls tick deterministically — except for an unbounded
-			// Run, which stops at the last event.
+			// Run, which stops at the last event. The model is quiescent
+			// at the horizon too, as if an event had fired there.
 			if until > s.now && until != MaxTime {
 				prev := s.now
 				s.now = until
 				if s.observer != nil {
 					s.observer.TimeAdvance(prev, s.now)
+					s.observer.Quiescent(s.now)
 				}
 			}
 			break

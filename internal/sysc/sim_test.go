@@ -2,6 +2,7 @@ package sysc
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -718,10 +719,9 @@ func TestPropertyHeapOrdering(t *testing.T) {
 	}
 }
 
-// Property: NextTimedExcluding agrees with a brute-force minimum over every
-// pending notification but the excluded event's, after each step of a
-// random notify and cancel sequence.
-func TestPropertyNextTimedExcluding(t *testing.T) {
+// Property: Event.When reports exactly the pending timed notification of
+// each event after every step of a random notify and cancel sequence.
+func TestPropertyEventWhen(t *testing.T) {
 	f := func(ops []uint16) bool {
 		sim := NewSimulator()
 		evs := make([]*Event, 8)
@@ -731,16 +731,10 @@ func TestPropertyNextTimedExcluding(t *testing.T) {
 		want := map[*Event]Time{}
 		for _, op := range ops {
 			applyTimedOp(evs, want, op)
-			for _, ex := range append(evs, nil) {
-				var min Time
-				found := false
-				for e, w := range want {
-					if e != ex && (!found || w < min) {
-						min, found = w, true
-					}
-				}
-				got, ok := sim.NextTimedExcluding(ex)
-				if ok != found || got != min {
+			for _, e := range evs {
+				w, pending := want[e]
+				got, ok := e.When()
+				if ok != pending || got != w {
 					return false
 				}
 			}
@@ -775,5 +769,29 @@ func TestWaitEventEmptySetPanics(t *testing.T) {
 	sim.Spawn("bad", func(th *Thread) { th.WaitEvent() })
 	if err := sim.Run(); err == nil {
 		t.Fatal("expected error for empty wait set")
+	}
+}
+
+// TestStartQuiescentAtHorizon: a Start that moves the clock to its horizon
+// with nothing due there reports a quiescent point at the horizon, as if
+// an event had fired there. A second Start to the same horizon reports the
+// one every Start reports before it looks at the timed queue.
+func TestStartQuiescentAtHorizon(t *testing.T) {
+	sim := NewSimulator()
+	defer sim.Shutdown()
+	var log []string
+	sim.SetObserver(logObserver{sim: sim, log: &log})
+	ev := sim.NewEvent("ev")
+	sim.SpawnMethod("m", func() {}, ev)
+	ev.NotifyAfter(2 * Ms)
+	for _, until := range []Time{5 * Ms, 5 * Ms} {
+		if err := sim.Start(until); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{"Q 0 s cur=false", "T 0 s->2 ms", "Q 2 ms cur=false",
+		"T 2 ms->5 ms", "Q 5 ms cur=false", "Q 5 ms cur=false"}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("observer log %q, want %q", log, want)
 	}
 }

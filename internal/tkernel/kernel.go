@@ -68,24 +68,16 @@ func ZeroCosts() Costs { return Costs{} }
 
 // Config parameterizes a kernel instance. The embedded CommonOptions carry
 // the cross-kernel knobs: Tick is the system-clock resolution driving the
-// central module (default 1 ms, the paper's RTC resolution), Bus/Gantt the
+// central module (default 1 ms, the paper's RTC resolution; pass the BFM
+// RTC's Period to drive the kernel from the platform clock), Bus/Gantt the
 // observability wiring; TimeSlice is ignored (the T-Kernel policy is purely
 // priority-preemptive).
 type Config struct {
 	opts.CommonOptions
 
-	// TickSource, when non-nil, is an external tick event (the BFM's
-	// real-time clock). When nil the kernel generates its own tick.
-	TickSource *sysc.Event
-	// Ticker, when non-nil, is the periodic source behind TickSource. Handing
-	// the kernel the Ticker (not just its event) enables the tickless
-	// fast-forward: at quiescent points the kernel skips tick firings that
-	// provably do nothing. Only safe when the kernel is the sole consumer of
-	// the tick event. Ignored when TickSource is nil (the kernel then owns
-	// its ticker and fast-forwards it anyway).
-	Ticker *sysc.Ticker
-	// DisableTickless forces every tick to be simulated even when the kernel
-	// holds the Ticker handle (for A/B trace comparison and debugging).
+	// DisableTickless runs a timer pass at every tick, due entries or not
+	// (for A/B trace comparison and debugging). By default a pass runs only
+	// at the ticks where a timer entry is due.
 	DisableTickless bool
 	// Costs is the kernel ETM/EEM annotation model.
 	Costs Costs
@@ -142,12 +134,16 @@ type Kernel struct {
 
 	timerQ  timerQueue
 	sysBase sysc.Time // tk_set_tim offset: system time = sysBase + sim time
-	ticks   uint64
 
-	// ticker is non-nil exactly when the tickless fast-forward is active:
-	// the kernel holds the periodic source's handle and may skip provably
-	// idle tick firings (crediting them to ticks).
-	ticker *sysc.Ticker
+	// tickEv is the kernel's one timed sysc event: it is armed at due, the
+	// tick-grid point of the next timer pass (idle when none is armed).
+	// Its method runs twice per pass; passing marks the second run.
+	tickEv  *sysc.Event
+	due     sysc.Time
+	passing bool
+	// everyTick arms a pass at every tick (DisableTickless, or a TickDelay
+	// hook, which must see every tick delivered).
+	everyTick bool
 
 	// tickDelay and intFilter are the fault hooks frozen from Config at
 	// construction (Config.TickDelay, Config.InterruptFilter); tickDeferEv
@@ -189,6 +185,8 @@ func New(sim *sysc.Simulator, cfg Config) *Kernel {
 		api:       core.NewSimAPI(sim, sched.NewPriority(), bus, apiOpts...),
 		bus:       bus,
 		cfg:       cfg,
+		due:       idle,
+		everyTick: cfg.DisableTickless || cfg.TickDelay != nil,
 		tickDelay: cfg.TickDelay,
 		intFilter: cfg.InterruptFilter,
 		isrs:      map[int]*ISR{},
@@ -291,8 +289,17 @@ func (k *Kernel) Sim() *sysc.Simulator { return k.sim }
 // Tick returns the configured system-clock resolution.
 func (k *Kernel) Tick() sysc.Time { return k.cfg.Tick }
 
-// Ticks returns the number of system ticks processed so far.
-func (k *Kernel) Ticks() uint64 { return k.ticks }
+// Ticks returns the number of system ticks so far: the tick-grid points
+// before now, plus the one at now unless the timer pass armed for now is
+// still to run.
+func (k *Kernel) Ticks() uint64 {
+	now := k.sim.Now()
+	n := uint64(now / k.cfg.Tick)
+	if now == k.due {
+		n--
+	}
+	return n
+}
 
 // Boot installs the kernel's central module (Figure 3) and schedules the
 // startup sequence: on "reset" the Boot process initializes the kernel
@@ -305,18 +312,12 @@ func (k *Kernel) Boot(userMain func(*Kernel)) {
 	}
 	k.booted = true
 
-	// Thread Dispatch: sensitive to the system tick; activates the timer
-	// handler inside T-Kernel/OS.
-	tickEv := k.cfg.TickSource
-	ticker := k.cfg.Ticker
-	if tickEv == nil {
-		ticker = sysc.NewTicker(k.sim, "tkernel.tick", k.cfg.Tick)
-		tickEv = ticker.Event()
-	}
-	k.sim.SpawnMethod("tkernel.thread_dispatch", k.timerHandler, tickEv)
-	if ticker != nil && !k.cfg.DisableTickless {
-		k.ticker = ticker
-		k.sim.SetWarpHook(k.warp)
+	// Thread Dispatch: sensitive to the kernel's timer event; activates the
+	// timer handler inside T-Kernel/OS.
+	k.tickEv = k.sim.NewEvent("tkernel.tick")
+	k.sim.SpawnMethod("tkernel.thread_dispatch", k.timerHandler, k.tickEv)
+	if k.everyTick {
+		k.arm(k.gridCeil(k.sim.Now()))
 	}
 
 	// Deferred-tick carrier for the delayed-tick-delivery fault hook.
@@ -339,14 +340,28 @@ func (k *Kernel) Boot(userMain func(*Kernel)) {
 	})
 }
 
-// timerHandler is the kernel timer handler, activated by Thread Dispatch on
-// every system tick: it updates the system clock and checks the timer queue
-// for cyclic events, alarm events, and task-resuming (timeout) events, then
-// drives the simulation library to dispatch or preempt.
+// timerHandler is the kernel timer handler, activated by Thread Dispatch at
+// each tick where a timer pass is due (every tick under everyTick): it
+// checks the timer queue for cyclic events, alarm events, and task-resuming
+// (timeout) events, then drives the simulation library to dispatch or
+// preempt. The timed phase wakes it with whatever else is due at the
+// instant; its first run only re-notifies the event at once, so the pass
+// runs after every process the timed phase woke, as behind a tick
+// generator.
 func (k *Kernel) timerHandler() {
-	k.ticks++
+	if !k.passing {
+		k.passing = true
+		k.tickEv.Notify()
+		return
+	}
+	k.passing = false
+	now := k.sim.Now()
+	k.due = idle
+	if k.everyTick {
+		k.arm(k.gridCeil(now))
+	}
 	if k.tickDelay != nil {
-		if d := k.tickDelay(k.ticks); d > 0 {
+		if d := k.tickDelay(uint64(now / k.cfg.Tick)); d > 0 {
 			// Deliver this tick's timer pass late. Overlapping deferrals
 			// merge onto the earliest pending delivery (sc_event override
 			// rules), which models a hardware timer losing edges: the late
@@ -356,6 +371,9 @@ func (k *Kernel) timerHandler() {
 		}
 	}
 	k.runTimerQ()
+	if w, ok := k.timerQ.earliest(); ok && !k.everyTick {
+		k.arm(k.gridCeil(w))
+	}
 }
 
 // runTimerQ pops and runs every timer-queue entry due at the current time.
@@ -374,52 +392,36 @@ func (k *Kernel) runTimerQ() {
 	}
 }
 
-// warp is the tickless fast-forward, called by the simulator at every
-// quiescent point. A tick firing is a no-op unless a kernel timer entry is
-// due at it, so the ticker can jump straight to the first instant with real
-// work: the earliest timer deadline, the earliest non-tick simulator event
-// (whatever it makes runnable may call timed services), or the Start horizon
-// (so step mode observes the same final tick count). SkipTo grid-ceils the
-// target and preserves phase; the skipped firings are credited to ticks up
-// front, which is exact because nothing can run — and hence nothing can read
-// Ticks() — before the first of those instants.
-func (k *Kernel) warp(now, horizon sysc.Time) {
-	if k.tickDelay != nil {
-		return // chaos tick faults must see every tick delivered
-	}
-	next, ok := k.ticker.NextFire()
-	if !ok {
-		return
-	}
-	target := sysc.Time(-1)
-	if w, ok := k.timerQ.earliest(); ok {
-		target = w
-	}
-	if w, ok := k.sim.NextTimedExcluding(k.ticker.Gen()); ok && (target < 0 || w < target) {
-		target = w
-	}
-	if horizon != sysc.MaxTime && (target < 0 || horizon < target) {
-		target = horizon
-	}
-	if target <= next {
-		// Nothing to skip — including the unbounded-Run-with-no-work case
-		// (target < 0), where the ticker must stay free-running.
-		return
-	}
-	k.ticks += uint64(k.ticker.SkipTo(target))
-}
-
 // after schedules target.expire(gen) to run at the first tick at or after d
-// from now. Returns the entry handle (sequence number) for diagnostics.
+// from now that Ticks has not counted yet. Returns the entry handle (sequence number) for diagnostics.
 func (k *Kernel) after(d sysc.Time, target timerTarget, gen int) uint64 {
 	when := k.sim.Now() + d
-	if k.ticker != nil && k.tickDelay == nil {
-		// Backstop for deadlines created outside the simulation (service
-		// calls between Start steps): if the ticker was fast-forwarded past
-		// this deadline's tick, pull it back and undo the skip credit.
-		k.ticks -= uint64(k.ticker.EnsureFire(when))
+	if !k.everyTick {
+		k.arm(k.gridCeil(when))
 	}
 	return k.timerQ.add(when, target, gen)
+}
+
+// idle is the due instant of an unarmed timer event.
+const idle = sysc.MaxTime
+
+// gridCeil returns the first tick-grid point (k*Tick, k >= 1) at or after
+// t that Ticks has not counted yet, so no pass runs twice at one instant.
+func (k *Kernel) gridCeil(t sysc.Time) sysc.Time {
+	tick := k.cfg.Tick
+	if next := sysc.Time(k.Ticks()+1) * tick; t < next {
+		return next
+	}
+	return (t + tick - 1) / tick * tick
+}
+
+// arm brings the timer pass forward to grid point t; a pass already due
+// at or before t stands.
+func (k *Kernel) arm(t sysc.Time) {
+	if t < k.due {
+		k.due = t
+		k.tickEv.NotifyAfter(t - k.sim.Now())
+	}
 }
 
 // SystemTime returns the current system time (tk_get_tim).
@@ -667,8 +669,10 @@ func (k *Kernel) wake(task *Task, code ER) {
 // timerQueue is the kernel's time-event queue: entries fire in (when, seq)
 // order when the timer handler observes their deadline at a tick. It is a
 // binary min-heap on (when, seq), so add/pop are O(log n) and the earliest
-// deadline — which the tickless fast-forward consults at every quiescent
-// point — is O(1).
+// deadline, which places the kernel's timer event, is O(1). The queue
+// stays the kernel's own rather than moving onto the sysc heap: seq
+// numbers the timer records of the trace and the captured timer state,
+// and one sysc event serves every entry.
 type timerQueue struct {
 	items []timerItem
 	seq   uint64

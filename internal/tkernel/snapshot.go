@@ -146,7 +146,6 @@ type KernelState struct {
 	Timer    []timerItem
 	TimerSeq uint64
 	SysBase  sysc.Time
-	Ticks    uint64
 	DisDsp   bool
 }
 
@@ -208,7 +207,6 @@ func (k *Kernel) SaveState() (*KernelState, error) {
 		Timer:    append([]timerItem(nil), k.timerQ.items...),
 		TimerSeq: k.timerQ.seq,
 		SysBase:  k.sysBase,
-		Ticks:    k.ticks,
 		DisDsp:   k.disDsp,
 	}
 	st.Tasks = views(&k.tasks, func(t *Task) TaskSnap {
@@ -555,7 +553,12 @@ func (k *Kernel) LoadState(st *KernelState) error {
 	k.timerQ.items = append(k.timerQ.items[:0], st.Timer...)
 	k.timerQ.seq = st.TimerSeq
 	k.sysBase = st.SysBase
-	k.ticks = st.Ticks
+	// The timer event's pending notification came back with the simulator
+	// state; Ticks derives from it and the restored clock.
+	k.due, k.passing = idle, false
+	if t, ok := k.tickEv.When(); ok {
+		k.due = t
+	}
 	k.disDsp = st.DisDsp
 	return nil
 }

@@ -48,7 +48,7 @@ func (k *Kernel) RefSys() SysInfo {
 	info := SysInfo{
 		SystemTime:  k.SystemTime(),
 		Tick:        k.cfg.Tick,
-		Ticks:       k.ticks,
+		Ticks:       k.Ticks(),
 		InHandler:   k.api.InHandler(),
 		IntNesting:  k.api.InterruptDepth(),
 		DispatchDis: k.disDsp,

@@ -3,103 +3,162 @@ package tkernel_test
 import (
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/event"
 	"repro/internal/run/opts"
 	"repro/internal/sysc"
 	"repro/internal/tkernel"
+	"repro/internal/trace"
 )
 
-// runTicked boots a kernel on an external 1 ms ticker with a probe counting
-// the tick firings that are actually simulated, runs userMain for 1 s, and
-// returns (logical ticks, simulated firings).
-func runTicked(t *testing.T, disable bool, userMain func(*tkernel.Kernel)) (uint64, int) {
+// runTicked boots a zero-cost kernel with a 1 ms tick, runs userMain until
+// the horizon, and returns the kernel and the number of clock advances the
+// simulator actually made.
+func runTicked(t *testing.T, cfg tkernel.Config, until sysc.Time, userMain func(*tkernel.Kernel)) (*tkernel.Kernel, int) {
 	t.Helper()
 	sim := sysc.NewSimulator()
 	t.Cleanup(sim.Shutdown)
-	tk := sysc.NewTicker(sim, "tick", sysc.Ms)
-	fired := 0
-	sim.SpawnMethod("probe", func() { fired++ }, tk.Event())
-	k := tkernel.New(sim, tkernel.Config{
-		CommonOptions:   opts.CommonOptions{Tick: sysc.Ms},
-		TickSource:      tk.Event(),
-		Ticker:          tk,
-		DisableTickless: disable,
-	})
+	cfg.CommonOptions = opts.CommonOptions{Tick: sysc.Ms}
+	cfg.Costs = tkernel.ZeroCosts()
+	k := tkernel.New(sim, cfg)
+	advances := 0
+	k.Bus().Subscribe(func(event.Event) { advances++ }, event.KindTimeAdvance)
 	k.Boot(userMain)
-	if err := sim.Start(sysc.Sec); err != nil {
+	if err := sim.Start(until); err != nil {
 		t.Fatal(err)
 	}
-	return k.Ticks(), fired
+	return k, advances
 }
 
 // TestTicklessSkipsIdleTicks: with no timed kernel work at all, the tickless
-// kernel simulates a single tick firing (the horizon one) yet accounts the
-// same 1000 logical ticks as the fully ticked run.
+// kernel advances the clock once, straight to the horizon, yet counts the
+// same 1000 ticks as the run with a pass at every tick.
 func TestTicklessSkipsIdleTicks(t *testing.T) {
-	ticks, fired := runTicked(t, false, func(*tkernel.Kernel) {})
-	if ticks != 1000 {
-		t.Fatalf("tickless ticks = %d, want 1000", ticks)
+	k, advances := runTicked(t, tkernel.Config{}, sysc.Sec, func(*tkernel.Kernel) {})
+	if k.Ticks() != 1000 {
+		t.Fatalf("tickless ticks = %d, want 1000", k.Ticks())
 	}
-	if fired > 1 {
-		t.Fatalf("tickless simulated %d firings, want <= 1", fired)
+	if advances > 1 {
+		t.Fatalf("tickless advanced the clock %d times, want <= 1", advances)
 	}
-	bTicks, bFired := runTicked(t, true, func(*tkernel.Kernel) {})
-	if bTicks != 1000 || bFired != 1000 {
-		t.Fatalf("baseline = %d ticks, %d firings, want 1000/1000", bTicks, bFired)
+	b, bAdvances := runTicked(t, tkernel.Config{DisableTickless: true}, sysc.Sec, func(*tkernel.Kernel) {})
+	if b.Ticks() != 1000 || bAdvances != 1000 {
+		t.Fatalf("every tick = %d ticks, %d advances, want 1000/1000", b.Ticks(), bAdvances)
 	}
 }
 
 // TestTicklessCyclicExact: a 100 ms cyclic handler fires on exactly the same
-// schedule with and without tickless, while the tickless run only simulates
-// the ticks that pop it.
+// schedule with and without tickless, while the tickless run only advances
+// the clock to the ticks that pop it.
 func TestTicklessCyclicExact(t *testing.T) {
 	run := func(disable bool) (uint64, int, []sysc.Time) {
 		var at []sysc.Time
-		ticks, fired := runTicked(t, disable, func(k *tkernel.Kernel) {
+		k, advances := runTicked(t, tkernel.Config{DisableTickless: disable}, sysc.Sec, func(k *tkernel.Kernel) {
 			id, _ := k.CreCyc("cyc", 100*sysc.Ms, 0, func(h *tkernel.HandlerCtx) {
 				at = append(at, h.K.Sim().Now())
 			})
 			_ = k.StaCyc(id)
 		})
-		return ticks, fired, at
+		return k.Ticks(), advances, at
 	}
-	ticks, fired, at := run(false)
-	bTicks, bFired, bAt := run(true)
+	ticks, advances, at := run(false)
+	bTicks, bAdvances, bAt := run(true)
 	if ticks != bTicks {
-		t.Fatalf("ticks %d != baseline %d", ticks, bTicks)
+		t.Fatalf("ticks %d != every-tick %d", ticks, bTicks)
 	}
-	if len(at) != len(bAt) {
-		t.Fatalf("cyclic fired %d vs baseline %d", len(at), len(bAt))
+	if len(at) != len(bAt) || len(at) != 10 {
+		t.Fatalf("cyclic fired %d times, every-tick %d, want 10", len(at), len(bAt))
 	}
 	for i := range at {
 		if at[i] != bAt[i] {
-			t.Fatalf("firing %d at %v, baseline %v", i, at[i], bAt[i])
+			t.Fatalf("firing %d at %v, every-tick %v", i, at[i], bAt[i])
 		}
 	}
-	if fired >= bFired/10 {
-		t.Fatalf("tickless simulated %d of %d firings — no skipping", fired, bFired)
+	if advances >= bAdvances/10 {
+		t.Fatalf("tickless advanced the clock %d of %d times: no skipping", advances, bAdvances)
 	}
 }
 
 // TestTicklessDisabledUnderTickFault: a tick-delay hook (the chaos fault)
-// must see every tick delivered even when the kernel holds the ticker.
+// must see every tick delivered.
 func TestTicklessDisabledUnderTickFault(t *testing.T) {
-	sim := sysc.NewSimulator()
-	t.Cleanup(sim.Shutdown)
-	tk := sysc.NewTicker(sim, "tick", sysc.Ms)
-	fired := 0
-	sim.SpawnMethod("probe", func() { fired++ }, tk.Event())
 	seen := 0
-	k := tkernel.New(sim, tkernel.Config{
-		CommonOptions: opts.CommonOptions{Tick: sysc.Ms},
-		TickSource:    tk.Event(),
-		Ticker:        tk,
-		TickDelay:     func(uint64) sysc.Time { seen++; return 0 },
-	})
-	k.Boot(func(*tkernel.Kernel) {})
-	if err := sim.Start(100 * sysc.Ms); err != nil {
-		t.Fatal(err)
+	cfg := tkernel.Config{TickDelay: func(uint64) sysc.Time { seen++; return 0 }}
+	k, advances := runTicked(t, cfg, 100*sysc.Ms, func(*tkernel.Kernel) {})
+	if advances != 100 || seen != 100 || k.Ticks() != 100 {
+		t.Fatalf("advances=%d hook=%d ticks=%d, want 100 each", advances, seen, k.Ticks())
 	}
-	if fired != 100 || seen != 100 || k.Ticks() != 100 {
-		t.Fatalf("fired=%d hook=%d ticks=%d, want 100 each", fired, seen, k.Ticks())
+}
+
+// TestTicksReadsMatchEveryTick: the tick count a task reads around on-grid
+// and off-grid delays, and the one a cyclic handler reads at each release,
+// are the same whether a timer pass runs at every tick or only where an
+// entry is due.
+func TestTicksReadsMatchEveryTick(t *testing.T) {
+	run := func(disable bool) []uint64 {
+		var reads []uint64
+		read := func(k *tkernel.Kernel) { reads = append(reads, k.RefSys().Ticks) }
+		runTicked(t, tkernel.Config{DisableTickless: disable}, 50*sysc.Ms, func(k *tkernel.Kernel) {
+			id, _ := k.CreTsk("reader", 10, func(task *tkernel.Task) {
+				read(k)
+				_ = k.DlyTsk(3 * sysc.Ms) // on-grid deadline
+				read(k)
+				task.TThread().Consume(core.Cost{Time: 500 * sysc.Us}, trace.CtxTask, "half")
+				read(k)
+				_ = k.DlyTsk(2 * sysc.Ms) // off-grid deadline, released at the next tick
+				read(k)
+				_ = k.DlyTsk(sysc.Ms) // on-grid again, from a tick
+				read(k)
+			})
+			_ = k.StaTsk(id)
+			cyc, _ := k.CreCyc("cyc", 7*sysc.Ms, 2*sysc.Ms, func(h *tkernel.HandlerCtx) { read(h.K) })
+			_ = k.StaCyc(cyc)
+		})
+		return reads
+	}
+	tickless, every := run(false), run(true)
+	if len(tickless) != len(every) || len(tickless) < 10 {
+		t.Fatalf("reads: tickless %v, every tick %v", tickless, every)
+	}
+	for i := range tickless {
+		if tickless[i] != every[i] {
+			t.Fatalf("read %d: tickless %v, every tick %v", i, tickless, every)
+		}
+	}
+}
+
+// TestZeroDelayAlarmAfterPass: an alarm started with no delay at a grid
+// point whose timer pass has already run fires at the next tick, with a
+// pass at every tick or only where an entry is due, and the tick count
+// never goes back.
+func TestZeroDelayAlarmAfterPass(t *testing.T) {
+	run := func(disable bool) []uint64 {
+		var reads []uint64
+		read := func(k *tkernel.Kernel) {
+			reads = append(reads, uint64(k.Sim().Now()/sysc.Us), k.RefSys().Ticks)
+		}
+		runTicked(t, tkernel.Config{DisableTickless: disable}, 10*sysc.Ms, func(k *tkernel.Kernel) {
+			alm, _ := k.CreAlm("alm", func(h *tkernel.HandlerCtx) { read(h.K) })
+			id, _ := k.CreTsk("starter", 10, func(*tkernel.Task) {
+				_ = k.DlyTsk(2 * sysc.Ms) // released by the pass at 2 ms
+				read(k)
+				_ = k.StaAlm(alm, 0)
+				read(k)
+			})
+			_ = k.StaTsk(id)
+		})
+		return reads
+	}
+	tickless, every := run(false), run(true)
+	want := []uint64{2000, 2, 2000, 2, 3000, 3}
+	for name, got := range map[string][]uint64{"tickless": tickless, "every tick": every} {
+		if len(got) != len(want) {
+			t.Fatalf("%s: reads (µs, ticks) %v, want %v", name, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: reads (µs, ticks) %v, want %v", name, got, want)
+			}
+		}
 	}
 }
