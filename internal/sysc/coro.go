@@ -140,7 +140,8 @@ func (c *Coro) TimedOut() bool {
 // Elapse does the same inline: it polls the StartContext cancellation,
 // fires Observer.Quiescent with CurrentCoro cleared, draws the heap seq the
 // timer push would have drawn (so HeapSeq and every later entry's seq
-// match), advances the clock and fires Observer.TimeAdvance. With the
+// match), advances the clock, counts c as woken by the timed phase
+// (TimedWake) and fires Observer.TimeAdvance. With the
 // observer slot empty (the event bus fills it only while someone listens
 // for quiescent points or clock advances) both callbacks cost one nil test.
 // An observer that panics here aborts the run in c's name, as a panic in
@@ -164,6 +165,7 @@ func (c *Coro) Elapse(d Time) bool {
 		s.curCoro = c
 	}
 	s.timed.seq++
+	s.woken = s.runHead
 	prev := s.now
 	s.now += d
 	if s.observer != nil {

@@ -22,6 +22,11 @@ type Simulator struct {
 	timed    timedQueue
 	updates  []updater
 
+	// woken counts the runnable entries the timed phase queued when it last
+	// advanced the clock (Coro.Elapse counts its coroutine the same way);
+	// it is zero once that evaluation phase has drained (TimedWake).
+	woken int
+
 	events  []*Event // every event ever created, in creation order (state.go)
 	coros   []*Coro  // every coroutine ever spawned, in creation order
 	curCoro *Coro    // coroutine currently stepping (nil outside a step)
@@ -83,6 +88,12 @@ func (s *Simulator) CurrentCoro() *Coro { return s.curCoro }
 
 // DeltaCount returns the number of delta cycles executed so far.
 func (s *Simulator) DeltaCount() uint64 { return s.deltaCount }
+
+// TimedWake reports whether the running process is one the timed phase
+// woke when it advanced the clock to now (or a coroutine Coro.Elapse moved
+// to now), rather than one a notification made at now has made runnable
+// since.
+func (s *Simulator) TimedWake() bool { return s.runHead > 0 && s.runHead <= s.woken }
 
 // Observer watches the simulator's phase milestones. Quiescent fires at
 // every quiescent point: all activity at the current time has drained and
@@ -207,6 +218,7 @@ func (s *Simulator) Start(until Time) (err error) {
 		if s.runHead == len(s.runnable) {
 			s.runnable = s.runnable[:0]
 			s.runHead = 0
+			s.woken = 0
 		}
 		err = s.err
 	}()
@@ -237,6 +249,7 @@ func (s *Simulator) Start(until Time) (err error) {
 		if s.runHead == len(s.runnable) {
 			s.runnable = s.runnable[:0]
 			s.runHead = 0
+			s.woken = 0
 		}
 		if s.stopRequested {
 			break
@@ -310,6 +323,7 @@ func (s *Simulator) Start(until Time) (err error) {
 			ev.pendingKind = notifyNone
 			s.trigger(ev)
 		}
+		s.woken = len(s.runnable)
 	}
 	return s.err
 }

@@ -795,3 +795,57 @@ func TestStartQuiescentAtHorizon(t *testing.T) {
 		t.Fatalf("observer log %q, want %q", log, want)
 	}
 }
+
+// TestTimedWake: every process the timed phase wakes at an instant reports
+// TimedWake, including one that runs after a process notified at that
+// instant, and so does a coroutine Elapse moves to a new instant. Processes
+// an immediate or delta notification makes runnable do not, nor does code
+// between Start calls.
+func TestTimedWake(t *testing.T) {
+	sim := NewSimulator()
+	defer sim.Shutdown()
+	var log []string
+	note := func(who string) {
+		log = append(log, fmt.Sprintf("%s %v %v", who, sim.Now(), sim.TimedWake()))
+	}
+	imm, dlt, never := sim.NewEvent("imm"), sim.NewEvent("dlt"), sim.NewEvent("never")
+	sim.SpawnMethod("imm", func() { note("imm") }, imm)
+	sim.SpawnMethod("dlt", func() { note("dlt") }, dlt)
+	step := 0
+	sim.SpawnCoro("a", func(c *Coro) {
+		switch step++; step {
+		case 1:
+			c.Wait(2 * Ms)
+		case 2:
+			note("a")
+			imm.Notify()
+			dlt.NotifyDelta()
+			c.Wait(Ms)
+		default:
+			note("a")
+			if !c.Elapse(Ms) {
+				t.Fatal("Elapse refused with nothing else pending")
+			}
+			note("a")
+			c.WaitEvent(never)
+		}
+	})
+	woke := false
+	sim.SpawnCoro("b", func(c *Coro) {
+		if woke {
+			note("b")
+			return
+		}
+		woke = true
+		c.Wait(2 * Ms)
+	})
+	if err := sim.Start(10 * Ms); err != nil {
+		t.Fatal(err)
+	}
+	note("outside")
+	want := []string{"a 2 ms true", "b 2 ms true", "imm 2 ms false", "dlt 2 ms false",
+		"a 3 ms true", "a 4 ms true", "outside 10 ms false"}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("log %q, want %q", log, want)
+	}
+}

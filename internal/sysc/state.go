@@ -162,6 +162,7 @@ func (s *Simulator) LoadState(st *SimState) error {
 	s.cancelled = false
 	s.runnable = s.runnable[:0]
 	s.runHead = 0
+	s.woken = 0
 	s.updates = s.updates[:0]
 	s.deltaQ = s.deltaQ[:0]
 

@@ -290,12 +290,13 @@ func (k *Kernel) Sim() *sysc.Simulator { return k.sim }
 func (k *Kernel) Tick() sysc.Time { return k.cfg.Tick }
 
 // Ticks returns the number of system ticks so far: the tick-grid points
-// before now, plus the one at now unless the timer pass armed for now is
-// still to run.
+// before now, plus the one at now once its timer pass has run. A pass runs
+// after the processes the timed phase woke at its tick; a tick with no pass
+// due counts from the same point, once those processes have run.
 func (k *Kernel) Ticks() uint64 {
-	now := k.sim.Now()
-	n := uint64(now / k.cfg.Tick)
-	if now == k.due {
+	now, tick := k.sim.Now(), k.cfg.Tick
+	n := uint64(now / tick)
+	if n > 0 && now%tick == 0 && (now == k.due || k.sim.TimedWake()) {
 		n--
 	}
 	return n
@@ -393,7 +394,8 @@ func (k *Kernel) runTimerQ() {
 }
 
 // after schedules target.expire(gen) to run at the first tick at or after d
-// from now that Ticks has not counted yet. Returns the entry handle (sequence number) for diagnostics.
+// from now that Ticks has not counted yet. Returns the entry handle
+// (sequence number) for diagnostics.
 func (k *Kernel) after(d sysc.Time, target timerTarget, gen int) uint64 {
 	when := k.sim.Now() + d
 	if !k.everyTick {
@@ -416,12 +418,20 @@ func (k *Kernel) gridCeil(t sysc.Time) sysc.Time {
 }
 
 // arm brings the timer pass forward to grid point t; a pass already due
-// at or before t stands.
+// at or before t stands. A pass armed for now (a tick Ticks has not counted
+// yet) runs in the current evaluation phase, after the processes already
+// runnable, as it would behind the timed phase.
 func (k *Kernel) arm(t sysc.Time) {
-	if t < k.due {
-		k.due = t
-		k.tickEv.NotifyAfter(t - k.sim.Now())
+	if t >= k.due {
+		return
 	}
+	k.due = t
+	if d := t - k.sim.Now(); d > 0 {
+		k.tickEv.NotifyAfter(d)
+		return
+	}
+	k.passing = true
+	k.tickEv.Notify()
 }
 
 // SystemTime returns the current system time (tk_get_tim).

@@ -162,3 +162,48 @@ func TestZeroDelayAlarmAfterPass(t *testing.T) {
 		}
 	}
 }
+
+// TestZeroDelayAlarmAtUncountedTick: a task whose Consume ends on a tick
+// runs before that tick's timer pass, so it reads the tick uncounted, and
+// an alarm it starts there with no delay fires at that tick, whether a pass
+// runs at every tick or only where an entry is due. The second Consume
+// starts off the grid and ends on it.
+func TestZeroDelayAlarmAtUncountedTick(t *testing.T) {
+	run := func(disable bool) []uint64 {
+		var reads []uint64
+		read := func(k *tkernel.Kernel) {
+			reads = append(reads, uint64(k.Sim().Now()/sysc.Us), k.RefSys().Ticks)
+		}
+		runTicked(t, tkernel.Config{DisableTickless: disable}, 10*sysc.Ms, func(k *tkernel.Kernel) {
+			alm, _ := k.CreAlm("alm", func(h *tkernel.HandlerCtx) { read(h.K) })
+			id, _ := k.CreTsk("starter", 10, func(task *tkernel.Task) {
+				consume := func(d sysc.Time) {
+					task.TThread().Consume(core.Cost{Time: d}, trace.CtxTask, "work")
+				}
+				_ = k.DlyTsk(2 * sysc.Ms) // released by the pass at 2 ms
+				consume(sysc.Ms)          // ends on the tick at 3 ms
+				read(k)
+				_ = k.StaAlm(alm, 0)
+				read(k)
+				consume(500 * sysc.Us) // 3.5 ms, off the grid
+				consume(500 * sysc.Us) // ends on the tick at 4 ms
+				read(k)
+				_ = k.StaAlm(alm, 0)
+			})
+			_ = k.StaTsk(id)
+		})
+		return reads
+	}
+	tickless, every := run(false), run(true)
+	want := []uint64{3000, 2, 3000, 2, 3000, 3, 4000, 3, 4000, 4}
+	for name, got := range map[string][]uint64{"tickless": tickless, "every tick": every} {
+		if len(got) != len(want) {
+			t.Fatalf("%s: reads (µs, ticks) %v, want %v", name, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: reads (µs, ticks) %v, want %v", name, got, want)
+			}
+		}
+	}
+}
