@@ -1,6 +1,7 @@
 package tkernel_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -127,82 +128,62 @@ func TestTicksReadsMatchEveryTick(t *testing.T) {
 	}
 }
 
-// TestZeroDelayAlarmAfterPass: an alarm started with no delay at a grid
-// point whose timer pass has already run fires at the next tick, with a
-// pass at every tick or only where an entry is due, and the tick count
-// never goes back.
-func TestZeroDelayAlarmAfterPass(t *testing.T) {
-	run := func(disable bool) []uint64 {
-		var reads []uint64
-		read := func(k *tkernel.Kernel) {
-			reads = append(reads, uint64(k.Sim().Now()/sysc.Us), k.RefSys().Ticks)
-		}
-		runTicked(t, tkernel.Config{DisableTickless: disable}, 10*sysc.Ms, func(k *tkernel.Kernel) {
-			alm, _ := k.CreAlm("alm", func(h *tkernel.HandlerCtx) { read(h.K) })
-			id, _ := k.CreTsk("starter", 10, func(*tkernel.Task) {
-				_ = k.DlyTsk(2 * sysc.Ms) // released by the pass at 2 ms
-				read(k)
-				_ = k.StaAlm(alm, 0)
-				read(k)
-			})
-			_ = k.StaTsk(id)
-		})
-		return reads
-	}
-	tickless, every := run(false), run(true)
-	want := []uint64{2000, 2, 2000, 2, 3000, 3}
-	for name, got := range map[string][]uint64{"tickless": tickless, "every tick": every} {
-		if len(got) != len(want) {
-			t.Fatalf("%s: reads (µs, ticks) %v, want %v", name, got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: reads (µs, ticks) %v, want %v", name, got, want)
+// TestZeroDelayAlarm: an alarm started with no delay fires at the current
+// tick when the task starting it runs before that tick's timer pass, and at
+// the next tick once the pass has run; the tick count the task and the
+// handler read never goes back. Both hold with a pass at every tick or only
+// where an entry is due.
+func TestZeroDelayAlarm(t *testing.T) {
+	cases := []struct {
+		name string
+		body func(k *tkernel.Kernel, task *tkernel.Task, alm tkernel.ID, read func(*tkernel.Kernel))
+		want []uint64 // (µs, ticks) pairs
+	}{{
+		name: "after pass",
+		body: func(k *tkernel.Kernel, _ *tkernel.Task, alm tkernel.ID, read func(*tkernel.Kernel)) {
+			_ = k.DlyTsk(2 * sysc.Ms) // released by the pass at 2 ms
+			read(k)
+			_ = k.StaAlm(alm, 0)
+			read(k)
+		},
+		want: []uint64{2000, 2, 2000, 2, 3000, 3},
+	}, {
+		// A task whose Consume ends on a tick runs before that tick's pass,
+		// so it reads the tick uncounted. The second Consume starts off the
+		// grid and ends on it.
+		name: "uncounted tick",
+		body: func(k *tkernel.Kernel, task *tkernel.Task, alm tkernel.ID, read func(*tkernel.Kernel)) {
+			consume := func(d sysc.Time) {
+				task.TThread().Consume(core.Cost{Time: d}, trace.CtxTask, "work")
 			}
-		}
-	}
-}
-
-// TestZeroDelayAlarmAtUncountedTick: a task whose Consume ends on a tick
-// runs before that tick's timer pass, so it reads the tick uncounted, and
-// an alarm it starts there with no delay fires at that tick, whether a pass
-// runs at every tick or only where an entry is due. The second Consume
-// starts off the grid and ends on it.
-func TestZeroDelayAlarmAtUncountedTick(t *testing.T) {
-	run := func(disable bool) []uint64 {
-		var reads []uint64
-		read := func(k *tkernel.Kernel) {
-			reads = append(reads, uint64(k.Sim().Now()/sysc.Us), k.RefSys().Ticks)
-		}
-		runTicked(t, tkernel.Config{DisableTickless: disable}, 10*sysc.Ms, func(k *tkernel.Kernel) {
-			alm, _ := k.CreAlm("alm", func(h *tkernel.HandlerCtx) { read(h.K) })
-			id, _ := k.CreTsk("starter", 10, func(task *tkernel.Task) {
-				consume := func(d sysc.Time) {
-					task.TThread().Consume(core.Cost{Time: d}, trace.CtxTask, "work")
-				}
-				_ = k.DlyTsk(2 * sysc.Ms) // released by the pass at 2 ms
-				consume(sysc.Ms)          // ends on the tick at 3 ms
-				read(k)
-				_ = k.StaAlm(alm, 0)
-				read(k)
-				consume(500 * sysc.Us) // 3.5 ms, off the grid
-				consume(500 * sysc.Us) // ends on the tick at 4 ms
-				read(k)
-				_ = k.StaAlm(alm, 0)
+			_ = k.DlyTsk(2 * sysc.Ms)
+			consume(sysc.Ms) // ends on the tick at 3 ms
+			read(k)
+			_ = k.StaAlm(alm, 0)
+			read(k)
+			consume(500 * sysc.Us) // 3.5 ms, off the grid
+			consume(500 * sysc.Us) // ends on the tick at 4 ms
+			read(k)
+			_ = k.StaAlm(alm, 0)
+		},
+		want: []uint64{3000, 2, 3000, 2, 3000, 3, 4000, 3, 4000, 4},
+	}}
+	for _, tc := range cases {
+		run := func(disable bool) []uint64 {
+			var reads []uint64
+			read := func(k *tkernel.Kernel) {
+				reads = append(reads, uint64(k.Sim().Now()/sysc.Us), k.RefSys().Ticks)
+			}
+			runTicked(t, tkernel.Config{DisableTickless: disable}, 10*sysc.Ms, func(k *tkernel.Kernel) {
+				alm, _ := k.CreAlm("alm", func(h *tkernel.HandlerCtx) { read(h.K) })
+				id, _ := k.CreTsk("starter", 10, func(task *tkernel.Task) { tc.body(k, task, alm, read) })
+				_ = k.StaTsk(id)
 			})
-			_ = k.StaTsk(id)
-		})
-		return reads
-	}
-	tickless, every := run(false), run(true)
-	want := []uint64{3000, 2, 3000, 2, 3000, 3, 4000, 3, 4000, 4}
-	for name, got := range map[string][]uint64{"tickless": tickless, "every tick": every} {
-		if len(got) != len(want) {
-			t.Fatalf("%s: reads (µs, ticks) %v, want %v", name, got, want)
+			return reads
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: reads (µs, ticks) %v, want %v", name, got, want)
+		for _, disable := range []bool{false, true} {
+			if got := run(disable); !slices.Equal(got, tc.want) {
+				t.Errorf("%s, DisableTickless=%v: reads (µs, ticks) %v, want %v", tc.name, disable, got, tc.want)
 			}
 		}
 	}
